@@ -107,13 +107,25 @@ class HermiteFunction:
         return max(self.coeffs)
 
     def evaluate(self, y):
-        """Evaluate f at y through the retained coefficients."""
+        """Evaluate f at y through the retained coefficients.
+
+        Runs the three-term recurrence of hermite_table holding only He_(q-1)
+        and He_q, and adds c_q He_q in ascending q.
+        """
         ya = np.asarray(y, dtype=float)
-        table = hermite_table(ya, self.q_max)
         out = np.zeros_like(ya)
-        for q, c in self.coeffs.items():
-            out += c * table[q]
-        return float(out) if np.asarray(y).ndim == 0 else out
+        prev, cur = None, np.ones_like(ya)
+        for q in range(self.q_max + 1):
+            if q in self.coeffs:
+                out += self.coeffs[q] * cur
+            if q == 0:
+                prev, cur = cur, ya.copy()
+            elif q < self.q_max:
+                nxt = ya * cur
+                prev *= q
+                nxt -= prev
+                prev, cur = cur, nxt
+        return float(out) if ya.ndim == 0 else out
 
     def describe(self) -> dict:
         return {

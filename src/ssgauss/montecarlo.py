@@ -234,10 +234,13 @@ def _bootstrap_moments(values: np.ndarray, seed: int, stream: int,
     key = np.array([seed & (2**64 - 1), (1 << 32) + stream], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     idx = rng.integers(0, m, size=(B, m))
-    draws = values[idx]
-    m2 = np.mean(draws**2, axis=1) - np.mean(draws, axis=1) ** 2
-    m4 = np.mean(draws**4, axis=1)
-    kurt = m4 / (3.0 * np.maximum(np.mean(draws**2, axis=1), 1e-300) ** 2)
+    # powers are elementwise, so raising before the gather reduces the
+    # same (B, m) values in the same order as raising the gathered draws
+    mean1 = np.mean(values[idx], axis=1)
+    mean2 = np.mean((values**2)[idx], axis=1)
+    m4 = np.mean((values**4)[idx], axis=1)
+    m2 = mean2 - mean1**2
+    kurt = m4 / (3.0 * np.maximum(mean2, 1e-300) ** 2)
     return float(np.std(m2, ddof=1)), float(np.std(kurt, ddof=1))
 
 
@@ -261,9 +264,12 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
             f"got alpha={model.alpha}, d={f.rank}"
         )
 
+    if _num_increments(n, t_grid[0]) < 1:
+        raise GridError(
+            f"t = {t_grid[0]:g} gives floor(n*t) = 0 at n = {n}; "
+            f"the smallest allowed time is 1/n = {1.0 / n:g}"
+        )
     N = _num_increments(n, t_grid[-1])
-    if N < 1:
-        raise GridError(f"floor(n*max t) = {N}; nothing to sample")
     ic = increment_cov(model, n, N)
     factor = cholesky(ic)
     batch = sample_batch(model, n, N, M, seed, threads=threads, ic=ic, factor=factor)

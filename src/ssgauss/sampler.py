@@ -143,13 +143,17 @@ def normal_icdf(u):
     return float(out[0]) if scalar else out
 
 
-def _replica_normals(seed: int, replica: int, count: int) -> np.ndarray:
-    """count standard normals from the Philox stream keyed (seed, replica)."""
+def _replica_uniforms(seed: int, replica: int, count: int) -> np.ndarray:
+    """count open-interval uniforms from the Philox stream keyed (seed, replica)."""
     key = np.array([seed & _MASK64, replica & _MASK64], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(count)
     # top 53 bits, centered: u in (0, 1) strictly, one uniform per normal
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return normal_icdf(u)
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _replica_normals(seed: int, replica: int, count: int) -> np.ndarray:
+    """count standard normals from the Philox stream keyed (seed, replica)."""
+    return normal_icdf(_replica_uniforms(seed, replica, count))
 
 
 def draw(factor: CholeskyFactor, seed: int, replica: int) -> np.ndarray:
@@ -195,10 +199,12 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
     inc = np.empty((M, N), dtype=float)
 
     def fill(lo: int, hi: int) -> None:
-        z = np.empty((hi - lo, N), dtype=float)
+        # normal_icdf is elementwise, so one call on the chunk's uniforms
+        # gives the same normals as one call per replica stream
+        u = np.empty((hi - lo, N), dtype=float)
         for rep in range(lo, hi):
-            z[rep - lo] = _replica_normals(seed, rep, N)
-        inc[lo:hi] = z @ LT
+            u[rep - lo] = _replica_uniforms(seed, rep, N)
+        inc[lo:hi] = normal_icdf(u) @ LT
 
     chunks = [(lo, min(lo + _REPLICA_CHUNK, M)) for lo in range(0, M, _REPLICA_CHUNK)]
     if threads <= 1 or len(chunks) == 1:
@@ -226,8 +232,23 @@ def write_batch(batch: SampleBatch, path) -> None:
 
 
 def read_batch(path) -> tuple[dict, np.ndarray]:
-    """Read a batch dump; returns (header dict, increments array)."""
+    """Read a batch dump; returns (header dict, increments array).
+
+    Raises DomainError when the file size disagrees with the header.
+    """
     with open(path, "rb") as fh:
-        n, N, M, seed = _HEADER.unpack(fh.read(_HEADER.size))
-        data = np.frombuffer(fh.read(8 * M * N), dtype="<f8").reshape(M, N)
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise DomainError(
+            f"batch file {path} holds {len(raw)} bytes, "
+            f"shorter than its {_HEADER.size}-byte header"
+        )
+    n, N, M, seed = _HEADER.unpack_from(raw)
+    expected = _HEADER.size + 8 * M * N
+    if len(raw) != expected:
+        raise DomainError(
+            f"batch file {path} holds {len(raw)} bytes; its header "
+            f"(M={M}, N={N}) needs {expected}"
+        )
+    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(M, N)
     return {"n": n, "N": N, "M": M, "seed": seed}, data.astype(float)

@@ -103,6 +103,16 @@ def test_clt_bad_time_grid_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_clt_time_below_one_over_n_exit_2(tmp_path, capsys):
+    rc = run_cli(["clt", "--model", "fbm", "--H", "0.5", "--f", "hermite:2",
+                  "--n", "16", "--M", "200", "--t-grid", "0.01,1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "1/n = 0.0625" in err
+    assert not (tmp_path / "experiment.json").exists()
+
+
 def test_check_swanson_passes(tmp_path, capsys):
     rc = run_cli(["check", "--model", "swanson", "--out", str(tmp_path)])
     assert rc == 0

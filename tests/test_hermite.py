@@ -172,3 +172,18 @@ def test_evaluate_consistency():
     f = builtin_family("even_power", 2)
     x = np.linspace(-3, 3, 41)
     assert np.allclose(f.evaluate(x), x**4 - 3.0, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind,k", [("single_hermite", 3), ("even_power", 2),
+                                    ("odd_abs_power", 1)])
+def test_evaluate_bit_identical_to_table_sum(kind, k):
+    f = builtin_family(kind, k)
+    y = np.random.default_rng(5).standard_normal((40, 64)) * 1.5
+    table = hermite_table(y, f.q_max)
+    expected = np.zeros_like(y)
+    for q in sorted(f.coeffs):
+        expected += f.coeffs[q] * table[q]
+    assert np.array_equal(f.evaluate(y), expected)
+    value = f.evaluate(0.7)
+    assert isinstance(value, float)
+    assert value == f.evaluate(np.array([0.7]))[0]

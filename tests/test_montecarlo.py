@@ -8,6 +8,8 @@ from ssgauss.hermite import HermiteFunction, builtin_family
 from ssgauss.limitvar import sigma_q_sq
 from ssgauss.models import make_model
 from ssgauss.montecarlo import (
+    BOOTSTRAP_B,
+    _bootstrap_moments,
     exact_variance,
     functional,
     kolmogorov_sf,
@@ -21,6 +23,7 @@ H2 = builtin_family("single_hermite", 2)
 def test_functional_zero_below_first_gridpoint():
     rows = np.zeros(16)
     assert functional(rows, H2, 32, 0.01) == 0.0
+    assert exact_variance(make_model("fbm", H=0.5), H2, 32, 0.01) == 0.0
 
 
 def test_functional_constant_rows():
@@ -122,6 +125,32 @@ def test_run_experiment_gates():
         run_experiment(make_model("fbm", H=0.5), H2, 64, [1.0], M=50, seed=0)
     with pytest.raises(DomainError):
         run_experiment(make_model("fbm", H=0.5), H2, 64, [], M=200, seed=0)
+
+
+def test_run_experiment_rejects_time_below_one_over_n():
+    with pytest.raises(GridError, match="1/n = 0.0625"):
+        run_experiment(make_model("fbm", H=0.5), H2, 16, [0.01, 1.0], M=200, seed=0)
+
+
+def _bootstrap_moments_oracle(values, seed, stream, B=BOOTSTRAP_B):
+    # the formula as first written: powers of the gathered draws
+    m = values.size
+    key = np.array([seed & (2**64 - 1), (1 << 32) + stream], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    idx = rng.integers(0, m, size=(B, m))
+    draws = values[idx]
+    m2 = np.mean(draws**2, axis=1) - np.mean(draws, axis=1) ** 2
+    m4 = np.mean(draws**4, axis=1)
+    kurt = m4 / (3.0 * np.maximum(np.mean(draws**2, axis=1), 1e-300) ** 2)
+    return float(np.std(m2, ddof=1)), float(np.std(kurt, ddof=1))
+
+
+@pytest.mark.parametrize("seed,stream", [(0, 0), (20240801, 3)])
+def test_bootstrap_moments_bit_identical_to_oracle(seed, stream):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(1500) ** 2 - 1.0
+    assert _bootstrap_moments(values, seed, stream) == \
+        _bootstrap_moments_oracle(values, seed, stream)
 
 
 def test_experiment_summary_rows():

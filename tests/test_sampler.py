@@ -5,7 +5,10 @@ from ssgauss.covgrid import IncrementCovariance, increment_cov
 from ssgauss.errors import DomainError
 from ssgauss.models import make_model
 from ssgauss.sampler import (
+    _REPLICA_CHUNK,
     CholeskyFactor,
+    _replica_normals,
+    _replica_uniforms,
     cholesky,
     draw,
     normal_icdf,
@@ -116,3 +119,33 @@ def test_binary_round_trip(tmp_path):
     header, data = read_batch(path)
     assert header == {"n": 8, "N": 8, "M": 5, "seed": 10}
     assert np.array_equal(data, batch.increments)
+
+
+def test_binary_length_checked(tmp_path):
+    batch = sample_batch(make_model("fbm", H=0.5), 16, 16, 4, seed=1)
+    path = tmp_path / "batch.bin"
+    write_batch(batch, path)
+    raw = path.read_bytes()
+    assert len(raw) == 32 + 8 * 4 * 16
+    for bad, size in ((raw[:-1], len(raw) - 1), (raw + b"\0" * 8, len(raw) + 8),
+                      (raw[:20], 20)):
+        path.write_bytes(bad)
+        with pytest.raises(DomainError, match=f"holds {size} bytes"):
+            read_batch(path)
+
+
+def test_chunk_icdf_equals_per_replica_normals():
+    seed, N = 20240801, 96
+    u = np.stack([_replica_uniforms(seed, rep, N) for rep in range(_REPLICA_CHUNK)])
+    rows = np.stack([_replica_normals(seed, rep, N) for rep in range(_REPLICA_CHUNK)])
+    assert np.array_equal(normal_icdf(u), rows)
+    # every branch of AS 241: central, r <= 5 and r > 5 tails, both signs,
+    # out to the smallest uniform and the largest double below 1
+    assert np.any(np.abs(u - 0.5) > 0.425)
+    edge = (0.5 * 2.0**-53, 1.0 - 2.0**-53, 1e-12, 1.0 - 1e-12, 0.01, 0.99)
+    u[7, :len(edge)] = edge
+    u[300, -len(edge):] = edge
+    block = normal_icdf(u)
+    assert np.array_equal(block, np.stack([normal_icdf(row) for row in u]))
+    assert np.all(np.abs(block[7, :4]) > 7.0)  # r > 5 branch
+    assert np.array_equal(np.sign(block[7, :6]), [-1, 1, -1, 1, -1, 1])

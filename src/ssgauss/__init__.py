@@ -19,7 +19,7 @@ from .covgrid import IncrementCovariance, increment_cov
 from .errors import DomainError, GateError, GridError, NumericalError, SingularityError
 from .hermite import HermiteFunction, builtin_family, expand, hermite_eval
 from .limitvar import LimitVariance, second_difference, sigma_q_sq, sigma_sq
-from .models import Model, kernel_eval, list_models, make_model, phi_eval, psi_eval
+from .models import Model, list_models, make_model
 from .montecarlo import (
     ExperimentResult,
     exact_variance,
@@ -31,7 +31,7 @@ from .sampler import SampleBatch, cholesky, draw, normal_icdf, sample_batch
 __all__ = [
     "__version__",
     "DomainError", "GateError", "GridError", "NumericalError", "SingularityError",
-    "Model", "make_model", "list_models", "phi_eval", "psi_eval", "kernel_eval",
+    "Model", "make_model", "list_models",
     "IncrementCovariance", "increment_cov",
     "HermiteFunction", "hermite_eval", "expand", "builtin_family",
     "LimitVariance", "second_difference", "sigma_q_sq", "sigma_sq",

@@ -312,7 +312,7 @@ def check_far_decay(model: Model, n: int = 729, exponents=range(1, 7),
     max_j = max(j for j, _ in pairs)
     if ic is None:
         ic = increment_cov(model, n, max_j + 1)
-    ratios, js, scales = [], [], []
+    ratios, js = [], []
     for j, k in pairs:
         if not (1 <= 3 * k <= j <= ic.N - 1):
             raise DomainError(f"pair (j={j}, k={k}) outside the audit domain")
@@ -325,7 +325,6 @@ def check_far_decay(model: Model, n: int = 729, exponents=range(1, 7),
             env = n ** (-2.0 * b) * k ** (2.0 * b - a) * (j - k) ** (a - 2.0)
         ratios.append(c / env)
         js.append(float(j))
-        scales.append(float(ic.std[j] * ic.std[k]))
     return _ratio_report("far-covariance-decay", model, js, ratios,
                          np.ones(len(ratios)), np.zeros(len(ratios)),
                          note=_smooth_note(model))
@@ -361,23 +360,6 @@ def contraction_norm(ic: IncrementCovariance, q: int, r: int, c_q: float,
     B = sub ** int(q - r)
     P = A @ B
     return float(c_q**4 / ic.n**2 * np.sum(P * P.T))
-
-
-def contraction_norm_bruteforce(ic: IncrementCovariance, q: int, r: int,
-                                c_q: float, t: float = 1.0) -> float:
-    """Literal quadruple sum; O(N^4), for cross-checking small grids."""
-    if not 1 <= r <= q - 1:
-        raise DomainError(f"contraction order r must be in [1, q-1]; got r={r}, q={q}")
-    m = int(math.floor(ic.n * t))
-    rho = ic.corr[:m, :m]
-    total = 0.0
-    for j in range(m):
-        for k in range(m):
-            for l in range(m):
-                for mm in range(m):
-                    total += (rho[j, k] ** r * rho[l, mm] ** r
-                              * rho[j, l] ** (q - r) * rho[k, mm] ** (q - r))
-    return float(c_q**4 / ic.n**2 * total)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,18 @@ EXIT_NUMERICAL = 4
 _MODEL_PARAM_FLAGS = ("H", "K", "alpha")
 
 
+def _parse(convert, text, flag: str):
+    """convert(text), with a malformed value reported as a usage error."""
+    try:
+        return convert(text)
+    except (TypeError, ValueError):
+        raise DomainError(f"malformed {flag} value {text!r}") from None
+
+
+def _parse_list(convert, text, flag: str) -> list:
+    return [_parse(convert, v, flag) for v in str(text).split(",")]
+
+
 def _build_model(cfg: dict) -> Model:
     name = cfg.get("model")
     if not name:
@@ -64,14 +76,14 @@ def _build_f(cfg: dict) -> hermite.HermiteFunction:
         if not value:
             raise DomainError(f"malformed --f value {fdesc!r}; expected kind:integer")
     kind = {"hermite": "single_hermite"}.get(kind, kind)
-    return hermite.builtin_family(kind, int(value))
+    return hermite.builtin_family(kind, _parse(int, value, "--f"))
 
 
 def _seed_from(cfg: dict) -> int:
     if cfg.get("seed") is not None:
-        return int(cfg["seed"])
+        return _parse(int, cfg["seed"], "--seed")
     env = os.environ.get("SSGAUSS_SEED")
-    return int(env) if env else 0
+    return _parse(int, env, "SSGAUSS_SEED") if env else 0
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -140,7 +152,7 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_clt(cfg: dict) -> int:
     model = _build_model(cfg)
     f = _build_f(cfg)
-    t_grid = [float(v) for v in str(cfg.get("t_grid") or "1.0").split(",")]
+    t_grid = _parse_list(float, cfg.get("t_grid") or "1.0", "--t-grid")
     result = montecarlo.run_experiment(
         model, f, int(cfg["n"]), t_grid, M=int(cfg.get("M") or montecarlo.DEFAULT_M),
         seed=_seed_from(cfg), threads=int(cfg.get("threads") or 1),
@@ -191,8 +203,8 @@ def cmd_check(cfg: dict) -> int:
 def cmd_contraction(cfg: dict) -> int:
     model = _build_model(cfg)
     q = int(cfg.get("q") or 2)
-    rs = [int(v) for v in str(cfg.get("r") or "1").split(",")]
-    ns = [int(v) for v in str(cfg.get("n") or "64,128,256").split(",")]
+    rs = _parse_list(int, cfg.get("r") or "1", "--r")
+    ns = _parse_list(int, cfg.get("n") or "64,128,256", "--n")
     t = float(cfg.get("t") or 1.0)
     report = analysis.contraction_report(model, q, ns, r_values=rs, t=t)
     payload = _echo(cfg, {"model_resolved": model.describe()})

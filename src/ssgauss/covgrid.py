@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .models import Model
 
-__all__ = ["IncrementCovariance", "increment_cov", "normalized_corr", "dump_csv"]
+__all__ = ["IncrementCovariance", "increment_cov", "dump_csv"]
 
 # Dense N x N doubles; 8192^2 is a ~540 MB pair of matrices, the default
 # ceiling for desk-scale runs.
@@ -77,11 +77,6 @@ def increment_cov(model: Model, n: int, N: int, max_n: int = DEFAULT_MAX_N) -> I
     corr = cov / np.outer(std, std)
     np.fill_diagonal(corr, 1.0)
     return IncrementCovariance(model=model, n=int(n), N=int(N), cov=cov, std=std, corr=corr)
-
-
-def normalized_corr(ic: IncrementCovariance) -> np.ndarray:
-    """Correlation matrix of the normalized increments DX_j / std[j]."""
-    return ic.corr
 
 
 def dump_csv(ic: IncrementCovariance, path, which: str = "cov") -> None:

@@ -15,11 +15,16 @@ increments (E[(X_{t+s} - X_t)^2] ~ 2*lam*t**(2*beta-alpha)*s**alpha as
 s -> 0) and psi collects the remainder.  alpha is called the increment
 exponent; it can be strictly smaller than 2*beta (arcsine model).
 
-phi, psi and their first two derivatives are evaluated in closed form;
-no finite differences appear on the primary path.  The covariance kernel
-R is also evaluated directly in (s, t) form, which avoids the cancellation
-incurred by s**(2*beta) * phi(t/s) when t - s is many orders of magnitude
-below t.
+Each model writes out only psi and its first two derivatives, in closed
+form; phi and its derivatives are derived from psi through the split
+above, term by term, so no finite differences appear on the primary path.
+The covariance kernel R is evaluated directly in (s, t) form, which avoids
+the cancellation incurred by s**(2*beta) * phi(t/s) when t - s is many
+orders of magnitude below t.  Construction checks the two independent
+closed forms against each other: phi(x) = R(1, x) at a few points.
+
+Each model class also carries its catalog row (parameter ranges and the
+exponent formulas), which make_model and list_models read.
 
 Model ids
 ---------
@@ -42,6 +47,7 @@ That behavior is intrinsic to the models, not an implementation artifact.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -58,13 +64,10 @@ __all__ = [
     "DWZ2",
     "make_model",
     "list_models",
-    "phi_eval",
-    "psi_eval",
-    "kernel_eval",
 ]
 
-# Points where the decomposition identity psi = phi + lam*(x-1)**alpha is
-# cross-checked at construction time.
+# Points where the derived shape function is checked against the kernel,
+# phi(x) = R(1, x), at construction time.
 _IDENTITY_POINTS = (1.0, 1.5, 2.0, 10.0, 1.0e4)
 _IDENTITY_RTOL = 1.0e-10
 
@@ -77,12 +80,14 @@ def _check_order(order: int) -> None:
 class Model:
     """Base class: validation, domain checks and the generic kernel.
 
-    Subclasses set name, params, alpha, beta, lam, nu and implement the
-    raw evaluators _phi, _psi (vectorized, domain already checked) and
-    _r (covariance on positive time pairs).
+    Subclasses declare name and their catalog row as class attributes, set
+    params, alpha, beta, lam, nu and implement the raw evaluators _psi
+    (vectorized, domain already checked) and _r (covariance on positive
+    time pairs).
     """
 
     name: str = ""
+    catalog: dict = {}
     # Whether psi' / psi'' stay finite as x -> 1+.  Models whose psi keeps
     # a (x-1)**alpha term are not differentiable at 1.
     psi_d1_at_one: bool = True
@@ -107,12 +112,11 @@ class Model:
         if not self.phi(1.0) > 0.0:
             raise DomainError(f"{self.name}: phi(1)={self.phi(1.0)} must be positive")
         for x in _IDENTITY_POINTS:
-            lhs = self.phi(x) + lam * (x - 1.0) ** a
-            rhs = self.psi(x)
-            if abs(lhs - rhs) > _IDENTITY_RTOL * (1.0 + abs(self.phi(x))):
+            phi, kernel = self.phi(x), self.r(1.0, x)
+            if abs(phi - kernel) > _IDENTITY_RTOL * (1.0 + abs(phi)):
                 raise NumericalError(
-                    f"{self.name}: decomposition identity violated at x={x}: "
-                    f"phi + lam*(x-1)^alpha = {lhs!r} but psi = {rhs!r}"
+                    f"{self.name}: shape function disagrees with the kernel at "
+                    f"x={x}: phi = {phi!r} but R(1, x) = {kernel!r}"
                 )
 
     # -- public evaluators --------------------------------------------
@@ -137,6 +141,19 @@ class Model:
                 )
         out = self._phi(xa, order)
         return float(out[0]) if scalar else out
+
+    def _phi(self, x, order):
+        """phi = psi - lam*(x-1)**alpha, differentiated term by term."""
+        a, lam = self.alpha, self.lam
+        psi = self._psi(x, order)
+        if order == 0:
+            return psi - lam * (x - 1.0) ** a
+        if order == 1:
+            return psi - lam * a * (x - 1.0) ** (a - 1.0)
+        c = lam * a * (a - 1.0)
+        if c == 0.0:
+            return psi
+        return psi - c * (x - 1.0) ** (a - 2.0)
 
     def psi(self, x, order: int = 0):
         """Smooth remainder psi(x) = phi(x) + lam*(x-1)**alpha, or derivatives."""
@@ -188,13 +205,20 @@ class Model:
         return f"{type(self).__name__}({ps})"
 
 
-class FBM(Model):
-    """Fractional Brownian motion, R(s,t) = (s^2H + t^2H - |t-s|^2H) / 2."""
+class _HurstModel(Model):
+    """Exponents shared by fbm and subfbm, functions of the Hurst index H."""
+
+    catalog = {
+        "params": {"H": "(0, 1)"},
+        "alpha": "2H",
+        "beta": "H",
+        "lam": 0.5,
+        "nu": "2 - 2H when alpha < 1",
+    }
 
     def __init__(self, H: float):
         if not 0.0 < H < 1.0:
-            raise DomainError(f"fbm: H={H} outside (0, 1)")
-        self.name = "fbm"
+            raise DomainError(f"{self.name}: H={H} outside (0, 1)")
         self.params = {"H": H}
         self.H = H
         self.alpha = 2.0 * H
@@ -203,16 +227,11 @@ class FBM(Model):
         self.nu = 2.0 - 2.0 * H if self.alpha < 1.0 else None
         super().__init__()
 
-    def _phi(self, x, order):
-        g = 2.0 * self.H
-        if order == 0:
-            return 0.5 * (1.0 + x**g - (x - 1.0) ** g)
-        if order == 1:
-            return self.H * (x ** (g - 1.0) - (x - 1.0) ** (g - 1.0))
-        c = self.H * (g - 1.0)
-        if c == 0.0:
-            return np.zeros_like(x)
-        return c * (x ** (g - 2.0) - (x - 1.0) ** (g - 2.0))
+
+class FBM(_HurstModel):
+    """Fractional Brownian motion, R(s,t) = (s^2H + t^2H - |t-s|^2H) / 2."""
+
+    name = "fbm"
 
     def _psi(self, x, order):
         g = 2.0 * self.H
@@ -227,32 +246,11 @@ class FBM(Model):
         return 0.5 * (u**g + v**g - (v - u) ** g)
 
 
-class SubFBM(Model):
+class SubFBM(_HurstModel):
     """Sub-fractional Brownian motion,
     R(s,t) = s^2H + t^2H - ((s+t)^2H + |t-s|^2H) / 2."""
 
-    def __init__(self, H: float):
-        if not 0.0 < H < 1.0:
-            raise DomainError(f"subfbm: H={H} outside (0, 1)")
-        self.name = "subfbm"
-        self.params = {"H": H}
-        self.H = H
-        self.alpha = 2.0 * H
-        self.beta = H
-        self.lam = 0.5
-        self.nu = 2.0 - 2.0 * H if self.alpha < 1.0 else None
-        super().__init__()
-
-    def _phi(self, x, order):
-        g = 2.0 * self.H
-        if order == 0:
-            return 1.0 + x**g - 0.5 * ((x + 1.0) ** g + (x - 1.0) ** g)
-        if order == 1:
-            return self.H * (2.0 * x ** (g - 1.0) - (x + 1.0) ** (g - 1.0) - (x - 1.0) ** (g - 1.0))
-        c = self.H * (g - 1.0)
-        if c == 0.0:
-            return np.zeros_like(x)
-        return c * (2.0 * x ** (g - 2.0) - (x + 1.0) ** (g - 2.0) - (x - 1.0) ** (g - 2.0))
+    name = "subfbm"
 
     def _psi(self, x, order):
         g = 2.0 * self.H
@@ -271,12 +269,20 @@ class BiFBM(Model):
     """Bifractional Brownian motion,
     R(s,t) = 2^-K ((s^2H + t^2H)^K - |t-s|^2HK).  K = 1 reduces to fbm."""
 
+    name = "bifbm"
+    catalog = {
+        "params": {"H": "(0, 1)", "K": "(0, 1]"},
+        "alpha": "2HK",
+        "beta": "HK",
+        "lam": "2^-K",
+        "nu": "min(1 + 2H - 2HK, 2 - 2HK) when alpha < 1",
+    }
+
     def __init__(self, H: float, K: float):
         if not 0.0 < H < 1.0:
             raise DomainError(f"bifbm: H={H} outside (0, 1)")
         if not 0.0 < K <= 1.0:
             raise DomainError(f"bifbm: K={K} outside (0, 1]")
-        self.name = "bifbm"
         self.params = {"H": H, "K": K}
         self.H, self.K = H, K
         self.alpha = 2.0 * H * K
@@ -287,19 +293,6 @@ class BiFBM(Model):
         else:
             self.nu = None
         super().__init__()
-
-    def _phi(self, x, order):
-        H, K = self.H, self.K
-        a = 2.0 * H * K
-        psi = self._psi(x, order)
-        if order == 0:
-            return psi - self.lam * (x - 1.0) ** a
-        if order == 1:
-            return psi - self.lam * a * (x - 1.0) ** (a - 1.0)
-        c = self.lam * a * (a - 1.0)
-        if c == 0.0:
-            return psi
-        return psi - c * (x - 1.0) ** (a - 2.0)
 
     def _psi(self, x, order):
         H, K = self.H, self.K
@@ -336,25 +329,10 @@ class Swanson(Model):
     x = 1 (psi'(1) = pi/4 comes out exactly).
     """
 
+    name = "swanson"
+    alpha, beta, lam, nu = 0.5, 0.5, 1.0, 2.0
+    catalog = {"params": {}, "alpha": alpha, "beta": beta, "lam": lam, "nu": nu}
     psi_d2_at_one = False  # psi'' ~ -(x-1)^(-1/2)/8 near 1
-
-    def __init__(self):
-        self.name = "swanson"
-        self.params = {}
-        self.alpha = 0.5
-        self.beta = 0.5
-        self.lam = 1.0
-        self.nu = 2.0
-        super().__init__()
-
-    def _phi(self, x, order):
-        rx = np.sqrt(x)
-        asx = np.arcsin(1.0 / rx)
-        if order == 0:
-            return rx * asx
-        if order == 1:
-            return (asx - 1.0 / np.sqrt(x - 1.0)) / (2.0 * rx)
-        return self._psi(x, 2) + 0.25 * (x - 1.0) ** -1.5
 
     def _psi(self, x, order):
         rx = np.sqrt(x)
@@ -369,25 +347,22 @@ class Swanson(Model):
         return np.sqrt(u * v) * np.arcsin(np.sqrt(u / v))
 
 
-def _dw_check_alpha(name: str, a: float) -> None:
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"{name}: alpha={a} outside (0, 1)")
+class _DWModel(Model):
+    """Exponents shared by dw-z1 and dw-z2, functions of alpha in (0, 1)."""
 
-
-class DWZ1(Model):
-    """Smooth self-similar model R(s,t) = Gamma(1-a) ((s+t)^a - max(s,t)^a).
-
-    Interior increments scale like the step (exponent 1), so normalized
-    increments decorrelate and near-diagonal envelope audits do not close
-    for this model.
-    """
-
+    catalog = {
+        "params": {"alpha": "(0, 1)"},
+        "alpha": "alpha",
+        "beta": "alpha / 2",
+        "lam": "Gamma(1 - alpha)",
+        "nu": "2 - alpha",
+    }
     psi_d1_at_one = False
     psi_d2_at_one = False
 
     def __init__(self, alpha: float):
-        _dw_check_alpha("dw-z1", alpha)
-        self.name = "dw-z1"
+        if not 0.0 < alpha < 1.0:
+            raise DomainError(f"{self.name}: alpha={alpha} outside (0, 1)")
         self.params = {"alpha": alpha}
         self.alpha = alpha
         self.beta = alpha / 2.0
@@ -397,13 +372,16 @@ class DWZ1(Model):
         self.nu = 2.0 - alpha
         super().__init__()
 
-    def _phi(self, x, order):
-        a, g = self.alpha, self.lam
-        if order == 0:
-            return g * ((x + 1.0) ** a - x**a)
-        if order == 1:
-            return g * a * ((x + 1.0) ** (a - 1.0) - x ** (a - 1.0))
-        return g * a * (a - 1.0) * ((x + 1.0) ** (a - 2.0) - x ** (a - 2.0))
+
+class DWZ1(_DWModel):
+    """Smooth self-similar model R(s,t) = Gamma(1-a) ((s+t)^a - max(s,t)^a).
+
+    Interior increments scale like the step (exponent 1), so normalized
+    increments decorrelate and near-diagonal envelope audits do not close
+    for this model.
+    """
+
+    name = "dw-z1"
 
     def _psi(self, x, order):
         a, g = self.alpha, self.lam
@@ -420,7 +398,7 @@ class DWZ1(Model):
         return self.lam * ((u + v) ** a - v**a)
 
 
-class DWZ2(Model):
+class DWZ2(_DWModel):
     """Smooth self-similar model R(s,t) = Gamma(1-a) (s^a + t^a - (s+t)^a).
 
     Even smoother than dw-z1 at interior times (step exponent 2); its
@@ -429,26 +407,7 @@ class DWZ2(Model):
     limit theorem with the stationary-series variance.
     """
 
-    psi_d1_at_one = False
-    psi_d2_at_one = False
-
-    def __init__(self, alpha: float):
-        _dw_check_alpha("dw-z2", alpha)
-        self.name = "dw-z2"
-        self.params = {"alpha": alpha}
-        self.alpha = alpha
-        self.beta = alpha / 2.0
-        self.lam = math.gamma(1.0 - alpha)
-        self.nu = 2.0 - alpha
-        super().__init__()
-
-    def _phi(self, x, order):
-        a, g = self.alpha, self.lam
-        if order == 0:
-            return g * (1.0 + x**a - (x + 1.0) ** a)
-        if order == 1:
-            return g * a * (x ** (a - 1.0) - (x + 1.0) ** (a - 1.0))
-        return g * a * (a - 1.0) * (x ** (a - 2.0) - (x + 1.0) ** (a - 2.0))
+    name = "dw-z2"
 
     def _psi(self, x, order):
         a, g = self.alpha, self.lam
@@ -465,27 +424,20 @@ class DWZ2(Model):
         return self.lam * (u**a + v**a - (u + v) ** a)
 
 
-_FACTORIES = {
-    "fbm": (FBM, ("H",)),
-    "subfbm": (SubFBM, ("H",)),
-    "bifbm": (BiFBM, ("H", "K")),
-    "swanson": (Swanson, ()),
-    "dw-z1": (DWZ1, ("alpha",)),
-    "dw-z2": (DWZ2, ("alpha",)),
-}
+_MODELS = {cls.name: cls for cls in (FBM, SubFBM, BiFBM, Swanson, DWZ1, DWZ2)}
 
 
 def make_model(name: str, **params) -> Model:
     """Instantiate a catalog model from its string id and parameter map."""
-    key = name.lower()
-    if key not in _FACTORIES:
-        raise DomainError(f"unknown model {name!r}; known: {sorted(_FACTORIES)}")
-    cls, wanted = _FACTORIES[key]
+    cls = _MODELS.get(name.lower())
+    if cls is None:
+        raise DomainError(f"unknown model {name!r}; known: {sorted(_MODELS)}")
+    wanted = list(cls.catalog["params"])
     missing = [p for p in wanted if p not in params]
     extra = [p for p in params if p not in wanted]
     if missing or extra:
         raise DomainError(
-            f"{name}: expects parameters {list(wanted)}, got {sorted(params)}"
+            f"{name}: expects parameters {wanted}, got {sorted(params)}"
         )
     return cls(**{p: float(params[p]) for p in wanted})
 
@@ -496,88 +448,4 @@ def list_models() -> list[dict]:
     Parametric families report their exponents as formulas; fixed models
     report numbers.
     """
-    return [
-        {
-            "model": "fbm",
-            "params": {"H": "(0, 1)"},
-            "alpha": "2H",
-            "beta": "H",
-            "lam": 0.5,
-            "nu": "2 - 2H when alpha < 1",
-        },
-        {
-            "model": "subfbm",
-            "params": {"H": "(0, 1)"},
-            "alpha": "2H",
-            "beta": "H",
-            "lam": 0.5,
-            "nu": "2 - 2H when alpha < 1",
-        },
-        {
-            "model": "bifbm",
-            "params": {"H": "(0, 1)", "K": "(0, 1]"},
-            "alpha": "2HK",
-            "beta": "HK",
-            "lam": "2^-K",
-            "nu": "min(1 + 2H - 2HK, 2 - 2HK) when alpha < 1",
-        },
-        {
-            "model": "swanson",
-            "params": {},
-            "alpha": 0.5,
-            "beta": 0.5,
-            "lam": 1.0,
-            "nu": 2.0,
-        },
-        {
-            "model": "dw-z1",
-            "params": {"alpha": "(0, 1)"},
-            "alpha": "alpha",
-            "beta": "alpha / 2",
-            "lam": "Gamma(1 - alpha)",
-            "nu": "2 - alpha",
-        },
-        {
-            "model": "dw-z2",
-            "params": {"alpha": "(0, 1)"},
-            "alpha": "alpha",
-            "beta": "alpha / 2",
-            "lam": "Gamma(1 - alpha)",
-            "nu": "2 - alpha",
-        },
-    ]
-
-
-# Functional wrappers matching the operation-style interface.
-
-def phi_eval(model: Model, x, order: int = 0):
-    return model.phi(x, order)
-
-
-def psi_eval(model: Model, x, order: int = 0):
-    return model.psi(x, order)
-
-
-def kernel_eval(model: Model, s, t):
-    return model.r(s, t)
-
-
-def kernel_eval_scaled(model: Model, s, t):
-    """Reference evaluation through the scaling form min^(2 beta) phi(max/min).
-
-    Algebraically identical to kernel_eval; kept as an independent route
-    for consistency tests.  Less accurate than the direct forms when
-    t/s - 1 underflows the working precision.
-    """
-    sa = np.atleast_1d(np.asarray(s, dtype=float))
-    ta = np.atleast_1d(np.asarray(t, dtype=float))
-    sa, ta = np.broadcast_arrays(sa, ta)
-    u = np.minimum(sa, ta)
-    v = np.maximum(sa, ta)
-    out = np.zeros(u.shape, dtype=float)
-    pos = u > 0
-    if np.any(pos):
-        out[pos] = u[pos] ** (2.0 * model.beta) * model._phi(v[pos] / u[pos], 0)
-    if np.asarray(s).ndim == 0 and np.asarray(t).ndim == 0:
-        return float(out.reshape(-1)[0])
-    return out
+    return [{"model": name, **copy.deepcopy(cls.catalog)} for name, cls in _MODELS.items()]

@@ -39,7 +39,6 @@ from .sampler import cholesky, sample_batch
 __all__ = [
     "functional",
     "exact_variance",
-    "exact_variance_from_corr",
     "run_experiment",
     "ExperimentResult",
     "TimeStats",
@@ -81,29 +80,22 @@ def functional(rows: np.ndarray, f: HermiteFunction, n: int, t: float):
     return float(out[0]) if single else out
 
 
-def exact_variance_from_corr(corr: np.ndarray, f: HermiteFunction, n: int, t: float) -> float:
-    """The orthogonality-based oracle for E[F_n(t)^2], given corr."""
+def exact_variance(model: Model, f: HermiteFunction, n: int, t: float,
+                   ic: IncrementCovariance | None = None) -> float:
+    """The orthogonality-based oracle for E[F_n(t)^2]; assembles the
+    covariance grid unless one is passed."""
     m = _num_increments(n, t)
-    if m > corr.shape[0]:
-        raise GridError(f"floor(n*t) = {m} exceeds the covariance grid N = {corr.shape[0]}")
     if m < 1:
         return 0.0
-    sub = corr[:m, :m]
+    if ic is None:
+        ic = increment_cov(model, n, m)
+    if m > ic.N:
+        raise GridError(f"floor(n*t) = {m} exceeds the covariance grid N = {ic.N}")
+    sub = ic.corr[:m, :m]
     total = 0.0
     for q, c in sorted(f.coeffs.items()):
         total += math.factorial(q) * c * c * float(np.sum(sub**q)) / n
     return total
-
-
-def exact_variance(model: Model, f: HermiteFunction, n: int, t: float,
-                   ic: IncrementCovariance | None = None) -> float:
-    """Exact E[F_n(t)^2]; assembles the covariance grid unless one is passed."""
-    if ic is None:
-        m = _num_increments(n, t)
-        if m < 1:
-            return 0.0
-        ic = increment_cov(model, n, m)
-    return exact_variance_from_corr(ic.corr, f, n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +280,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
     times: list[TimeStats] = []
     for i, t in enumerate(t_grid):
         F = F_at(t)
-        exact = exact_variance_from_corr(ic.corr, f, n, t)
+        exact = exact_variance(model, f, n, t, ic=ic)
         s_var = float(np.var(F, ddof=1))
         m2 = float(np.mean(F**2))
         m4 = float(np.mean(F**4))

@@ -46,12 +46,14 @@ _REPLICA_CHUNK = 512
 
 _MASK64 = (1 << 64) - 1
 
+# largest double below 1: the top 53-bit value would otherwise round to 1.0
+_U_MAX = np.nextafter(1.0, 0.0)
+
 
 @dataclass(frozen=True)
 class CholeskyFactor:
     L: np.ndarray
     jitter: float
-    n: int
     N: int
 
 
@@ -69,7 +71,7 @@ def cholesky(ic: IncrementCovariance, ladder=JITTER_LADDER) -> CholeskyFactor:
             L = np.linalg.cholesky(
                 ic.cov if eps == 0.0 else ic.cov + eps * np.eye(ic.N)
             )
-            return CholeskyFactor(L=L, jitter=eps, n=ic.n, N=ic.N)
+            return CholeskyFactor(L=L, jitter=eps, N=ic.N)
         except np.linalg.LinAlgError:
             continue
     raise NumericalError(
@@ -147,8 +149,11 @@ def _replica_uniforms(seed: int, replica: int, count: int) -> np.ndarray:
     """count open-interval uniforms from the Philox stream keyed (seed, replica)."""
     key = np.array([seed & _MASK64, replica & _MASK64], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(count)
-    # top 53 bits, centered: u in (0, 1) strictly, one uniform per normal
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    # top 53 bits k, u = (k + 0.5) 2^-53, one uniform per normal.  For
+    # k >= 2^52 the + 0.5 is not representable and rounds to even, and
+    # k = 2^53 - 1 rounds to u = 1.0; the clamp keeps u inside (0, 1)
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, _U_MAX, out=u)
 
 
 def _replica_normals(seed: int, replica: int, count: int) -> np.ndarray:

@@ -1,0 +1,48 @@
+"""Independent reference evaluations the tests hold the package against.
+
+They follow the textbook formulas literally and share no code path with
+the routines they check, so they live with the tests, not in the package.
+"""
+
+import math
+
+import numpy as np
+
+from ssgauss.errors import DomainError
+
+
+def kernel_eval_scaled(model, s, t):
+    """Reference evaluation through the scaling form min^(2 beta) phi(max/min).
+
+    Algebraically identical to Model.r; kept as an independent route for
+    consistency tests.  Less accurate than the direct forms when t/s - 1
+    underflows the working precision.
+    """
+    sa = np.atleast_1d(np.asarray(s, dtype=float))
+    ta = np.atleast_1d(np.asarray(t, dtype=float))
+    sa, ta = np.broadcast_arrays(sa, ta)
+    u = np.minimum(sa, ta)
+    v = np.maximum(sa, ta)
+    out = np.zeros(u.shape, dtype=float)
+    pos = u > 0
+    if np.any(pos):
+        out[pos] = u[pos] ** (2.0 * model.beta) * model._phi(v[pos] / u[pos], 0)
+    if np.asarray(s).ndim == 0 and np.asarray(t).ndim == 0:
+        return float(out.reshape(-1)[0])
+    return out
+
+
+def contraction_norm_bruteforce(ic, q: int, r: int, c_q: float, t: float = 1.0) -> float:
+    """Literal quadruple sum; O(N^4), for cross-checking small grids."""
+    if not 1 <= r <= q - 1:
+        raise DomainError(f"contraction order r must be in [1, q-1]; got r={r}, q={q}")
+    m = int(math.floor(ic.n * t))
+    rho = ic.corr[:m, :m]
+    total = 0.0
+    for j in range(m):
+        for k in range(m):
+            for l in range(m):
+                for mm in range(m):
+                    total += (rho[j, k] ** r * rho[l, mm] ** r
+                              * rho[j, l] ** (q - r) * rho[k, mm] ** (q - r))
+    return float(c_q**4 / ic.n**2 * total)

@@ -36,7 +36,6 @@ from ssgauss.analysis import (
     check_shape_derivatives,
     check_tail_derivatives,
     contraction_norm,
-    contraction_norm_bruteforce,
 )
 from ssgauss.cli import main as cli_main
 from ssgauss.covgrid import IncrementCovariance, increment_cov
@@ -46,6 +45,8 @@ from ssgauss.models import make_model
 from ssgauss.montecarlo import exact_variance
 from ssgauss.montecarlo import run_experiment
 from ssgauss.sampler import sample_batch
+
+from oracles import contraction_norm_bruteforce
 
 SEED = 20240801
 

@@ -11,7 +11,6 @@ from ssgauss.analysis import (
     check_shape_derivatives,
     check_tail_derivatives,
     contraction_norm,
-    contraction_norm_bruteforce,
     contraction_report,
     run_all_checks,
     tv_bound,
@@ -21,6 +20,7 @@ from ssgauss.errors import DomainError
 from ssgauss.models import make_model
 
 from conftest import CATALOG_CASES
+from oracles import contraction_norm_bruteforce
 
 HONEST_RESIDUAL_CASES = [
     ("swanson", {}),

@@ -164,6 +164,23 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert meta["config"]["seed"] == 4242
 
 
+@pytest.mark.parametrize("args,env,named", [
+    (["clt", "--f", "hermite:x", "--n", "64"], None, "--f value 'x'"),
+    (["clt", "--f", "hermite:2", "--n", "64", "--t-grid", "0.5,abc"], None,
+     "--t-grid value 'abc'"),
+    (["contraction", "--n", "64,abc"], None, "--n value 'abc'"),
+    (["simulate", "--n", "8", "--M", "2"], "abc", "SSGAUSS_SEED value 'abc'"),
+])
+def test_malformed_values_exit_2(tmp_path, monkeypatch, capsys, args, env, named):
+    if env is not None:
+        monkeypatch.setenv("SSGAUSS_SEED", env)
+    rc = run_cli(args + ["--model", "fbm", "--H", "0.5", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "fbm", "H": 0.5, "f": "hermite:2",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ssgauss.covgrid import dump_csv, increment_cov, normalized_corr
+from ssgauss.covgrid import dump_csv, increment_cov
 from ssgauss.errors import DomainError
 from ssgauss.models import make_model
 
@@ -82,7 +82,7 @@ def test_cov_symmetric_psd_unit_diagonal(name, kw):
     assert np.max(np.abs(ic.corr)) <= 1.0 + 1e-12
     eig = np.linalg.eigvalsh(ic.cov)
     assert eig.min() >= -1e-8 * np.trace(ic.cov)
-    assert np.allclose(normalized_corr(ic) * np.outer(ic.std, ic.std), ic.cov,
+    assert np.allclose(ic.corr * np.outer(ic.std, ic.std), ic.cov,
                        rtol=1e-12, atol=1e-300)
 
 

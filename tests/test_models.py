@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ssgauss.errors import DomainError, SingularityError
-from ssgauss.models import (
-    kernel_eval,
-    kernel_eval_scaled,
-    list_models,
-    make_model,
-    phi_eval,
-    psi_eval,
-)
+from ssgauss.errors import DomainError, NumericalError, SingularityError
+from ssgauss.models import FBM, list_models, make_model
 
 from conftest import CATALOG_CASES
+from oracles import kernel_eval_scaled
 
 
 def richardson_d1(fn, x, h):
@@ -30,22 +24,22 @@ def richardson_d2(fn, x, h):
 
 def test_fbm_half_phi_is_constant_one():
     m = make_model("fbm", H=0.5)
-    assert phi_eval(m, 3.0) == pytest.approx(1.0, abs=1e-15)
+    assert m.phi(3.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_swanson_phi_at_one_is_half_pi():
     m = make_model("swanson")
-    assert phi_eval(m, 1.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
+    assert m.phi(1.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
 
 
 def test_bifbm_k1_reduces_to_fbm_value():
     m = make_model("bifbm", H=0.6, K=1.0)
-    assert phi_eval(m, 2.0) == pytest.approx(2.0**0.2, rel=1e-14)
+    assert m.phi(2.0) == pytest.approx(2.0**0.2, rel=1e-14)
 
 
 def test_subfbm_psi_at_one():
     m = make_model("subfbm", H=0.7)
-    assert psi_eval(m, 1.0) == pytest.approx(2.0 - 2.0**0.4, rel=1e-14)
+    assert m.psi(1.0) == pytest.approx(2.0 - 2.0**0.4, rel=1e-14)
 
 
 def test_subfbm_slope_identity():
@@ -57,17 +51,17 @@ def test_dw_z1_psi_value():
     # direct high-precision evaluation of Gamma(1/2) (sqrt(3) + 1 - sqrt(2))
     m = make_model("dw-z1", alpha=0.5)
     expected = math.gamma(0.5) * (math.sqrt(3.0) + 1.0 - math.sqrt(2.0))
-    assert psi_eval(m, 2.0) == pytest.approx(expected, rel=1e-14)
+    assert m.psi(2.0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_kernel_brownian_min():
     m = make_model("fbm", H=0.5)
-    assert kernel_eval(m, 0.3, 0.8) == pytest.approx(0.3, abs=1e-15)
+    assert m.r(0.3, 0.8) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_kernel_subfbm_unit():
     m = make_model("subfbm", H=0.5)
-    assert kernel_eval(m, 1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert m.r(1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("name,kw", CATALOG_CASES)
@@ -109,10 +103,19 @@ def test_decomposition_identity_grid(name, kw):
     m = make_model(name, **kw)
     xs = np.concatenate([1.0 + 10.0 ** -np.arange(0, 7, dtype=float),
                          np.geomspace(1.5, 1.0e4, 40)])
+    # phi is derived from psi; the kernel is an independent closed form
     phi = m.phi(xs)
-    lhs = phi + m.lam * (xs - 1.0) ** m.alpha
-    rhs = m.psi(xs)
-    assert np.all(np.abs(lhs - rhs) <= 1e-10 * (1.0 + np.abs(phi)))
+    kernel = m.r(1.0, xs)
+    assert np.all(np.abs(phi - kernel) <= 1e-10 * (1.0 + np.abs(phi)))
+
+
+def test_psi_inconsistent_with_kernel_is_refused():
+    class OffByOneMillionth(FBM):
+        def _psi(self, x, order):
+            return super()._psi(x, order) + 1.0e-6
+
+    with pytest.raises(NumericalError, match="disagrees with the kernel"):
+        OffByOneMillionth(0.35)
 
 
 @pytest.mark.parametrize("name,kw", CATALOG_CASES)

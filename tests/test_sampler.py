@@ -65,7 +65,7 @@ def test_normal_icdf_against_scipy():
 
 
 def test_draw_is_deterministic_per_replica():
-    factor = CholeskyFactor(L=np.eye(1000), jitter=0.0, n=1000, N=1000)
+    factor = CholeskyFactor(L=np.eye(1000), jitter=0.0, N=1000)
     a = draw(factor, seed=99, replica=5)
     b = draw(factor, seed=99, replica=5)
     assert np.array_equal(a, b)
@@ -75,7 +75,7 @@ def test_draw_is_deterministic_per_replica():
 
 
 def test_identity_draw_moments():
-    factor = CholeskyFactor(L=np.eye(10_000), jitter=0.0, n=1, N=10_000)
+    factor = CholeskyFactor(L=np.eye(10_000), jitter=0.0, N=10_000)
     z = draw(factor, seed=7, replica=0)
     assert abs(z.mean()) < 0.05
     assert z.var() == pytest.approx(1.0, abs=0.05)
@@ -149,3 +149,22 @@ def test_chunk_icdf_equals_per_replica_normals():
     assert np.array_equal(block, np.stack([normal_icdf(row) for row in u]))
     assert np.all(np.abs(block[7, :4]) > 7.0)  # r > 5 branch
     assert np.array_equal(np.sign(block[7, :6]), [-1, 1, -1, 1, -1, 1])
+
+
+def test_top_uniform_stays_below_one(monkeypatch):
+    raw = np.array([2**64 - 1, 0, 2**63], dtype=np.uint64)
+
+    class FakePhilox:
+        def __init__(self, key):
+            pass
+
+        def random_raw(self, count):
+            return raw[:count].copy()
+
+    monkeypatch.setattr(np.random, "Philox", FakePhilox)
+    u = _replica_uniforms(0, 0, 3)
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert u[0] == np.nextafter(1.0, 0.0)
+    unclamped = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    assert np.array_equal(u[1:], unclamped[1:])
+    assert np.all(np.isfinite(_replica_normals(0, 0, 3)))

@@ -420,8 +420,10 @@ def contraction_report(model, q: int, n_values, r_values=None, t: float = 1.0,
         for r in rs:
             norms[(n, r)] = contraction_norm(ic, q, r, c_q, t)
         if with_tv:
+            # norms at c_q = 1 are the ones tv_bound sums
+            known = {r: norms[(n, r)] for r in rs} if c_q == 1.0 else {}
             try:
-                tv[n] = tv_bound(ic, q, t)
+                tv[n] = tv_bound(ic, q, t, known=known)
             except GateError:
                 # limit variance undefined past the gate; norms stay useful
                 with_tv = False
@@ -429,20 +431,23 @@ def contraction_report(model, q: int, n_values, r_values=None, t: float = 1.0,
                              norms=norms, tv=tv)
 
 
-def tv_bound(ic: IncrementCovariance, q: int, t: float = 1.0) -> float:
+def tv_bound(ic: IncrementCovariance, q: int, t: float = 1.0,
+             known: dict | None = None) -> float:
     """Total-variation upper estimate for F_n(t) built from He_q alone.
 
     2 / (t sigma_q^2) * sqrt( (1/q^2) sum_r r^2 r! C(q,r)^4 (2q-2r)! *
     contraction_norm(q, r) ), using unsymmetrized norms, which bound the
-    symmetrized ones from above.
+    symmetrized ones from above.  known maps r to contraction_norm(ic, q,
+    r, 1.0, t) where the caller already holds it; the rest are computed.
     """
     if q < 2:
         raise DomainError(f"tv_bound needs a single Hermite factor of order q >= 2, got {q}")
+    known = known or {}
     sq = sigma_q_sq(ic.model.alpha, q).value
     var_term = 0.0
     for r in range(1, q):
+        norm = known[r] if r in known else contraction_norm(ic, q, r, 1.0, t)
         var_term += (r**2 * math.factorial(r) * math.comb(q, r) ** 4
-                     * math.factorial(2 * q - 2 * r)
-                     * contraction_norm(ic, q, r, 1.0, t))
+                     * math.factorial(2 * q - 2 * r) * norm)
     var_term /= q**2
     return 2.0 / (t * sq) * math.sqrt(var_term)

@@ -16,8 +16,8 @@ gate violated (alpha >= 2 - 1/d); 4 numerical failure or failing verdicts.
 Configuration may come from a JSON file (--config); explicit flags win
 over file values.  The seed falls back to the SSGAUSS_SEED environment
 variable, then 0.  Every output file embeds the effective config and the
-package version.  --threads bounds worker parallelism and never changes
-any numerical result.
+package version.  --threads bounds worker parallelism (capped at the
+usable CPU count) and never changes any numerical result.
 """
 
 from __future__ import annotations

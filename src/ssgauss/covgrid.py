@@ -11,6 +11,13 @@ kernel values are subtracted first, which is what limits cancellation for
 far-apart index pairs.  Matrices are dense; exactness is the point here,
 and the increments are non-stationary for every model except fbm, so
 circulant or FFT shortcuts do not apply.
+
+The assembly runs in row blocks of about 2^18 kernel values.  A block of
+rows j0..j1-1 evaluates R on times j0..j1 against j0..N, i.e. once per
+unordered pair of grid times up to the thin diagonal strip, forms the
+rectangle entries on and above the diagonal and writes their transpose
+below it.  corr is filled in the same blocks.  Peak memory is the two
+N x N outputs plus block temporaries of a few MB.
 """
 
 from __future__ import annotations
@@ -22,13 +29,18 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .models import Model
 
-__all__ = ["IncrementCovariance", "increment_cov", "dump_csv"]
+__all__ = ["IncrementCovariance", "increment_cov"]
 
 # Dense N x N doubles; 8192^2 is a ~540 MB pair of matrices, the default
 # ceiling for desk-scale runs.
 DEFAULT_MAX_N = 8192
 
 _FLUSH_EPS = 1.0e-300
+
+# Rows per assembly block are chosen so that a block of kernel values holds
+# about this many doubles (2 MB); the block temporaries then stay small
+# next to the two N x N outputs.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -58,14 +70,26 @@ def increment_cov(model: Model, n: int, N: int, max_n: int = DEFAULT_MAX_N) -> I
         raise DomainError(f"N={N} exceeds the dense-matrix cap {max_n}")
 
     times = np.arange(N + 1, dtype=float) / float(n)
-    R = model.r(times[:, None], times[None, :])
-    raw = (R[1:, 1:] - R[:-1, 1:]) - (R[1:, :-1] - R[:-1, :-1])
-    del R
-    # the rectangle of a symmetric kernel is symmetric; mirror the upper
-    # triangle so the stored matrix is exactly so
-    cov = np.triu(raw) + np.triu(raw, 1).T
-    del raw
-    cov[np.abs(cov) < _FLUSH_EPS] = 0.0
+    rows = max(1, _BLOCK_ENTRIES // (N + 1))
+    blocks = [(j0, min(j0 + rows, N)) for j0 in range(0, N, rows)]
+    cov = np.empty((N, N), dtype=float)
+    for j0, j1 in blocks:
+        # rows j0..j1 of R against columns j0..N hold every kernel value
+        # the upper triangle of cov rows j0..j1-1 reads, R[j+1, j] on its
+        # diagonal included: Model.r orders its arguments, so R is
+        # bitwise symmetric and R[j+1, j] = R[j, j+1]
+        R = model.r(times[j0:j1 + 1, None], times[None, j0:])
+        blk = (R[1:, 1:] - R[:-1, 1:]) - (R[1:, :-1] - R[:-1, :-1])
+        del R
+        blk[np.abs(blk) < _FLUSH_EPS] = 0.0
+        # the rectangle of a symmetric kernel is symmetric; mirror the upper
+        # triangle so the stored matrix is exactly so
+        b = j1 - j0
+        square = blk[:, :b]
+        lower = np.tril_indices(b, -1)
+        square[lower] = square.T[lower]
+        cov[j0:j1, j0:] = blk
+        cov[j1:, j0:j1] = blk[:, b:].T
 
     diag = np.diag(cov).copy()
     if np.any(diag <= 0.0):
@@ -74,19 +98,9 @@ def increment_cov(model: Model, n: int, N: int, max_n: int = DEFAULT_MAX_N) -> I
             f"{model.name}: nonpositive increment variance {diag[j]!r} at j={j}, n={n}"
         )
     std = np.sqrt(diag)
-    corr = cov / np.outer(std, std)
+    corr = np.empty_like(cov)
+    for j0, j1 in blocks:
+        np.divide(cov[j0:j1], np.outer(std[j0:j1], std), out=corr[j0:j1])
     np.fill_diagonal(corr, 1.0)
     return IncrementCovariance(model=model, n=int(n), N=int(N), cov=cov, std=std, corr=corr)
 
-
-def dump_csv(ic: IncrementCovariance, path, which: str = "cov") -> None:
-    """Write cov or corr row-major as lines ``j,k,value``."""
-    if which not in ("cov", "corr"):
-        raise DomainError(f"which must be 'cov' or 'corr', got {which!r}")
-    mat = ic.cov if which == "cov" else ic.corr
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("j,k,value\n")
-        for j in range(ic.N):
-            row = mat[j]
-            fh.write("\n".join(f"{j},{k},{row[k]:.17g}" for k in range(ic.N)))
-            fh.write("\n")

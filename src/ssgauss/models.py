@@ -182,9 +182,12 @@ class Model:
         sa, ta = np.broadcast_arrays(sa, ta)
         u = np.minimum(sa, ta)
         v = np.maximum(sa, ta)
-        out = np.zeros(u.shape, dtype=float)
         pos = u > 0.0
-        if np.any(pos):
+        if pos.all():
+            # no zero argument: skip the masked gather and scatter
+            out = self._r(u, v)
+        else:
+            out = np.zeros(u.shape, dtype=float)
             out[pos] = self._r(u[pos], v[pos])
         return float(out.reshape(-1)[0]) if scalar else out
 
@@ -275,7 +278,7 @@ class BiFBM(Model):
         "alpha": "2HK",
         "beta": "HK",
         "lam": "2^-K",
-        "nu": "min(1 + 2H - 2HK, 2 - 2HK) when alpha < 1",
+        "nu": "min(1 + 2H - 2HK, 2 - 2HK) when alpha < 1 (2 - 2H at K = 1)",
     }
 
     def __init__(self, H: float, K: float):
@@ -289,7 +292,18 @@ class BiFBM(Model):
         self.beta = H * K
         self.lam = 2.0 ** (-K)
         if self.alpha < 1.0:
-            self.nu = min(1.0 + 2.0 * H - 2.0 * H * K, 2.0 - 2.0 * H * K)
+            # For large x, (1 + x^2H)^K = x^2HK (1 + K x^-2H + K (K-1)/2
+            # x^-4H + ...) and (x-1)^2HK = x^2HK - 2HK x^(2HK-1) + O(x^(2HK-2)),
+            # so  2^K phi'(x) = 2HK (K-1) x^(2HK-2H-1) (1 + O(x^-2H))
+            #                  + 2HK (2HK-1) x^(2HK-2) + ...
+            # For K < 1 the two terms decay with exponents 1 + 2H - 2HK and
+            # 2 - 2HK.  At K = 1 every term of the first kind carries the
+            # factor K - 1 and vanishes (psi is fbm's 1 + x^2H, up to 1/2),
+            # leaving fbm's 2 - 2H.
+            if K == 1.0:
+                self.nu = 2.0 - 2.0 * H
+            else:
+                self.nu = min(1.0 + 2.0 * H - 2.0 * H * K, 2.0 - 2.0 * H * K)
         else:
             self.nu = None
         super().__init__()

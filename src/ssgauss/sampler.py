@@ -16,6 +16,7 @@ and keeps streams aligned.
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -187,12 +188,19 @@ class SampleBatch:
         return self.replica_range[1] - self.replica_range[0]
 
 
+def _worker_count(threads: int) -> int:
+    """threads capped at the CPUs this process may run on: workers beyond
+    that only queue behind each other and behind the BLAS threads."""
+    return max(1, min(int(threads), len(os.sched_getaffinity(0))))
+
+
 def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
                  threads: int = 1, ic: IncrementCovariance | None = None,
                  factor: CholeskyFactor | None = None) -> SampleBatch:
     """M independent increment rows of the model at resolution n.
 
     Pass a prebuilt covariance/factor to amortize setup across batches.
+    threads is capped at the usable CPU count; it never changes the result.
     """
     if M < 1:
         raise DomainError(f"replica count M must be >= 1, got {M}")
@@ -212,11 +220,12 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
         inc[lo:hi] = normal_icdf(u) @ LT
 
     chunks = [(lo, min(lo + _REPLICA_CHUNK, M)) for lo in range(0, M, _REPLICA_CHUNK)]
-    if threads <= 1 or len(chunks) == 1:
+    workers = _worker_count(threads)
+    if workers <= 1 or len(chunks) == 1:
         for lo, hi in chunks:
             fill(lo, hi)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda c: fill(*c), chunks))
     normalized = inc / ic.std[None, :]
     return SampleBatch(seed=int(seed), replica_range=(0, M), n=int(n), N=int(N),

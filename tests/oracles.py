@@ -46,3 +46,32 @@ def contraction_norm_bruteforce(ic, q: int, r: int, c_q: float, t: float = 1.0) 
                     total += (rho[j, k] ** r * rho[l, mm] ** r
                               * rho[j, l] ** (q - r) * rho[k, mm] ** (q - r))
     return float(c_q**4 / ic.n**2 * total)
+
+
+def kernel_masked(model, s, t):
+    """Model.r through the masked gather and scatter on every input: the
+    positive-argument pairs are gathered, evaluated by model._r and
+    scattered back into zeros."""
+    sa, ta = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)),
+                                 np.atleast_1d(np.asarray(t, dtype=float)))
+    u = np.minimum(sa, ta)
+    v = np.maximum(sa, ta)
+    out = np.zeros(u.shape, dtype=float)
+    pos = u > 0.0
+    if np.any(pos):
+        out[pos] = model._r(u[pos], v[pos])
+    return out
+
+
+def increment_cov_full_grid(model, n: int, N: int):
+    """(cov, std, corr) from the whole (N+1) x (N+1) kernel grid, the
+    rectangle identity on all N^2 entries and an upper-triangle mirror."""
+    times = np.arange(N + 1, dtype=float) / float(n)
+    R = kernel_masked(model, times[:, None], times[None, :])
+    raw = (R[1:, 1:] - R[:-1, 1:]) - (R[1:, :-1] - R[:-1, :-1])
+    cov = np.triu(raw) + np.triu(raw, 1).T
+    cov[np.abs(cov) < 1.0e-300] = 0.0
+    std = np.sqrt(np.diag(cov).copy())
+    corr = cov / np.outer(std, std)
+    np.fill_diagonal(corr, 1.0)
+    return cov, std, corr

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ssgauss import analysis
 from ssgauss.analysis import (
     check_adjacent_covariance,
     check_far_decay,
@@ -115,6 +116,31 @@ def test_contraction_report_over_ladder():
     assert hot.tv == {}
     assert hot.norms[(32, 1)] > hot.norms[(16, 1)]
     assert not hot.non_increasing()
+
+
+def test_contraction_report_computes_each_norm_once(monkeypatch):
+    calls = []
+
+    def counted(ic, q, r, c_q, t=1.0):
+        calls.append((ic.n, q, r, c_q))
+        return contraction_norm(ic, q, r, c_q, t)
+
+    monkeypatch.setattr(analysis, "contraction_norm", counted)
+    m, ns = make_model("swanson"), (32, 64, 96)
+    rep = contraction_report(m, 4, ns)
+    # tv_bound reuses the report's c_q = 1 norms for r = 1..q-1
+    assert len(calls) == len(ns) * 3
+    for n in ns:
+        ic = increment_cov(m, n, n)
+        assert rep.tv[n] == tv_bound(ic, 4, 1.0)
+    # with c_q != 1 or a partial r list, tv_bound computes what it lacks
+    calls.clear()
+    rep = contraction_report(m, 4, ns, r_values=(2,), c_q=0.5)
+    assert len(calls) == len(ns) * 4
+    calls.clear()
+    part = contraction_report(m, 4, ns, r_values=(1, 3))
+    assert len(calls) == len(ns) * 3
+    assert part.tv == contraction_report(m, 4, ns).tv
 
 
 def test_tv_bound_swanson_decreases():

@@ -155,6 +155,16 @@ def test_simulate_threads_deterministic(tmp_path):
     assert data.shape == (300, 64)
 
 
+def test_variance_bifbm_k1_is_fbm(tmp_path):
+    values = []
+    for extra, out in ((["--model", "bifbm", "--K", "1"], "bif"), (["--model", "fbm"], "fbm")):
+        rc = run_cli(["variance", *extra, "--H", "0.3", "--f", "hermite:2",
+                      "--out", str(tmp_path / out)])
+        assert rc == 0
+        values.append(json.loads((tmp_path / out / "variance.json").read_text())["sigma_sq"])
+    assert values[0] == values[1]
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("SSGAUSS_SEED", "4242")
     rc = run_cli(["simulate", "--model", "fbm", "--H", "0.5", "--n", "8",

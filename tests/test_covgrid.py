@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ssgauss.covgrid import dump_csv, increment_cov
+from ssgauss import covgrid
+from ssgauss.covgrid import increment_cov
 from ssgauss.errors import DomainError
 from ssgauss.models import make_model
 
 from conftest import CATALOG_CASES
+from oracles import increment_cov_full_grid
 
 
 def test_brownian_increments_are_independent():
@@ -96,15 +99,36 @@ def test_input_validation():
         increment_cov(m, 4, 100, max_n=64)
 
 
-def test_csv_dump_round_trip(tmp_path):
-    ic = increment_cov(make_model("fbm", H=0.5), 4, 3)
-    path = tmp_path / "cov.csv"
-    dump_csv(ic, path, "cov")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "j,k,value"
-    assert len(lines) == 1 + 9
-    j, k, value = lines[1].split(",")
-    assert (j, k) == ("0", "0")
-    assert float(value) == ic.cov[0, 0]
-    with pytest.raises(DomainError):
-        dump_csv(ic, path, "nope")
+@pytest.mark.parametrize("name,kw", CATALOG_CASES)
+def test_blocked_assembly_bit_identical_to_full_grid(name, kw, monkeypatch):
+    # block entries 1 gives one row per block, 3000 a few rows, None the
+    # package's own block size; every block edge must leave the bits alone
+    m = make_model(name, **kw)
+    sizes = [(2, 1), (7, 7), (255, 255), (256, 256), (257, 257), (600, 600),
+             (64, 257), (1000, 600), (16, 7)]
+    for entries in (None, 1, 3000):
+        if entries is not None:
+            monkeypatch.setattr(covgrid, "_BLOCK_ENTRIES", entries)
+        for n, N in sizes:
+            ic = increment_cov(m, n, N)
+            cov, std, corr = increment_cov_full_grid(m, n, N)
+            for got, want in ((ic.cov, cov), (ic.std, std), (ic.corr, corr)):
+                assert got.tobytes() == want.tobytes(), (entries, n, N)
+
+
+def test_assembly_peak_memory_is_two_outputs_plus_blocks():
+    # cov and corr are 2 x 8 N^2 bytes; the blocked assembly peaks at about
+    # 2.07 x 8 N^2, a full-grid one at about 8.1 x 8 N^2 with its kernel
+    # grid and mirrored temporaries
+    m = make_model("bifbm", H=0.6, K=0.5)
+    N = 2048
+    increment_cov(m, 64, 64)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ic = increment_cov(m, N, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ic.cov.shape == (N, N)
+    assert peak <= 3 * 8 * N * N, peak / (8 * N * N)

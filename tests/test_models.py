@@ -7,7 +7,7 @@ from ssgauss.errors import DomainError, NumericalError, SingularityError
 from ssgauss.models import FBM, list_models, make_model
 
 from conftest import CATALOG_CASES
-from oracles import kernel_eval_scaled
+from oracles import kernel_eval_scaled, kernel_masked
 
 
 def richardson_d1(fn, x, h):
@@ -144,6 +144,36 @@ def test_bifbm_k1_equals_fbm_everywhere():
                            rtol=1e-12, atol=1e-12)
         assert np.allclose(bif.psi(grid, order), fbm.psi(grid, order),
                            rtol=1e-12, atol=1e-12)
+
+
+def test_bifbm_k1_builds_with_fbm_tail_exponent():
+    # at K = 1 the x^(2HK-2H) term of psi is the constant 1, so phi' decays
+    # like fbm's, with nu = 2 - 2H, for every H < 1/2 too
+    for i in range(1, 50):
+        H = i / 100
+        bif = make_model("bifbm", H=H, K=1.0)
+        fbm = make_model("fbm", H=H)
+        assert bif.nu == fbm.nu == 2.0 - 2.0 * H
+        assert (bif.alpha, bif.beta, bif.lam) == (fbm.alpha, fbm.beta, fbm.lam)
+    assert make_model("bifbm", H=0.3, K=0.999).nu == pytest.approx(1.0006)
+
+
+@pytest.mark.parametrize("name,kw", CATALOG_CASES)
+def test_kernel_fast_path_equals_masked_path(name, kw):
+    # all-positive arguments skip the masked gather and scatter; the
+    # result must keep every bit, and inputs with zeros keep the masked path
+    m = make_model(name, **kw)
+    pos = np.concatenate([np.geomspace(1e-9, 1.0, 40), np.linspace(0.5, 8.0, 23)])
+    mixed = np.concatenate([[0.0], pos[:30], [0.0, 0.0], pos[30:], [0.0]])
+    s, t = pos[:, None], pos[None, ::-1]
+    fast = m.r(s, t)
+    assert fast.tobytes() == kernel_masked(m, s, t).tobytes()
+    masked = m.r(mixed[:, None], mixed[None, ::-1])
+    assert masked.tobytes() == kernel_masked(m, mixed[:, None], mixed[None, ::-1]).tobytes()
+    keep = mixed > 0.0
+    assert masked[np.ix_(keep, keep[::-1])].tobytes() == fast.tobytes()
+    assert not masked[~keep].any() and not masked[:, ~keep[::-1]].any()
+    assert m.r(pos[5], pos[50]) == kernel_masked(m, pos[5], pos[50])[0]
 
 
 @pytest.mark.parametrize("name,kw", CATALOG_CASES)

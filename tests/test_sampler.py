@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ssgauss import sampler
 from ssgauss.covgrid import IncrementCovariance, increment_cov
 from ssgauss.errors import DomainError
 from ssgauss.models import make_model
@@ -91,6 +92,28 @@ def test_batch_shapes_and_determinism():
     assert np.array_equal(b1.normalized, b8.normalized)
     # row i is the replica-i stream regardless of batch size
     assert np.array_equal(b1.increments[0], one.increments[0])
+
+
+def test_threads_capped_at_usable_cpus(monkeypatch):
+    m = make_model("fbm", H=0.5)
+    b1 = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=1)
+    pools = []
+
+    class Recorder(sampler.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0})
+    assert sampler._worker_count(8) == 1
+    b8 = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=8)
+    assert pools == []  # one usable CPU: no pool, chunks filled in turn
+    assert b8.increments.tobytes() == b1.increments.tobytes()
+    monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0, 1})
+    b8 = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=8)
+    assert pools == [2]
+    assert b8.increments.tobytes() == b1.increments.tobytes()
 
 
 def test_batch_empirical_covariance_in_band():

@@ -17,7 +17,7 @@ structural hypotheses, quantitative envelopes and contraction norms.
 from ._version import __version__
 from .covgrid import IncrementCovariance, increment_cov
 from .errors import DomainError, GateError, GridError, NumericalError, SingularityError
-from .hermite import HermiteFunction, builtin_family, expand, hermite_eval
+from .hermite import HermiteFunction, builtin_family, expand
 from .limitvar import LimitVariance, second_difference, sigma_q_sq, sigma_sq
 from .models import Model, list_models, make_model
 from .montecarlo import (
@@ -26,15 +26,15 @@ from .montecarlo import (
     functional,
     run_experiment,
 )
-from .sampler import SampleBatch, cholesky, draw, normal_icdf, sample_batch
+from .sampler import SampleBatch, cholesky, normal_icdf, sample_batch
 
 __all__ = [
     "__version__",
     "DomainError", "GateError", "GridError", "NumericalError", "SingularityError",
     "Model", "make_model", "list_models",
     "IncrementCovariance", "increment_cov",
-    "HermiteFunction", "hermite_eval", "expand", "builtin_family",
+    "HermiteFunction", "expand", "builtin_family",
     "LimitVariance", "second_difference", "sigma_q_sq", "sigma_sq",
-    "SampleBatch", "cholesky", "draw", "sample_batch", "normal_icdf",
+    "SampleBatch", "cholesky", "sample_batch", "normal_icdf",
     "ExperimentResult", "functional", "exact_variance", "run_experiment",
 ]

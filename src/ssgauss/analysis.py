@@ -71,10 +71,19 @@ __all__ = [
 ]
 
 SLOPE_TOL = 0.05
-DEFAULT_X_MAX = 1.0e4
-DEFAULT_GRID_SIZE = 160
-DEFAULT_K_RANGE = tuple(range(3, 17))
 SLOPE_IDENTITY_TOL = 1.0e-9
+
+# audit grids: x up to 1e4 at 160 geometric points; residuals at t = 1,
+# to which self-similarity maps every t > 0, on s = 2^-3..2^-16 with 9
+# points r per s; far pairs (j, k) = (3^e, 3^(e-1)), e = 1..6, at n = 3^6
+_X_MAX = 1.0e4
+_GRID_SIZE = 160
+_T = 1.0
+_S = 2.0 ** -np.arange(3, 17, dtype=float)
+_R_COUNT = 9
+_FAR_N = 729
+_FAR_PAIRS = tuple((3**e, 3 ** (e - 1)) for e in range(1, 7))
+_COARSE_SLACK = 0.05  # rise non_increasing allows on the coarsest n step
 
 # residuals below this multiple of the working scale count as exactly zero
 _ZERO_FLOOR = 5.0e-14
@@ -89,7 +98,7 @@ _SMOOTH_NOTE = (
 class BoundCheckReport:
     """Outcome of one bounded-ratio audit.
 
-    ratio_sup doubles as the fitted constant; trend_slope is the log-log
+    ratio_sup is the fitted constant; trend_slope is the log-log
     slope of the ratio against the asymptotic parameter over the top
     decade of the grid.  verdict is pass iff the sup is finite and the
     trend does not grow.
@@ -104,10 +113,6 @@ class BoundCheckReport:
     verdict: bool
     note: str = ""
 
-    @property
-    def fitted_c(self) -> float:
-        return self.ratio_sup
-
     def to_dict(self) -> dict:
         return {
             "target": self.target,
@@ -116,7 +121,6 @@ class BoundCheckReport:
             "ratios": list(self.ratios),
             "ratio_sup": self.ratio_sup,
             "trend_slope": self.trend_slope,
-            "fitted_c": self.ratio_sup,
             "verdict": bool(self.verdict),
             "note": self.note,
         }
@@ -169,8 +173,7 @@ def _smooth_note(model: Model) -> str:
 # ---------------------------------------------------------------------------
 # Derivative envelope audits.
 
-def check_shape_derivatives(model: Model, x_max: float = DEFAULT_X_MAX,
-                            grid_size: int = DEFAULT_GRID_SIZE) -> list[BoundCheckReport]:
+def check_shape_derivatives(model: Model) -> list[BoundCheckReport]:
     """Audit |psi'| <= C x^(a-1), |psi''| <= C x^-1 (x-1)^(a-1), and the
     slope identity psi'(1) = beta psi(1).
 
@@ -179,7 +182,7 @@ def check_shape_derivatives(model: Model, x_max: float = DEFAULT_X_MAX,
     blow up at 1 for models keeping a (x-1)^alpha term in the remainder.
     """
     a = model.alpha
-    x = np.geomspace(1.0 + 1.0e-3, x_max, grid_size)
+    x = np.geomspace(1.0 + 1.0e-3, _X_MAX, _GRID_SIZE)
     d1 = np.abs(model.psi(x, 1))
     d2 = np.abs(model.psi(x, 2))
     rep1 = _ratio_report("psi-deriv1-envelope", model, x, d1, x ** (a - 1.0),
@@ -205,15 +208,14 @@ def check_shape_derivatives(model: Model, x_max: float = DEFAULT_X_MAX,
     return [rep1, rep2, rep3]
 
 
-def check_tail_derivatives(model: Model, x_max: float = DEFAULT_X_MAX,
-                           grid_size: int = DEFAULT_GRID_SIZE) -> list[BoundCheckReport]:
-    """Audit the tail decay of phi' and phi'' on [2, x_max].
+def check_tail_derivatives(model: Model) -> list[BoundCheckReport]:
+    """Audit the tail decay of phi' and phi'' on [2, 1e4].
 
     Envelopes switch on the increment exponent: (x-1)^-nu and (x-1)^(-nu-1)
     when alpha < 1, (x-1)^(a-2) and (x-1)^(a-3) otherwise.
     """
     a = model.alpha
-    x = np.geomspace(2.0, x_max, grid_size)
+    x = np.geomspace(2.0, _X_MAX, _GRID_SIZE)
     d1 = np.abs(model.phi(x, 1))
     d2 = np.abs(model.phi(x, 2))
     if a < 1.0:
@@ -233,15 +235,10 @@ def check_tail_derivatives(model: Model, x_max: float = DEFAULT_X_MAX,
 # ---------------------------------------------------------------------------
 # Increment-moment residual audits.
 
-def _k_to_s(k_range) -> np.ndarray:
-    return 2.0 ** -np.asarray(list(k_range), dtype=float)
-
-
-def check_increment_variance(model: Model, t: float = 1.0,
-                             k_range=DEFAULT_K_RANGE) -> BoundCheckReport:
+def check_increment_variance(model: Model) -> BoundCheckReport:
     """Residual of E[(X_{t+s} - X_t)^2] - 2 lam t^(2b-a) s^a on s = 2^-k."""
     a, b, lam = model.alpha, model.beta, model.lam
-    s = _k_to_s(k_range)
+    t, s = _T, _S
     actual = model.r(t + s, t + s) - 2.0 * model.r(t + s, t) + model.r(t, t)
     main = 2.0 * lam * t ** (2 * b - a) * s**a
     env = s * t ** (2 * b - 1.0) if a < 1.0 else s**2 * t ** (2 * b - 2.0)
@@ -250,14 +247,11 @@ def check_increment_variance(model: Model, t: float = 1.0,
                          actual - main, env, scale, note=_smooth_note(model))
 
 
-def check_adjacent_covariance(model: Model, t: float = 1.0,
-                              k_range=DEFAULT_K_RANGE) -> BoundCheckReport:
+def check_adjacent_covariance(model: Model) -> BoundCheckReport:
     """Residual of the adjacent-increment covariance against
     (2^a - 2) lam t^(2b-a) s^a, for 0 < 2s <= t."""
     a, b, lam = model.alpha, model.beta, model.lam
-    s = _k_to_s(k_range)
-    if np.any(2.0 * s > t):
-        raise DomainError("adjacent-covariance audit needs 2s <= t")
+    t, s = _T, _S
     actual = (model.r(t + s, t) - model.r(t + s, t - s)
               - model.r(t, t) + model.r(t, t - s))
     main = (2.0**a - 2.0) * lam * t ** (2 * b - a) * s**a
@@ -267,18 +261,14 @@ def check_adjacent_covariance(model: Model, t: float = 1.0,
                          actual - main, env, scale, note=_smooth_note(model))
 
 
-def check_separated_covariance(model: Model, t: float = 1.0,
-                               k_range=DEFAULT_K_RANGE,
-                               r_count: int = 9) -> BoundCheckReport:
+def check_separated_covariance(model: Model) -> BoundCheckReport:
     """Residual of the separated-increment covariance on the wedge
     0 < 2s <= t/3 <= r <= t - 2s; per s the worst ratio over r is kept."""
     a, b, lam = model.alpha, model.beta, model.lam
-    svals = _k_to_s(k_range)
+    t = _T
     ratios, scales = [], []
-    for s in svals:
-        if 2.0 * s > t / 3.0:
-            raise DomainError("separated-covariance audit needs 2s <= t/3")
-        r = np.linspace(t / 3.0, t - 2.0 * s, r_count)
+    for s in _S:
+        r = np.linspace(t / 3.0, t - 2.0 * s, _R_COUNT)
         actual = (model.r(t, r) - model.r(t, r - s)
                   - model.r(t - s, r) + model.r(t - s, r - s))
         main = lam * (r - s) ** (2 * b - a) * (
@@ -293,29 +283,20 @@ def check_separated_covariance(model: Model, t: float = 1.0,
         ratios.append(float(np.max(eff / env)))
         scales.append(float(np.max(scale)))
     # ratios already floored pointwise; pass scale 0 to keep them as is
-    return _ratio_report("separated-covariance-residual", model, 1.0 / svals,
+    return _ratio_report("separated-covariance-residual", model, 1.0 / _S,
                          ratios, np.ones(len(ratios)), np.zeros(len(ratios)),
                          note=_smooth_note(model))
 
 
-def check_far_decay(model: Model, n: int = 729, exponents=range(1, 7),
-                    ic: IncrementCovariance | None = None) -> BoundCheckReport:
+def check_far_decay(model: Model) -> BoundCheckReport:
     """Decay of |E[DX_j DX_k]| for triple-separated pairs (j, k) = (3^e, 3^(e-1)).
 
-    Requires n >= 6; the envelope branches on alpha as in the module
-    docstring.
+    The envelope branches on alpha as in the module docstring.
     """
-    if n < 6:
-        raise DomainError(f"far-decay audit needs n >= 6, got {n}")
-    a, b = model.alpha, model.beta
-    pairs = [(3**e, 3 ** (e - 1)) for e in exponents]
-    max_j = max(j for j, _ in pairs)
-    if ic is None:
-        ic = increment_cov(model, n, max_j + 1)
+    a, b, n = model.alpha, model.beta, _FAR_N
+    ic = increment_cov(model, n, _FAR_PAIRS[-1][0] + 1)
     ratios, js = [], []
-    for j, k in pairs:
-        if not (1 <= 3 * k <= j <= ic.N - 1):
-            raise DomainError(f"pair (j={j}, k={k}) outside the audit domain")
+    for j, k in _FAR_PAIRS:
         c = abs(float(ic.cov[j, k]))
         if a < 1.0:
             if model.nu is None:
@@ -330,12 +311,11 @@ def check_far_decay(model: Model, n: int = 729, exponents=range(1, 7),
                          note=_smooth_note(model))
 
 
-def run_all_checks(model: Model, x_max: float = DEFAULT_X_MAX,
-                   grid_size: int = DEFAULT_GRID_SIZE) -> dict[str, BoundCheckReport]:
+def run_all_checks(model: Model) -> dict[str, BoundCheckReport]:
     """All audits for one model, keyed by target name."""
     reports: list[BoundCheckReport] = []
-    reports += check_shape_derivatives(model, x_max=x_max, grid_size=grid_size)
-    reports += check_tail_derivatives(model, x_max=x_max, grid_size=grid_size)
+    reports += check_shape_derivatives(model)
+    reports += check_tail_derivatives(model)
     reports.append(check_increment_variance(model))
     reports.append(check_adjacent_covariance(model))
     reports.append(check_separated_covariance(model))
@@ -368,7 +348,7 @@ class ContractionReport:
     estimates when the test function is a single Hermite polynomial.
 
     norms maps (n, r) to the contraction norm; tv maps n to the bound
-    (empty when tv estimates are not requested).
+    (empty past the applicability gate).
     """
 
     model: str
@@ -378,15 +358,15 @@ class ContractionReport:
     norms: dict
     tv: dict
 
-    def non_increasing(self, slack: float = 0.05) -> bool:
-        """Whether every r-track decays across the n ladder, allowing the
-        stated slack on the coarsest step."""
+    def non_increasing(self) -> bool:
+        """Whether every r-track decays across the n ladder, allowing a 5%
+        rise on the coarsest step."""
         ok = True
         for r in self.r_values:
             track = [self.norms[(n, r)] for n in self.n_values]
             if len(track) < 2:
                 continue
-            ok &= track[1] <= track[0] * (1.0 + slack)
+            ok &= track[1] <= track[0] * (1.0 + _COARSE_SLACK)
             ok &= all(track[i + 1] < track[i] for i in range(1, len(track) - 1))
         return ok
 
@@ -404,26 +384,24 @@ class ContractionReport:
         }
 
 
-def contraction_report(model, q: int, n_values, r_values=None, t: float = 1.0,
-                       c_q: float = 1.0, with_tv: bool = True) -> ContractionReport:
-    """Contraction norms of the chaos-q projection over an n ladder.
-
-    The tv estimates are meaningful for a single-Hermite test function
-    only, which is the c_q = 1 single-chaos setting this helper assumes.
-    """
+def contraction_report(model, q: int, n_values, r_values=None,
+                       t: float = 1.0) -> ContractionReport:
+    """Contraction norms of He_q (c_q = 1) over an n ladder, and tv_bound."""
     rs = tuple(int(r) for r in (r_values or range(1, q)))
     ns = tuple(int(n) for n in n_values)
     norms: dict = {}
     tv: dict = {}
+    with_tv = True
     for n in ns:
-        ic = increment_cov(model, n, int(math.floor(n * t)))
+        m = int(math.floor(n * t))
+        if m < 1:
+            raise DomainError(f"floor(n*t) = {m} is below 1 (n={n}, t={t})")
+        ic = increment_cov(model, n, m)
         for r in rs:
-            norms[(n, r)] = contraction_norm(ic, q, r, c_q, t)
+            norms[(n, r)] = contraction_norm(ic, q, r, 1.0, t)
         if with_tv:
-            # norms at c_q = 1 are the ones tv_bound sums
-            known = {r: norms[(n, r)] for r in rs} if c_q == 1.0 else {}
             try:
-                tv[n] = tv_bound(ic, q, t, known=known)
+                tv[n] = tv_bound(ic, q, t, known={r: norms[(n, r)] for r in rs})
             except GateError:
                 # limit variance undefined past the gate; norms stay useful
                 with_tv = False

@@ -56,11 +56,21 @@ def _parse_list(convert, text, flag: str) -> list:
     return [_parse(convert, v, flag) for v in str(text).split(",")]
 
 
+def _get(cfg: dict, key: str, convert, default=None):
+    """cfg[key] through _parse; unset, the default or else a usage error."""
+    flag = "--" + key.replace("_", "-")
+    if cfg.get(key) is None:
+        if default is None:
+            raise DomainError(f"a {flag} value is required")
+        return default
+    return _parse(convert, cfg[key], flag)
+
+
 def _build_model(cfg: dict) -> Model:
     name = cfg.get("model")
     if not name:
         raise DomainError("a --model id is required")
-    params = {k: cfg[k] for k in _MODEL_PARAM_FLAGS if cfg.get(k) is not None}
+    params = {k: _get(cfg, k, float) for k in _MODEL_PARAM_FLAGS if cfg.get(k) is not None}
     return make_model(name, **params)
 
 
@@ -124,7 +134,8 @@ def cmd_models(cfg: dict) -> int:
 def cmd_variance(cfg: dict) -> int:
     model = _build_model(cfg)
     f = _build_f(cfg)
-    lv = limitvar.sigma_sq(f, model.alpha, rel_tol=cfg.get("rel_tol") or 1e-10)
+    rel_tol = _get(cfg, "rel_tol", float, limitvar.DEFAULT_REL_TOL)
+    lv = limitvar.sigma_sq(f, model.alpha, rel_tol=rel_tol)
     payload = _echo(cfg, {"model_resolved": model.describe(), "f_resolved": f.describe()})
     payload |= lv.describe()
     path = _out_dir(cfg) / "variance.json"
@@ -136,10 +147,10 @@ def cmd_variance(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict) -> int:
     model = _build_model(cfg)
-    n = int(cfg["n"])
-    N = int(cfg["N"]) if cfg.get("N") else int(np.floor(n * float(cfg.get("t_max") or 1.0)))
-    batch = sampler.sample_batch(model, n, N, int(cfg["M"]), _seed_from(cfg),
-                                 threads=int(cfg.get("threads") or 1))
+    n = _get(cfg, "n", int)
+    N = _get(cfg, "N", int, int(np.floor(n * _get(cfg, "t_max", float, 1.0))))
+    batch = sampler.sample_batch(model, n, N, _get(cfg, "M", int), _seed_from(cfg),
+                                 threads=_get(cfg, "threads", int, 1))
     out = _out_dir(cfg)
     sampler.write_batch(batch, out / "batch.bin")
     meta = _echo(cfg, {"model_resolved": model.describe(),
@@ -152,10 +163,10 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_clt(cfg: dict) -> int:
     model = _build_model(cfg)
     f = _build_f(cfg)
-    t_grid = _parse_list(float, cfg.get("t_grid") or "1.0", "--t-grid")
+    t_grid = _parse_list(float, _get(cfg, "t_grid", str, "1.0"), "--t-grid")
     result = montecarlo.run_experiment(
-        model, f, int(cfg["n"]), t_grid, M=int(cfg.get("M") or montecarlo.DEFAULT_M),
-        seed=_seed_from(cfg), threads=int(cfg.get("threads") or 1),
+        model, f, _get(cfg, "n", int), t_grid, M=_get(cfg, "M", int, montecarlo.DEFAULT_M),
+        seed=_seed_from(cfg), threads=_get(cfg, "threads", int, 1),
         all_pairs=bool(cfg.get("all_pairs")),
     )
     out = _out_dir(cfg)
@@ -183,7 +194,7 @@ def cmd_check(cfg: dict) -> int:
         if model.alpha >= gate:
             print(f"warning: alpha={model.alpha} >= 2 - 1/d = {gate:g}; "
               f"the normal limit is not guaranteed for this f (checks still run)")
-    reports = analysis.run_all_checks(model, x_max=float(cfg.get("x_max") or 1e4))
+    reports = analysis.run_all_checks(model)
     out = _out_dir(cfg) / "reports"
     out.mkdir(parents=True, exist_ok=True)
     tag = model.name.replace("-", "")
@@ -202,10 +213,10 @@ def cmd_check(cfg: dict) -> int:
 
 def cmd_contraction(cfg: dict) -> int:
     model = _build_model(cfg)
-    q = int(cfg.get("q") or 2)
-    rs = _parse_list(int, cfg.get("r") or "1", "--r")
-    ns = _parse_list(int, cfg.get("n") or "64,128,256", "--n")
-    t = float(cfg.get("t") or 1.0)
+    q = _get(cfg, "q", int, 2)
+    rs = _parse_list(int, _get(cfg, "r", str, "1"), "--r")
+    ns = _parse_list(int, _get(cfg, "n", str, "64,128,256"), "--n")
+    t = _get(cfg, "t", float, 1.0)
     report = analysis.contraction_report(model, q, ns, r_values=rs, t=t)
     payload = _echo(cfg, {"model_resolved": model.describe()})
     payload |= report.to_dict()
@@ -270,16 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample an exact increment batch")
     common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, help="grid resolution (required)")
     p.add_argument("--N", type=int, help="increments per row (default floor(n*t_max))")
     p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--M", type=int, required=True)
+    p.add_argument("--M", type=int, help="replica count (required)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("clt", help="replicated normal-limit experiment")
     common(p)
     p.add_argument("--f")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, help="grid resolution (required)")
     p.add_argument("--t-grid", dest="t_grid", help="comma list, default 1.0")
     p.add_argument("--M", type=int)
     p.add_argument("--all-pairs", dest="all_pairs", action="store_true",
@@ -289,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="covariance-structure audits")
     common(p)
     p.add_argument("--f", help="optional; prints an applicability warning")
-    p.add_argument("--x-max", dest="x_max", type=float)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("contraction", help="contraction norms over an n ladder")

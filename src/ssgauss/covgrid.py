@@ -31,9 +31,9 @@ from .models import Model
 
 __all__ = ["IncrementCovariance", "increment_cov"]
 
-# Dense N x N doubles; 8192^2 is a ~540 MB pair of matrices, the default
-# ceiling for desk-scale runs.
-DEFAULT_MAX_N = 8192
+# Dense N x N doubles; 8192^2 is a ~1 GB pair of matrices, the ceiling
+# for desk-scale runs.
+MAX_N = 8192
 
 _FLUSH_EPS = 1.0e-300
 
@@ -60,14 +60,14 @@ class IncrementCovariance:
     corr: np.ndarray
 
 
-def increment_cov(model: Model, n: int, N: int, max_n: int = DEFAULT_MAX_N) -> IncrementCovariance:
+def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:
     """Assemble the exact N x N increment covariance at resolution n."""
     if n < 2:
         raise DomainError(f"grid resolution n must be >= 2, got {n}")
     if N < 1:
         raise DomainError(f"increment count N must be >= 1, got {N}")
-    if N > max_n:
-        raise DomainError(f"N={N} exceeds the dense-matrix cap {max_n}")
+    if N > MAX_N:
+        raise DomainError(f"N={N} exceeds the dense-matrix cap {MAX_N}")
 
     times = np.arange(N + 1, dtype=float) / float(n)
     rows = max(1, _BLOCK_ENTRIES // (N + 1))

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "hermite_eval",
     "hermite_table",
     "gauss_hermite_probabilists",
     "HermiteFunction",
@@ -38,22 +37,6 @@ __all__ = [
 DEFAULT_QMAX = 12
 # |c_q| sqrt(q!) below this multiple of ||f||_L2 counts as zero
 RANK_REL_TOL = 1.0e-9
-
-
-def hermite_eval(q: int, x):
-    """He_q(x) by the three-term recurrence; vectorized in x."""
-    if q < 0:
-        raise DomainError(f"Hermite order must be >= 0, got {q}")
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    prev = np.ones_like(xa)
-    if q == 0:
-        return float(prev[0]) if scalar else prev
-    cur = xa.copy()
-    for k in range(1, q):
-        prev, cur = cur, xa * cur - k * prev
-    return float(cur[0]) if scalar else cur
 
 
 def hermite_table(x: np.ndarray, q_max: int) -> np.ndarray:
@@ -192,7 +175,7 @@ def _double_factorial(k: int) -> int:
     return out
 
 
-def builtin_family(kind: str, p_or_q: int, q_max: int | None = None) -> HermiteFunction:
+def builtin_family(kind: str, p_or_q: int) -> HermiteFunction:
     """Built-in test functions.
 
     even_power p     x^(2p) - E[Z^(2p)],     rank 2, polynomial
@@ -210,19 +193,17 @@ def builtin_family(kind: str, p_or_q: int, q_max: int | None = None) -> HermiteF
         if k < 1:
             raise DomainError("even_power needs p >= 1")
         mean = float(_double_factorial(2 * k - 1))
-        qm = q_max or max(DEFAULT_QMAX, 2 * k)
         fn = lambda x: x ** (2 * k) - mean
-        return expand(fn, q_max=qm, label=f"even_power:{k}")
+        return expand(fn, q_max=max(DEFAULT_QMAX, 2 * k), label=f"even_power:{k}")
     if kind == "odd_abs_power":
         if k < 1:
             raise DomainError("odd_abs_power needs p >= 1")
         mean = math.sqrt(2.0 / math.pi) * 2.0**k * math.factorial(k)
-        qm = q_max or DEFAULT_QMAX
         fn = lambda x: np.abs(x) ** (2 * k + 1) - mean
         # the kink at 0 slows the quadrature to algebraic order; 400 nodes
         # put the coefficient error near 2e-6, enough for rank work, and
         # the centering tolerance must absorb that same error
-        return expand(fn, q_max=qm, quad_points=400, label=f"odd_abs_power:{k}",
+        return expand(fn, quad_points=400, label=f"odd_abs_power:{k}",
                       center_tol=1e-4)
     raise DomainError(
         f"unknown family {kind!r}; known: even_power, odd_abs_power, single_hermite"

@@ -76,6 +76,8 @@ def sigma_q_sq(alpha: float, q: int, rel_tol: float = DEFAULT_REL_TOL,
     """
     if q < 2:
         raise DomainError(f"chaos order q must be >= 2, got {q}")
+    if not rel_tol > 0.0:
+        raise DomainError(f"rel_tol must be > 0, got {rel_tol}")
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"alpha={alpha} outside (0, 2)")
     expo = _applicability(alpha, q)

@@ -248,6 +248,8 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid or t_grid[0] <= 0.0:
         raise DomainError("t_grid must contain positive times")
+    if n < 2:
+        raise DomainError(f"grid resolution n must be >= 2, got {n}")
     if M < MIN_REPLICAS:
         raise DomainError(f"M={M} below the minimum replication {MIN_REPLICAS}")
     if f.rank < 2 or model.alpha >= 2.0 - 1.0 / f.rank:

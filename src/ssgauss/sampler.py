@@ -30,7 +30,6 @@ from .models import Model
 __all__ = [
     "CholeskyFactor",
     "cholesky",
-    "draw",
     "SampleBatch",
     "sample_batch",
     "normal_icdf",
@@ -55,10 +54,9 @@ _U_MAX = np.nextafter(1.0, 0.0)
 class CholeskyFactor:
     L: np.ndarray
     jitter: float
-    N: int
 
 
-def cholesky(ic: IncrementCovariance, ladder=JITTER_LADDER) -> CholeskyFactor:
+def cholesky(ic: IncrementCovariance) -> CholeskyFactor:
     """Lower-triangular factor of cov + eps*I for the smallest workable eps.
 
     eps walks the escalation ladder scaled by trace/N; exhausting it means
@@ -66,17 +64,17 @@ def cholesky(ic: IncrementCovariance, ladder=JITTER_LADDER) -> CholeskyFactor:
     an invalid model/grid combination.
     """
     scale = float(np.trace(ic.cov)) / ic.N
-    for eps_rel in ladder:
+    for eps_rel in JITTER_LADDER:
         eps = eps_rel * scale
         try:
             L = np.linalg.cholesky(
                 ic.cov if eps == 0.0 else ic.cov + eps * np.eye(ic.N)
             )
-            return CholeskyFactor(L=L, jitter=eps, N=ic.N)
+            return CholeskyFactor(L=L, jitter=eps)
         except np.linalg.LinAlgError:
             continue
     raise NumericalError(
-        f"Cholesky failed at every jitter up to {ladder[-1]:g}*trace/N "
+        f"Cholesky failed at every jitter up to {JITTER_LADDER[-1]:g}*trace/N "
         f"(model {ic.model.name}, n={ic.n}, N={ic.N})"
     )
 
@@ -158,40 +156,31 @@ def _replica_uniforms(seed: int, replica: int, count: int) -> np.ndarray:
 
 
 def _replica_normals(seed: int, replica: int, count: int) -> np.ndarray:
-    """count standard normals from the Philox stream keyed (seed, replica)."""
+    """count standard normals from the Philox stream keyed (seed, replica);
+    row `replica` of sample_batch is these normals times L^T."""
     return normal_icdf(_replica_uniforms(seed, replica, count))
-
-
-def draw(factor: CholeskyFactor, seed: int, replica: int) -> np.ndarray:
-    """One increment row L z for the (seed, replica) stream."""
-    z = _replica_normals(seed, replica, factor.N)
-    return factor.L @ z
 
 
 @dataclass(frozen=True)
 class SampleBatch:
     """Replica-indexed batch of increment rows and their normalizations.
 
-    Content is a pure function of (model, n, N, M, seed); the threads
-    argument of sample_batch never changes it.
+    Row i is replica i.  Content is a pure function of (model, n, N, M,
+    seed); the threads argument of sample_batch never changes it.
     """
 
     seed: int
-    replica_range: tuple[int, int]
+    M: int
     n: int
     N: int
     increments: np.ndarray
     normalized: np.ndarray
 
-    @property
-    def M(self) -> int:
-        return self.replica_range[1] - self.replica_range[0]
-
 
 def _worker_count(threads: int) -> int:
     """threads capped at the CPUs this process may run on: workers beyond
     that only queue behind each other and behind the BLAS threads."""
-    return max(1, min(int(threads), len(os.sched_getaffinity(0))))
+    return min(int(threads), len(os.sched_getaffinity(0)))
 
 
 def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
@@ -204,6 +193,8 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
     """
     if M < 1:
         raise DomainError(f"replica count M must be >= 1, got {M}")
+    if threads < 1:
+        raise DomainError(f"thread count must be >= 1, got {threads}")
     if ic is None:
         ic = increment_cov(model, n, N)
     if factor is None:
@@ -228,7 +219,7 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda c: fill(*c), chunks))
     normalized = inc / ic.std[None, :]
-    return SampleBatch(seed=int(seed), replica_range=(0, M), n=int(n), N=int(N),
+    return SampleBatch(seed=int(seed), M=int(M), n=int(n), N=int(N),
                        increments=inc, normalized=normalized)
 
 

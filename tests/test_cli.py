@@ -191,6 +191,55 @@ def test_malformed_values_exit_2(tmp_path, monkeypatch, capsys, args, env, named
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args,config,named", [
+    pytest.param(["clt", "--f", "hermite:2", "--n", "64", "--M", "0"], None, "M=0",
+                 id="clt-M0"),
+    pytest.param(["clt", "--f", "hermite:2", "--n", "0"], None, "n must be >= 2, got 0",
+                 id="clt-n0"),
+    pytest.param(["simulate", "--n", "8", "--N", "0", "--M", "2"], None,
+                 "N must be >= 1, got 0", id="simulate-N0"),
+    pytest.param(["simulate", "--n", "8", "--M", "2", "--threads", "0"], None,
+                 "thread count must be >= 1, got 0", id="simulate-threads0"),
+    pytest.param(["contraction", "--q", "0"], None, "q=0", id="contraction-q0"),
+    pytest.param(["contraction", "--t", "0"], None, "t=0.0", id="contraction-t0"),
+    pytest.param(["variance", "--f", "hermite:2", "--rel-tol", "0"], None,
+                 "rel_tol must be > 0, got 0.0", id="variance-rel-tol0"),
+    pytest.param(["variance", "--f", "hermite:2"], {"H": "abc"}, "--H value 'abc'",
+                 id="config-H-abc"),
+    pytest.param(["contraction"], {"q": "two"}, "--q value 'two'", id="config-q-two"),
+    pytest.param(["simulate", "--M", "2"], None, "a --n value is required",
+                 id="simulate-no-n"),
+    pytest.param(["simulate"], {"n": 8}, "a --M value is required",
+                 id="simulate-config-no-M"),
+    pytest.param(["clt", "--f", "hermite:2"], {"M": 200}, "a --n value is required",
+                 id="clt-config-no-n"),
+])
+def test_zero_or_config_value_is_never_replaced_by_default(tmp_path, capsys, args, config,
+                                                          named):
+    # zeros and config-file values reach the handlers as given: a zero is
+    # refused by name instead of falling back to the default, and a
+    # malformed or missing config value exits 2 without a traceback
+    extra = ["--model", "fbm", "--out", str(tmp_path)]
+    cfg = {"H": 0.3} | (config or {})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = run_cli(args + extra + ["--config", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_config_file_supplies_n_and_m(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "fbm", "H": 0.5, "n": 8, "M": 3, "seed": 2}))
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    header, _ = read_batch(tmp_path / "batch.bin")
+    assert header == {"n": 8, "N": 8, "M": 3, "seed": 2}
+    echo = json.loads((tmp_path / "batch.json").read_text())["config"]
+    assert echo["n"] == 8 and echo["M"] == 3
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "fbm", "H": 0.5, "f": "hermite:2",

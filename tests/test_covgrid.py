@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ssgauss import covgrid
-from ssgauss.covgrid import increment_cov
+from ssgauss.covgrid import MAX_N, increment_cov
 from ssgauss.errors import DomainError
 from ssgauss.models import make_model
 
@@ -96,7 +96,7 @@ def test_input_validation():
     with pytest.raises(DomainError):
         increment_cov(m, 4, 0)
     with pytest.raises(DomainError):
-        increment_cov(m, 4, 100, max_n=64)
+        increment_cov(m, 4, MAX_N + 1)
 
 
 @pytest.mark.parametrize("name,kw", CATALOG_CASES)

@@ -8,7 +8,6 @@ from ssgauss.hermite import (
     builtin_family,
     expand,
     gauss_hermite_probabilists,
-    hermite_eval,
     hermite_table,
 )
 
@@ -24,16 +23,14 @@ EXPLICIT = {
 
 
 def test_point_values():
-    assert hermite_eval(2, 0.0) == -1.0
-    assert hermite_eval(3, 2.0) == 2.0
-    assert hermite_eval(4, 1.0) == -2.0
+    assert hermite_table(0.0, 4)[2] == -1.0
+    assert hermite_table(2.0, 4)[3] == 2.0
+    assert hermite_table(1.0, 4)[4] == -2.0
 
 
 def test_recurrence_matches_explicit_forms():
     rng = np.random.default_rng(0)
     x = rng.uniform(-5.0, 5.0, size=100)
-    for q, fn in EXPLICIT.items():
-        assert np.allclose(hermite_eval(q, x), fn(x), rtol=1e-12, atol=1e-12)
     table = hermite_table(x, 6)
     for q, fn in EXPLICIT.items():
         assert np.allclose(table[q], fn(x), rtol=1e-12, atol=1e-12)

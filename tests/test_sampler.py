@@ -7,11 +7,9 @@ from ssgauss.errors import DomainError
 from ssgauss.models import make_model
 from ssgauss.sampler import (
     _REPLICA_CHUNK,
-    CholeskyFactor,
     _replica_normals,
     _replica_uniforms,
     cholesky,
-    draw,
     normal_icdf,
     read_batch,
     sample_batch,
@@ -66,18 +64,16 @@ def test_normal_icdf_against_scipy():
 
 
 def test_draw_is_deterministic_per_replica():
-    factor = CholeskyFactor(L=np.eye(1000), jitter=0.0, N=1000)
-    a = draw(factor, seed=99, replica=5)
-    b = draw(factor, seed=99, replica=5)
+    a = _replica_normals(99, 5, 1000)
+    b = _replica_normals(99, 5, 1000)
     assert np.array_equal(a, b)
-    c = draw(factor, seed=99, replica=6)
+    c = _replica_normals(99, 6, 1000)
     corr = np.corrcoef(a, c)[0, 1]
     assert abs(corr) < 0.1  # 3/sqrt(N) band for distinct streams
 
 
 def test_identity_draw_moments():
-    factor = CholeskyFactor(L=np.eye(10_000), jitter=0.0, N=10_000)
-    z = draw(factor, seed=7, replica=0)
+    z = _replica_normals(7, 0, 10_000)
     assert abs(z.mean()) < 0.05
     assert z.var() == pytest.approx(1.0, abs=0.05)
 
@@ -92,6 +88,18 @@ def test_batch_shapes_and_determinism():
     assert np.array_equal(b1.normalized, b8.normalized)
     # row i is the replica-i stream regardless of batch size
     assert np.array_equal(b1.increments[0], one.increments[0])
+    assert (one.M, b1.M) == (1, 700)
+
+
+def test_batch_rows_are_replica_normals_times_factor():
+    m = make_model("swanson")
+    seed, n, N, M = 11, 64, 48, _REPLICA_CHUNK + 9
+    batch = sample_batch(m, n, N, M, seed=seed)
+    L = cholesky(increment_cov(m, n, N)).L
+    for i in (0, 1, _REPLICA_CHUNK - 1, _REPLICA_CHUNK, M - 1):
+        want = _replica_normals(seed, i, N) @ L.T
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(batch.increments[i] - want)) <= 1e-12 * scale
 
 
 def test_threads_capped_at_usable_cpus(monkeypatch):

@@ -17,7 +17,7 @@ structural hypotheses, quantitative envelopes and contraction norms.
 from ._version import __version__
 from .covgrid import IncrementCovariance, increment_cov
 from .errors import DomainError, GateError, GridError, NumericalError, SingularityError
-from .hermite import HermiteFunction, builtin_family, expand
+from .hermite import HermiteFunction, builtin_family
 from .limitvar import LimitVariance, second_difference, sigma_q_sq, sigma_sq
 from .models import Model, list_models, make_model
 from .montecarlo import (
@@ -33,7 +33,7 @@ __all__ = [
     "DomainError", "GateError", "GridError", "NumericalError", "SingularityError",
     "Model", "make_model", "list_models",
     "IncrementCovariance", "increment_cov",
-    "HermiteFunction", "expand", "builtin_family",
+    "HermiteFunction", "builtin_family",
     "LimitVariance", "second_difference", "sigma_q_sq", "sigma_sq",
     "SampleBatch", "cholesky", "sample_batch", "normal_icdf",
     "ExperimentResult", "functional", "exact_variance", "run_experiment",

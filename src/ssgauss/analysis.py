@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covgrid import IncrementCovariance, increment_cov
-from .errors import DomainError, GateError, SingularityError
+from .errors import DomainError, GateError, NumericalError, SingularityError
 from .limitvar import sigma_q_sq
 from .models import Model
 
@@ -348,7 +348,8 @@ class ContractionReport:
     estimates when the test function is a single Hermite polynomial.
 
     norms maps (n, r) to the contraction norm; tv maps n to the bound
-    (empty past the applicability gate).
+    (empty where sigma_q^2 is undefined past the applicability gate or
+    its tail cannot be certified).
     """
 
     model: str
@@ -402,8 +403,8 @@ def contraction_report(model, q: int, n_values, r_values=None,
         if with_tv:
             try:
                 tv[n] = tv_bound(ic, q, t, known={r: norms[(n, r)] for r in rs})
-            except GateError:
-                # limit variance undefined past the gate; norms stay useful
+            except (GateError, NumericalError):
+                # sigma_q^2 undefined past the gate or uncertified; norms stay useful
                 with_tv = False
     return ContractionReport(model=model.name, q=q, r_values=rs, n_values=ns,
                              norms=norms, tv=tv)

@@ -1,89 +1,54 @@
-"""Probabilists' Hermite polynomials, expansions and rank detection.
+"""Hermite expansions of the test functions.
 
-Test functions f are represented by their coefficients in the expansion
-f(x) = sum_q c_q He_q(x), where He_q is the monic (probabilists') Hermite
-polynomial with He_0 = 1, He_1 = x and He_(q+1) = x He_q - q He_(q-1).
-Coefficients are obtained by projection against a standard Gaussian,
+f(x) = sum_q c_q He_q(x), with He_q the monic (probabilists') Hermite
+polynomials, He_(q+1) = x He_q - q He_(q-1), and c_q = E[f(Z) He_q(Z)] / q!.
+For the built-in families Gaussian integration by parts, E[g(Z) He_q(Z)] =
+E[g^(q)(Z)] (Nourdin and Peccati 2012, ch. 1), gives the closed forms
 
-    c_q = E[f(Z) He_q(Z)] / q!,
+    x^(2p) - (2p-1)!!          c_2j = (2p)! / ((2j)! 2^(p-j) (p-j)!), j = 1..p
+    |x|^r - E|Z|^r, r = 2p+1   c_2j = E|Z|^r r (r-2) ... (r-2j+2) / (2j)!
 
-evaluated with Gauss-Hermite quadrature adapted to the weight
-exp(-x^2/2)/sqrt(2 pi).  The projection route is used even for the
-built-in power families, whose textbook closed forms are easy to
-mistranscribe; for polynomial f the quadrature is exact.
-
-The Hermite rank is the smallest q >= 1 with c_q != 0 under a scale-free
-threshold; rank >= 2 is what the central limit machinery downstream
-requires.
+with no other orders, so both have Hermite rank 2.  The second is cut at
+order ODD_ABS_Q_MAX; tail_sq is the exact mass the cut leaves out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "hermite_table",
-    "gauss_hermite_probabilists",
-    "HermiteFunction",
-    "expand",
-    "builtin_family",
-]
+__all__ = ["HermiteFunction", "builtin_family"]
 
-DEFAULT_QMAX = 12
-# |c_q| sqrt(q!) below this multiple of ||f||_L2 counts as zero
-RANK_REL_TOL = 1.0e-9
-
-
-def hermite_table(x: np.ndarray, q_max: int) -> np.ndarray:
-    """Stack He_0..He_qmax evaluated at x, shape (q_max + 1,) + x.shape."""
-    xa = np.asarray(x, dtype=float)
-    out = np.empty((q_max + 1,) + xa.shape, dtype=float)
-    out[0] = 1.0
-    if q_max >= 1:
-        out[1] = xa
-    for q in range(1, q_max):
-        out[q + 1] = xa * out[q] - q * out[q - 1]
-    return out
-
-
-def gauss_hermite_probabilists(num_points: int):
-    """Nodes and weights for the weight exp(-x^2/2) on the real line.
-
-    Golub-Welsch on the Jacobi matrix with off-diagonals sqrt(k).  Unlike
-    numpy's hermegauss this stays finite for several hundred nodes, which
-    the kinked built-in families need.
-    """
-    if num_points < 1:
-        raise DomainError("quadrature needs at least one node")
-    off = np.sqrt(np.arange(1, num_points, dtype=float))
-    jac = np.diag(off, 1) + np.diag(off, -1)
-    nodes, vecs = np.linalg.eigh(jac)
-    weights = vecs[0] ** 2 * math.sqrt(2.0 * math.pi)
-    return nodes, weights
+ODD_ABS_Q_MAX = 12
 
 
 @dataclass(frozen=True)
 class HermiteFunction:
-    """Truncated Hermite expansion with detected rank.
-
-    coeffs maps chaos order q to c_q (only retained orders appear);
-    l2_norm_sq is sum q! c_q^2 over retained orders; tail_sq is the
-    quadrature estimate of the mass above q_max (zero for polynomials).
-    """
+    """Hermite expansion of a centered test function: coeffs maps chaos
+    order q >= 1 to c_q, and tail_sq is the mass E[f(Z)^2] - l2_norm_sq
+    of the orders left out (zero for polynomials)."""
 
     coeffs: dict[int, float]
-    rank: int
-    l2_norm_sq: float
     tail_sq: float = 0.0
     label: str = ""
 
-    def coeff(self, q: int) -> float:
-        return self.coeffs.get(q, 0.0)
+    def __post_init__(self):
+        if not self.coeffs or min(self.coeffs) < 1:
+            raise DomainError(f"a centered f needs orders q >= 1; got {sorted(self.coeffs)}")
+
+    @property
+    def rank(self) -> int:
+        return min(self.coeffs)
+
+    @property
+    def l2_norm_sq(self) -> float:
+        """sum q! c_q^2 over the retained orders, in ascending q."""
+        return float(sum(_factorial(q) * c * c for q, c in sorted(self.coeffs.items())))
 
     @property
     def q_max(self) -> int:
@@ -92,8 +57,8 @@ class HermiteFunction:
     def evaluate(self, y):
         """Evaluate f at y through the retained coefficients.
 
-        Runs the three-term recurrence of hermite_table holding only He_(q-1)
-        and He_q, and adds c_q He_q in ascending q.
+        Runs the three-term recurrence holding only He_(q-1) and He_q, and
+        adds c_q He_q in ascending q.
         """
         ya = np.asarray(y, dtype=float)
         out = np.zeros_like(ya)
@@ -120,59 +85,43 @@ class HermiteFunction:
         }
 
 
-def expand(f, q_max: int = DEFAULT_QMAX, quad_points: int | None = None,
-           label: str = "", center_tol: float | None = None) -> HermiteFunction:
-    """Project a square-integrable f onto He_0..He_qmax.
-
-    f must be centered against the standard Gaussian; a mean above tolerance
-    raises, with the instruction to subtract it.  center_tol defaults to the
-    rank threshold, which suits integrands the quadrature resolves to near
-    machine precision; pass a looser value for kinked integrands whose
-    quadrature mean carries algebraic-order error.
-    """
-    if q_max < 2:
-        raise DomainError(f"q_max must be >= 2, got {q_max}")
-    pts = int(quad_points) if quad_points is not None else 4 * q_max + 1
-    if pts < 2 * q_max + 1:
-        raise DomainError(
-            f"quad_points={pts} too small for q_max={q_max}; need >= {2 * q_max + 1}"
-        )
-    nodes, weights = gauss_hermite_probabilists(pts)
-    w = weights / math.sqrt(2.0 * math.pi)
-    fx = np.asarray(f(nodes), dtype=float)
-    if fx.shape != nodes.shape:
-        raise DomainError("f must map an array of points to an array of values")
-    table = hermite_table(nodes, q_max)
-    raw = table @ (w * fx)  # raw[q] = E[f He_q]
-    coeffs = raw / np.array([math.factorial(q) for q in range(q_max + 1)])
-
-    norm_sq = float(np.sum(w * fx * fx))  # E[f^2]
-    scale = math.sqrt(max(norm_sq, np.finfo(float).tiny))
-    tol0 = RANK_REL_TOL * scale if center_tol is None else center_tol * scale
-    if abs(coeffs[0]) > tol0:
-        raise DomainError(
-            f"f is not centered: E[f(Z)] = {coeffs[0]:.6g}; subtract the mean first"
-        )
-
-    kept: dict[int, float] = {}
-    for q in range(1, q_max + 1):
-        if abs(coeffs[q]) * math.sqrt(math.factorial(q)) > RANK_REL_TOL * scale:
-            kept[q] = float(coeffs[q])
-    if not kept:
-        raise DomainError("all Hermite coefficients of f vanish below the rank threshold")
-    rank = min(kept)
-    l2 = float(sum(math.factorial(q) * c * c for q, c in kept.items()))
-    tail = max(norm_sq - float(coeffs[0]) ** 2 - l2, 0.0)
-    return HermiteFunction(coeffs=kept, rank=rank, l2_norm_sq=l2, tail_sq=tail,
-                           label=label or getattr(f, "__name__", "custom"))
+def _factorial(q: int) -> float:
+    """q! as a double; inf past 170!, the largest finite one."""
+    return float(math.factorial(q)) if q <= 170 else math.inf
 
 
-def _double_factorial(k: int) -> int:
+def _double_factorial(k: int) -> float:
+    """k!! as a double; OverflowError past the double range."""
     out = 1
-    while k > 1:
+    while k > 1 and out <= sys.float_info.max:
         out *= k
         k -= 2
-    return out
+    return float(out)
+
+
+def _abs_moment(s: int) -> float:
+    """E|Z|^s: (s-1)!! for even s, sqrt(2/pi) (s-1)!! for odd s."""
+    m = _double_factorial(s - 1)
+    return m if s % 2 == 0 else math.sqrt(2.0 / math.pi) * m
+
+
+def _even_power(p: int, label: str) -> HermiteFunction:
+    # from c_2p = 1 down, c_(2j-2) = c_2j j (2j-1) / (p-j+1) in exact integers
+    coeffs, c = {}, 1
+    for j in range(p, 0, -1):
+        coeffs[2 * j] = float(c)
+        c = c * j * (2 * j - 1) // (p - j + 1)
+    return HermiteFunction(coeffs, label=label)
+
+
+def _odd_abs_power(p: int, label: str) -> HermiteFunction:
+    r = 2 * p + 1
+    mean = _abs_moment(r)
+    f = HermiteFunction(
+        {2 * j: mean * (math.prod(range(r, r - 2 * j, -2)) / math.factorial(2 * j))
+         for j in range(1, ODD_ABS_Q_MAX // 2 + 1)},
+        label=label)
+    return replace(f, tail_sq=_abs_moment(2 * r) - mean * mean - f.l2_norm_sq)
 
 
 def builtin_family(kind: str, p_or_q: int) -> HermiteFunction:
@@ -183,28 +132,20 @@ def builtin_family(kind: str, p_or_q: int) -> HermiteFunction:
     single_hermite q He_q itself, rank q
     """
     k = int(p_or_q)
-    if kind == "single_hermite":
-        if k < 1:
-            raise DomainError("single_hermite needs q >= 1")
-        return HermiteFunction(coeffs={k: 1.0}, rank=k,
-                               l2_norm_sq=float(math.factorial(k)),
-                               label=f"hermite:{k}")
-    if kind == "even_power":
-        if k < 1:
-            raise DomainError("even_power needs p >= 1")
-        mean = float(_double_factorial(2 * k - 1))
-        fn = lambda x: x ** (2 * k) - mean
-        return expand(fn, q_max=max(DEFAULT_QMAX, 2 * k), label=f"even_power:{k}")
-    if kind == "odd_abs_power":
-        if k < 1:
-            raise DomainError("odd_abs_power needs p >= 1")
-        mean = math.sqrt(2.0 / math.pi) * 2.0**k * math.factorial(k)
-        fn = lambda x: np.abs(x) ** (2 * k + 1) - mean
-        # the kink at 0 slows the quadrature to algebraic order; 400 nodes
-        # put the coefficient error near 2e-6, enough for rank work, and
-        # the centering tolerance must absorb that same error
-        return expand(fn, quad_points=400, label=f"odd_abs_power:{k}",
-                      center_tol=1e-4)
-    raise DomainError(
-        f"unknown family {kind!r}; known: even_power, odd_abs_power, single_hermite"
-    )
+    builders = {"single_hermite": lambda q, label: HermiteFunction({q: 1.0}, label=label),
+                "even_power": _even_power, "odd_abs_power": _odd_abs_power}
+    if kind not in builders:
+        raise DomainError(f"unknown family {kind!r}; "
+                          "known: even_power, odd_abs_power, single_hermite")
+    arg = "q" if kind == "single_hermite" else "p"
+    if k < 1:
+        raise DomainError(f"{kind} needs {arg} >= 1")
+    label = f"{'hermite' if kind == 'single_hermite' else kind}:{k}"
+    try:
+        f = builders[kind](k, label)
+        total = f.l2_norm_sq + f.tail_sq
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"{label}: E[f(Z)^2] exceeds the double range; use a smaller {arg}")
+    return f

@@ -152,5 +152,7 @@ def sigma_sq(f: HermiteFunction, alpha: float, rel_tol: float = DEFAULT_REL_TOL,
         ms[q] = res.m_used
         tails[q] = res.tail_bound
         total += c * c * res.value
+    if not math.isfinite(total):
+        raise NumericalError(f"sigma^2 of {f.label or 'f'} exceeds the double range")
     return LimitVariance(alpha=alpha, per_chaos=per, sigma_sq=total,
                          truncation_m=ms, tail_bound=tails)

@@ -205,17 +205,22 @@ class ExperimentResult:
         ]
 
 
+def _verdicts(row: dict, tol: dict) -> dict[str, bool]:
+    """The verdict flags of one row of statistics: ok for a cross row,
+    var_ok, kurt_ok and ks_ok for a time row."""
+    if "cov" in row:
+        return {"ok": abs(row["cov"]) <= tol["cross_se_mult"] * row["se"]}
+    return {
+        "var_ok": abs(row["sample_var"] - row["exact_var"]) <= tol["var_se_mult"] * row["se_var"],
+        "kurt_ok": abs(row["kurtosis_ratio"] - 1.0) <= tol["kurt_se_mult"] * row["se_kurtosis"],
+        "ks_ok": row["ks_p"] >= tol["ks_p_min"],
+    }
+
+
 def derive_verdicts(times: list[dict], cross: list[dict], tol: dict) -> bool:
-    """Recompute the overall verdict from stored statistics (used by the
-    report command to audit a saved run)."""
-    ok = True
-    for ts in times:
-        ok &= abs(ts["sample_var"] - ts["exact_var"]) <= tol["var_se_mult"] * ts["se_var"]
-        ok &= abs(ts["kurtosis_ratio"] - 1.0) <= tol["kurt_se_mult"] * ts["se_kurtosis"]
-        ok &= ts["ks_p"] >= tol["ks_p_min"]
-    for cs in cross:
-        ok &= abs(cs["cov"]) <= tol["cross_se_mult"] * cs["se"]
-    return bool(ok)
+    """The overall verdict from the statistics alone (run_experiment sets
+    passed with it, and the report command audits a saved run with it)."""
+    return all(all(_verdicts(row, tol).values()) for row in [*times, *cross])
 
 
 def _bootstrap_moments(values: np.ndarray, seed: int, stream: int,
@@ -289,16 +294,14 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
         kurt = m4 / (3.0 * m2 * m2)
         se_var, se_kurt = _bootstrap_moments(F, seed, i)
         ks_stat, ks_p = ks_test_normal(F / math.sqrt(exact))
-        times.append(TimeStats(
+        row = dict(
             t=t, num_terms=_num_increments(n, t), mean=float(np.mean(F)),
             sample_var=s_var, se_var=se_var, fourth_moment=m4,
             kurtosis_ratio=kurt, se_kurtosis=se_kurt,
             ks_stat=ks_stat, ks_p=ks_p, exact_var=exact,
             predicted_var=limit.sigma_sq * t,
-            var_ok=abs(s_var - exact) <= tol["var_se_mult"] * se_var,
-            kurt_ok=abs(kurt - 1.0) <= tol["kurt_se_mult"] * se_kurt,
-            ks_ok=ks_p >= tol["ks_p_min"],
-        ))
+        )
+        times.append(TimeStats(**row, **_verdicts(row, tol)))
 
     cross: list[CrossStats] = []
     grid0 = [0.0] + t_grid
@@ -311,13 +314,10 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
         prod = G[i] * G[j]
         cov = float(np.mean(prod) - np.mean(G[i]) * np.mean(G[j]))
         se = float(np.std(prod, ddof=1) / math.sqrt(M))
-        cross.append(CrossStats(
-            t_lo=grid0[i], t_mid=grid0[i + 1], t_hi=grid0[j + 1],
-            cov=cov, se=se, ok=abs(cov) <= tol["cross_se_mult"] * se,
-        ))
+        row = dict(t_lo=grid0[i], t_mid=grid0[i + 1], t_hi=grid0[j + 1], cov=cov, se=se)
+        cross.append(CrossStats(**row, **_verdicts(row, tol)))
 
-    passed = all(ts.var_ok and ts.kurt_ok and ts.ks_ok for ts in times) and \
-        all(cs.ok for cs in cross)
+    passed = derive_verdicts([vars(ts) for ts in times], [vars(cs) for cs in cross], tol)
     config = {
         "model": model.describe(),
         "f": f.describe(),

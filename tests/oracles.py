@@ -75,3 +75,15 @@ def increment_cov_full_grid(model, n: int, N: int):
     corr = cov / np.outer(std, std)
     np.fill_diagonal(corr, 1.0)
     return cov, std, corr
+
+
+def hermite_table(x: np.ndarray, q_max: int) -> np.ndarray:
+    """Stack He_0..He_qmax evaluated at x, shape (q_max + 1,) + x.shape."""
+    xa = np.asarray(x, dtype=float)
+    out = np.empty((q_max + 1,) + xa.shape, dtype=float)
+    out[0] = 1.0
+    if q_max >= 1:
+        out[1] = xa
+    for q in range(1, q_max):
+        out[q + 1] = xa * out[q] - q * out[q - 1]
+    return out

@@ -33,6 +33,10 @@ SWANSON, FBM = ("swanson",), ("fbm", 0.3)
 OPS = [
     Op(id="variance/fbm", command="variance", model=FBM, f="hermite:2",
        argv=("variance", *workloads.model_argv(FBM), "--f", "hermite:2")),
+    # the closed-form families, held to the reference's own projections
+    *(Op(id=f"variance/fbm/{f}", command="variance", model=FBM, f=f,
+         argv=("variance", *workloads.model_argv(FBM), "--f", f))
+      for f in ("even_power:2", "odd_abs_power:1")),
     Op(id="check/swanson", command="check", model=SWANSON,
        argv=("check", "--model", "swanson")),
     Op(id="contraction/swanson", command="contraction", model=SWANSON,

@@ -143,6 +143,30 @@ def test_contraction_brownian_values(tmp_path, capsys):
     assert [r["norm"] for r in rows] == pytest.approx([1 / 64, 1 / 128, 1 / 256])
 
 
+def test_contraction_keeps_norms_where_sigma_q_is_not_certified(tmp_path, capsys):
+    # alpha = 1.4 sits inside the q = 2 gate, where the sigma_2^2 tail
+    # certificate is not met, so tv_bound stays empty and the norms stay
+    rc = run_cli(["contraction", "--model", "fbm", "--H", "0.7", "--q", "2",
+                  "--n", "64,128", "--out", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "contraction.json").read_text())
+    assert [r["norm"] for r in payload["norms"]] == pytest.approx([0.2414, 0.1846], abs=1e-4)
+    assert payload["tv_bound"] == {}
+
+
+@pytest.mark.parametrize("f", ["even_power:85", "even_power:86", "odd_abs_power:80",
+                               "hermite:171"])
+def test_norm_beyond_double_range_exits_without_inf(tmp_path, capsys, f):
+    rc = run_cli(["variance", "--model", "fbm", "--H", "0.3", "--f", f,
+                  "--out", str(tmp_path)])
+    assert rc in (2, 4)
+    out, err = capsys.readouterr()
+    assert f in err
+    assert "Traceback" not in err
+    assert "inf" not in out
+    assert not (tmp_path / "variance.json").exists()
+
+
 def test_simulate_threads_deterministic(tmp_path):
     base = ["simulate", "--model", "fbm", "--H", "0.7", "--n", "64", "--N", "64",
             "--M", "300", "--seed", "5"]

@@ -1,15 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import hermite_table
 from ssgauss.errors import DomainError
-from ssgauss.hermite import (
-    builtin_family,
-    expand,
-    gauss_hermite_probabilists,
-    hermite_table,
-)
+from ssgauss.hermite import HermiteFunction, builtin_family
 
 EXPLICIT = {
     0: lambda x: np.ones_like(x),
@@ -36,80 +33,81 @@ def test_recurrence_matches_explicit_forms():
         assert np.allclose(table[q], fn(x), rtol=1e-12, atol=1e-12)
 
 
-def test_quadrature_matches_numpy_at_moderate_order():
-    x1, w1 = np.polynomial.hermite_e.hermegauss(64)
-    x2, w2 = gauss_hermite_probabilists(64)
-    assert np.allclose(x1, x2, atol=1e-12)
-    assert np.allclose(w1, w2, atol=1e-12)
-
-
-def test_quadrature_orthonormality():
-    q_max = 12
-    nodes, weights = gauss_hermite_probabilists(4 * q_max + 1)
-    w = weights / math.sqrt(2.0 * math.pi)
-    table = hermite_table(nodes, q_max)
-    norms = np.array([math.sqrt(math.factorial(q)) for q in range(q_max + 1)])
-    gram = (table * w) @ table.T / np.outer(norms, norms)
-    assert np.max(np.abs(gram - np.eye(q_max + 1))) <= 1e-9
-
-
-def test_expand_detects_pure_second_hermite():
-    f = expand(lambda x: x**2 - 1.0, q_max=8)
-    assert f.rank == 2
-    assert set(f.coeffs) == {2}
-    assert f.coeffs[2] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_expand_quartic_identity():
-    f = expand(lambda x: x**4 - 3.0, q_max=10)
-    assert f.rank == 2
-    assert set(f.coeffs) == {2, 4}
-    assert f.coeffs[2] == pytest.approx(6.0, rel=1e-10)
-    assert f.coeffs[4] == pytest.approx(1.0, rel=1e-10)
-
-
-def test_expand_rejects_uncentered_input():
-    with pytest.raises(DomainError, match="subtract the mean"):
-        expand(lambda x: x**2, q_max=6)
+def test_uncentered_or_empty_expansion_is_rejected():
+    with pytest.raises(DomainError, match="q >= 1"):
+        HermiteFunction({0: 1.0, 2: 1.0})
+    with pytest.raises(DomainError, match="q >= 1"):
+        HermiteFunction({})
 
 
 def test_rank_one_is_reported_not_rejected():
-    f = expand(lambda x: x + 0.25 * (x**2 - 1.0), q_max=6)
-    assert f.rank == 1
+    assert HermiteFunction({1: 1.0, 2: 0.25}).rank == 1
 
 
-def test_odd_abs_power_structure_and_node_stability():
-    mean = 2.0 * math.sqrt(2.0 / math.pi)
-    fn = lambda x: np.abs(x) ** 3 - mean
-    a = expand(fn, q_max=10, quad_points=200, center_tol=1e-4)
-    b = expand(fn, q_max=10, quad_points=400, center_tol=1e-4)
-    assert a.rank == 2 and b.rank == 2
-    # odd projections cancel exactly on the symmetric rule
-    assert all(q % 2 == 0 for q in a.coeffs)
-    # the kink at 0 limits the quadrature to algebraic convergence; the
-    # measured 200-vs-400 node agreement is ~1.1e-5, nowhere near the
-    # spectral regime smooth integrands would reach
-    for q in set(a.coeffs) | set(b.coeffs):
-        assert a.coeff(q) == pytest.approx(b.coeff(q), abs=2e-5)
-    # exact projections via absolute moments E|Z|^(2m+1) = sqrt(2/pi) 2^m m!
-    def absmom(k):
-        m = (k - 1) // 2
-        return math.sqrt(2.0 / math.pi) * 2.0**m * math.factorial(m)
-    c2 = (absmom(5) - absmom(3)) / 2.0
-    c4 = (absmom(7) - 6 * absmom(5) + 3 * absmom(3)) / 24.0
-    assert b.coeffs[2] == pytest.approx(c2, abs=3e-6)
-    assert b.coeffs[4] == pytest.approx(c4, abs=3e-6)
+def test_rank_and_norm_follow_the_coefficients():
+    f = HermiteFunction({3: -1.3, 2: 0.8})
+    assert f.rank == 2
+    assert f.l2_norm_sq == pytest.approx(2 * 0.8**2 + 6 * 1.3**2, rel=1e-15)
+    assert f.tail_sq == 0.0
+
+
+def _exact_abs_power_projection(r: int, q: int) -> float:
+    """E[|Z|^r He_q(Z)] / q! from exact integer Hermite coefficients and
+    the odd absolute moments E|Z|^s = sqrt(2/pi) (s-1)!!, s odd."""
+    prev, cur = [1], [0, 1]  # He_0, He_1 as integer coefficient lists
+    for k in range(1, q):
+        nxt = [0] + cur
+        for i, a in enumerate(prev):
+            nxt[i] -= k * a
+        prev, cur = cur, nxt
+    # q is even, so He_q has only even powers k and r + k is odd
+    total = sum(a * math.prod(range(r + k - 1, 0, -2)) for k, a in enumerate(cur))
+    return math.sqrt(2.0 / math.pi) * float(Fraction(total, math.factorial(q)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_odd_abs_power_matches_exact_moment_oracle(p):
+    f = builtin_family("odd_abs_power", p)
+    r = 2 * p + 1
+    assert sorted(f.coeffs) == list(range(2, 13, 2))
+    for q in range(2, 13, 2):
+        assert f.coeffs[q] == pytest.approx(_exact_abs_power_projection(r, q), rel=1e-12)
+
+
+def test_odd_abs_power_norm_plus_tail_is_the_variance():
+    f = builtin_family("odd_abs_power", 1)
+    # Var |Z|^3 = E Z^6 - (E|Z|^3)^2 = 15 - 8/pi
+    assert f.l2_norm_sq + f.tail_sq == pytest.approx(15.0 - 8.0 / math.pi, rel=1e-13)
+    assert 0.0 < f.tail_sq < 1e-3
+
+
+@pytest.mark.parametrize("kind,ps", [("even_power", range(11, 21)),
+                                     ("odd_abs_power", range(7, 31))])
+def test_large_p_has_only_even_orders_and_rank_two(kind, ps):
+    for p in ps:
+        f = builtin_family(kind, p)
+        assert f.rank == 2, (kind, p)
+        top = 2 * p if kind == "even_power" else 12
+        assert sorted(f.coeffs) == list(range(2, top + 1, 2)), (kind, p)
+
+
+@pytest.mark.parametrize("kind,name,last_ok", [("even_power", "even_power", 75),
+                                               ("odd_abs_power", "odd_abs_power", 74),
+                                               ("single_hermite", "hermite", 170)])
+def test_norm_beyond_double_range_is_a_domain_error(kind, name, last_ok):
+    f = builtin_family(kind, last_ok)
+    assert math.isfinite(f.l2_norm_sq + f.tail_sq)
+    for k in (last_ok + 1, 10**7):
+        with pytest.raises(DomainError, match=f"{name}:{k}"):
+            builtin_family(kind, k)
 
 
 def test_builtin_families():
     h3 = builtin_family("single_hermite", 3)
     assert h3.coeffs == {3: 1.0} and h3.rank == 3
-    p1 = builtin_family("even_power", 1)
-    assert set(p1.coeffs) == {2}
-    assert p1.coeffs[2] == pytest.approx(1.0, rel=1e-12)
-    p2 = builtin_family("even_power", 2)
-    assert p2.coeffs[2] == pytest.approx(6.0, rel=1e-10)
-    assert p2.coeffs[4] == pytest.approx(1.0, rel=1e-10)
+    assert builtin_family("even_power", 1).coeffs == {2: 1.0}
+    # x^4 - 3 = He_4 + 6 He_2
+    assert builtin_family("even_power", 2).coeffs == {2: 6.0, 4: 1.0}
     odd = builtin_family("odd_abs_power", 1)
     assert odd.rank == 2
     with pytest.raises(DomainError):
@@ -124,13 +122,13 @@ def test_even_power_matches_double_factorial_closed_form():
             out *= k
             k -= 2
         return out
-    for p in (1, 2, 3):
+    for p in range(1, 21):
         f = builtin_family("even_power", p)
         for q in range(2, 2 * p, 2):
             closed = (math.factorial(2 * p) * dfact(2 * p - q - 1)
                       / (math.factorial(q) * math.factorial(2 * p - q)))
-            assert f.coeffs[q] == pytest.approx(closed, rel=1e-9)
-        assert f.coeffs[2 * p] == pytest.approx(1.0, rel=1e-9)
+            assert f.coeffs[q] == closed
+        assert f.coeffs[2 * p] == 1.0
         assert all(q % 2 == 0 for q in f.coeffs)
 
 
@@ -147,22 +145,6 @@ def test_parseval_for_polynomial_families():
         exact = moment(4 * p) - moment(2 * p) ** 2
         assert f.l2_norm_sq == pytest.approx(exact, rel=1e-8)
         assert f.tail_sq == pytest.approx(0.0, abs=1e-6 * exact)
-
-
-def test_rank_invariance_under_qmax_extension():
-    f1 = expand(lambda x: x**4 - 3.0, q_max=8)
-    f2 = expand(lambda x: x**4 - 3.0, q_max=12)
-    assert f1.rank == f2.rank
-    for q in f1.coeffs:
-        assert f1.coeffs[q] == pytest.approx(f2.coeffs.get(q, 0.0), abs=1e-8)
-    mean = 2.0 * math.sqrt(2.0 / math.pi)
-    g1 = expand(lambda x: np.abs(x) ** 3 - mean, q_max=8, quad_points=400,
-                center_tol=1e-4)
-    g2 = expand(lambda x: np.abs(x) ** 3 - mean, q_max=12, quad_points=400,
-                center_tol=1e-4)
-    assert g1.rank == g2.rank == 2
-    for q in g1.coeffs:
-        assert g1.coeffs[q] == pytest.approx(g2.coeffs.get(q, 0.0), abs=1e-8)
 
 
 def test_evaluate_consistency():

@@ -73,12 +73,17 @@ def test_gate_rejections():
         sigma_q_sq(1.5, 2)
     with pytest.raises(GateError):
         sigma_q_sq(1.7, 3)
-    f1 = HermiteFunction(coeffs={1: 1.0}, rank=1, l2_norm_sq=1.0)
+    f1 = HermiteFunction(coeffs={1: 1.0})
     with pytest.raises(GateError):
         sigma_sq(f1, 0.5)
     f2 = builtin_family("single_hermite", 2)
     with pytest.raises(GateError):
         sigma_sq(f2, 1.6)
+
+
+def test_non_finite_total_is_a_numerical_error():
+    with pytest.raises(NumericalError, match="double range"):
+        sigma_sq(HermiteFunction({2: 1e154}), 0.5)
 
 
 def test_blowup_toward_gate():

@@ -46,9 +46,9 @@ def test_exact_variance_brownian_values():
 
 def test_exact_variance_additive_over_chaoses():
     m = make_model("swanson")
-    mix = HermiteFunction(coeffs={2: 0.8, 3: -1.3}, rank=2, l2_norm_sq=0.0)
-    only2 = HermiteFunction(coeffs={2: 0.8}, rank=2, l2_norm_sq=0.0)
-    only3 = HermiteFunction(coeffs={3: -1.3}, rank=3, l2_norm_sq=0.0)
+    mix = HermiteFunction(coeffs={2: 0.8, 3: -1.3})
+    only2 = HermiteFunction(coeffs={2: 0.8})
+    only3 = HermiteFunction(coeffs={3: -1.3})
     n = 64
     total = exact_variance(m, mix, n, 1.0)
     parts = exact_variance(m, only2, n, 1.0) + exact_variance(m, only3, n, 1.0)
@@ -118,7 +118,7 @@ def test_run_experiment_gates():
     m = make_model("fbm", H=0.8)  # alpha = 1.6 >= 1.5
     with pytest.raises(GateError):
         run_experiment(m, H2, 64, [1.0], M=200, seed=0)
-    f1 = HermiteFunction(coeffs={1: 1.0}, rank=1, l2_norm_sq=1.0)
+    f1 = HermiteFunction(coeffs={1: 1.0})
     with pytest.raises(GateError):
         run_experiment(make_model("fbm", H=0.5), f1, 64, [1.0], M=200, seed=0)
     with pytest.raises(DomainError):

@@ -15,10 +15,10 @@ structural hypotheses, quantitative envelopes and contraction norms.
 """
 
 from ._version import __version__
-from .covgrid import IncrementCovariance, increment_cov
+from .covgrid import IncrementCovariance, increment_cov, num_increments
 from .errors import DomainError, GateError, GridError, NumericalError, SingularityError
 from .hermite import HermiteFunction, builtin_family
-from .limitvar import LimitVariance, second_difference, sigma_q_sq, sigma_sq
+from .limitvar import LimitVariance, gate, second_difference, sigma_q_sq, sigma_sq
 from .models import Model, list_models, make_model
 from .montecarlo import (
     ExperimentResult,
@@ -32,9 +32,9 @@ __all__ = [
     "__version__",
     "DomainError", "GateError", "GridError", "NumericalError", "SingularityError",
     "Model", "make_model", "list_models",
-    "IncrementCovariance", "increment_cov",
+    "IncrementCovariance", "increment_cov", "num_increments",
     "HermiteFunction", "builtin_family",
-    "LimitVariance", "second_difference", "sigma_q_sq", "sigma_sq",
+    "LimitVariance", "gate", "second_difference", "sigma_q_sq", "sigma_sq",
     "SampleBatch", "cholesky", "sample_batch", "normal_icdf",
     "ExperimentResult", "functional", "exact_variance", "run_experiment",
 ]

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covgrid import IncrementCovariance, increment_cov
+from .covgrid import IncrementCovariance, increment_cov, num_increments
 from .errors import DomainError, GateError, NumericalError, SingularityError
 from .limitvar import sigma_q_sq
 from .models import Model
@@ -167,7 +167,7 @@ def _ratio_report(target: str, model: Model, u, residuals, envelopes, scales,
 
 
 def _smooth_note(model: Model) -> str:
-    return _SMOOTH_NOTE if model.name in ("dw-z1", "dw-z2") else ""
+    return _SMOOTH_NOTE if model.smooth_interior else ""
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +219,6 @@ def check_tail_derivatives(model: Model) -> list[BoundCheckReport]:
     d1 = np.abs(model.phi(x, 1))
     d2 = np.abs(model.phi(x, 2))
     if a < 1.0:
-        if model.nu is None:
-            raise DomainError(f"{model.name}: nu required for the alpha < 1 envelopes")
         env1 = (x - 1.0) ** (-model.nu)
         env2 = (x - 1.0) ** (-model.nu - 1.0)
     else:
@@ -299,8 +297,6 @@ def check_far_decay(model: Model) -> BoundCheckReport:
     for j, k in _FAR_PAIRS:
         c = abs(float(ic.cov[j, k]))
         if a < 1.0:
-            if model.nu is None:
-                raise DomainError(f"{model.name}: nu required for alpha < 1")
             env = n ** (-2.0 * b) * k ** (2.0 * b + model.nu - 2.0) * (j - k) ** (-model.nu)
         else:
             env = n ** (-2.0 * b) * k ** (2.0 * b - a) * (j - k) ** (a - 2.0)
@@ -332,7 +328,7 @@ def contraction_norm(ic: IncrementCovariance, q: int, r: int, c_q: float,
     elementwise, over indices below floor(n t)."""
     if not 1 <= r <= q - 1:
         raise DomainError(f"contraction order r must be in [1, q-1]; got r={r}, q={q}")
-    m = int(math.floor(ic.n * t))
+    m = num_increments(ic.n, t)
     if m < 1 or m > ic.N:
         raise DomainError(f"floor(n*t) = {m} outside the grid [1, {ic.N}]")
     sub = ic.corr[:m, :m]
@@ -388,45 +384,42 @@ class ContractionReport:
 def contraction_report(model, q: int, n_values, r_values=None,
                        t: float = 1.0) -> ContractionReport:
     """Contraction norms of He_q (c_q = 1) over an n ladder, and tv_bound."""
+    if q < 2:
+        raise DomainError(f"contraction norms need a chaos order q >= 2; got q={q}")
     rs = tuple(int(r) for r in (r_values or range(1, q)))
     ns = tuple(int(n) for n in n_values)
+    ms = {n: num_increments(n, t) for n in ns}
+    if min(ms.values(), default=1) < 1:
+        raise DomainError(f"floor(n*t) = {min(ms.values())} is below 1 (t={t})")
+    try:
+        sq = sigma_q_sq(model.alpha, q).value
+    except (GateError, NumericalError):
+        # sigma_q^2 undefined past the gate or uncertified; norms stay useful
+        sq = None
+    # tv_bound reads every order r = 1..q-1, so compute them all once for it
+    orders = rs if sq is None else sorted(set(rs) | set(range(1, q)))
     norms: dict = {}
     tv: dict = {}
-    with_tv = True
     for n in ns:
-        m = int(math.floor(n * t))
-        if m < 1:
-            raise DomainError(f"floor(n*t) = {m} is below 1 (n={n}, t={t})")
-        ic = increment_cov(model, n, m)
-        for r in rs:
-            norms[(n, r)] = contraction_norm(ic, q, r, 1.0, t)
-        if with_tv:
-            try:
-                tv[n] = tv_bound(ic, q, t, known={r: norms[(n, r)] for r in rs})
-            except (GateError, NumericalError):
-                # sigma_q^2 undefined past the gate or uncertified; norms stay useful
-                with_tv = False
+        ic = increment_cov(model, n, ms[n])
+        at_n = {r: contraction_norm(ic, q, r, 1.0, t) for r in orders}
+        norms.update({(n, r): at_n[r] for r in rs})
+        if sq is not None:
+            tv[n] = tv_bound(at_n, q, sq, t)
     return ContractionReport(model=model.name, q=q, r_values=rs, n_values=ns,
                              norms=norms, tv=tv)
 
 
-def tv_bound(ic: IncrementCovariance, q: int, t: float = 1.0,
-             known: dict | None = None) -> float:
-    """Total-variation upper estimate for F_n(t) built from He_q alone.
+def tv_bound(norms: dict, q: int, sigma_q2: float, t: float = 1.0) -> float:
+    """Total-variation upper estimate for F_n(t) built from He_q alone,
 
-    2 / (t sigma_q^2) * sqrt( (1/q^2) sum_r r^2 r! C(q,r)^4 (2q-2r)! *
-    contraction_norm(q, r) ), using unsymmetrized norms, which bound the
-    symmetrized ones from above.  known maps r to contraction_norm(ic, q,
-    r, 1.0, t) where the caller already holds it; the rest are computed.
+        2 / (t sigma_q^2) * sqrt( (1/q^2) sum_r r^2 r! C(q,r)^4 (2q-2r)! norms[r] ),
+
+    where norms maps each r = 1..q-1 to contraction_norm(ic, q, r, 1.0, t).
+    The norms are unsymmetrized, which bound the symmetrized ones from above.
     """
     if q < 2:
         raise DomainError(f"tv_bound needs a single Hermite factor of order q >= 2, got {q}")
-    known = known or {}
-    sq = sigma_q_sq(ic.model.alpha, q).value
-    var_term = 0.0
-    for r in range(1, q):
-        norm = known[r] if r in known else contraction_norm(ic, q, r, 1.0, t)
-        var_term += (r**2 * math.factorial(r) * math.comb(q, r) ** 4
-                     * math.factorial(2 * q - 2 * r) * norm)
-    var_term /= q**2
-    return 2.0 / (t * sq) * math.sqrt(var_term)
+    acc = sum(r**2 * math.factorial(r) * math.comb(q, r) ** 4 * math.factorial(2 * q - 2 * r)
+              * norms[r] for r in range(1, q))
+    return 2.0 / (t * sigma_q2) * math.sqrt(acc / q**2)

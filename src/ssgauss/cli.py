@@ -16,8 +16,9 @@ gate violated (alpha >= 2 - 1/d); 4 numerical failure or failing verdicts.
 Configuration may come from a JSON file (--config); explicit flags win
 over file values.  The seed falls back to the SSGAUSS_SEED environment
 variable, then 0.  Every output file embeds the effective config and the
-package version.  --threads bounds worker parallelism (capped at the
-usable CPU count) and never changes any numerical result.
+package version.  Only simulate and clt draw random numbers, so only they
+take --seed and --threads; --threads bounds worker parallelism (capped at
+the usable CPU count) and never changes any numerical result.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from ._version import __version__
 from . import analysis, hermite, limitvar, montecarlo, sampler
@@ -140,15 +139,18 @@ def cmd_variance(cfg: dict) -> int:
     payload |= lv.describe()
     path = _out_dir(cfg) / "variance.json"
     _write_json(path, payload)
+    # the share of Var f(Z) above the chaos cut, which sigma_sq leaves out
+    cut = (f"; the chaos cut leaves out {f.tail_sq / (f.l2_norm_sq + f.tail_sq):.2g} "
+           f"of Var f(Z)" if f.tail_sq > 0.0 else "")
     print(f"sigma_sq = {lv.sigma_sq:.12g}  (alpha={model.alpha}, "
-          f"chaoses {sorted(lv.per_chaos)}) -> {path}")
+          f"chaoses {sorted(lv.per_chaos)}{cut}) -> {path}")
     return EXIT_OK
 
 
 def cmd_simulate(cfg: dict) -> int:
     model = _build_model(cfg)
     n = _get(cfg, "n", int)
-    N = _get(cfg, "N", int, int(np.floor(n * _get(cfg, "t_max", float, 1.0))))
+    N = _get(cfg, "N", int, n)
     batch = sampler.sample_batch(model, n, N, _get(cfg, "M", int), _seed_from(cfg),
                                  threads=_get(cfg, "threads", int, 1))
     out = _out_dir(cfg)
@@ -170,8 +172,7 @@ def cmd_clt(cfg: dict) -> int:
         all_pairs=bool(cfg.get("all_pairs")),
     )
     out = _out_dir(cfg)
-    payload = _echo(cfg) | result.to_dict()
-    _write_json(out / "experiment.json", payload)
+    _write_json(out / "experiment.json", result.to_dict())
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         rows = result.summary_rows()
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -189,11 +190,11 @@ def cmd_clt(cfg: dict) -> int:
 def cmd_check(cfg: dict) -> int:
     model = _build_model(cfg)
     if cfg.get("f"):
-        f = _build_f(cfg)
-        gate = 2.0 - 1.0 / f.rank
-        if model.alpha >= gate:
-            print(f"warning: alpha={model.alpha} >= 2 - 1/d = {gate:g}; "
-              f"the normal limit is not guaranteed for this f (checks still run)")
+        try:
+            limitvar.gate(_build_f(cfg).rank, model.alpha)
+        except GateError as exc:
+            print(f"warning: {exc}; the normal limit is not guaranteed for this f "
+                  f"(checks still run)")
     reports = analysis.run_all_checks(model)
     out = _out_dir(cfg) / "reports"
     out.mkdir(parents=True, exist_ok=True)
@@ -256,18 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"ssgauss {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, model: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, seeded: bool = False) -> None:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--print-config", action="store_true",
                        help="print the effective config and exit")
         p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--seed", type=int, help="RNG seed (fallback: SSGAUSS_SEED, then 0)")
-        p.add_argument("--threads", type=int, help="worker threads (results unaffected)")
-        if model:
-            p.add_argument("--model", help="model id (see `ssgauss models`)")
-            p.add_argument("--H", type=float, help="Hurst-type parameter")
-            p.add_argument("--K", type=float, help="bifractional K parameter")
-            p.add_argument("--alpha", type=float, help="dw-z1/dw-z2 exponent")
+        p.add_argument("--model", help="model id (see `ssgauss models`)")
+        p.add_argument("--H", type=float, help="Hurst-type parameter")
+        p.add_argument("--K", type=float, help="bifractional K parameter")
+        p.add_argument("--alpha", type=float, help="dw-z1/dw-z2 exponent")
+        if seeded:
+            p.add_argument("--seed", type=int, help="RNG seed (fallback: SSGAUSS_SEED, then 0)")
+            p.add_argument("--threads", type=int, help="worker threads (results unaffected)")
 
     p = sub.add_parser("models", help="list the model catalog")
     p.add_argument("--json", action="store_true")
@@ -280,15 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_variance)
 
     p = sub.add_parser("simulate", help="sample an exact increment batch")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--n", type=int, help="grid resolution (required)")
-    p.add_argument("--N", type=int, help="increments per row (default floor(n*t_max))")
-    p.add_argument("--t-max", dest="t_max", type=float)
+    p.add_argument("--N", type=int, help="increments per row (default n)")
     p.add_argument("--M", type=int, help="replica count (required)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("clt", help="replicated normal-limit experiment")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--f")
     p.add_argument("--n", type=int, help="grid resolution (required)")
     p.add_argument("--t-grid", dest="t_grid", help="comma list, default 1.0")

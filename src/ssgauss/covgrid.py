@@ -22,6 +22,7 @@ N x N outputs plus block temporaries of a few MB.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .models import Model
 
-__all__ = ["IncrementCovariance", "increment_cov"]
+__all__ = ["IncrementCovariance", "increment_cov", "num_increments"]
 
 # Dense N x N doubles; 8192^2 is a ~1 GB pair of matrices, the ceiling
 # for desk-scale runs.
@@ -41,6 +42,13 @@ _FLUSH_EPS = 1.0e-300
 # about this many doubles (2 MB); the block temporaries then stay small
 # next to the two N x N outputs.
 _BLOCK_ENTRIES = 1 << 18
+
+
+def num_increments(n: int, t: float) -> int:
+    """floor(n t), the number of grid increments DX_j with j < n t."""
+    if not math.isfinite(n * t):
+        raise DomainError(f"time t={t} gives a non-finite n*t at n={n}")
+    return math.floor(n * t)
 
 
 @dataclass(frozen=True)

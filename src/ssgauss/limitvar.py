@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, GateError, NumericalError
 from .hermite import HermiteFunction
 
-__all__ = ["second_difference", "sigma_q_sq", "sigma_sq", "LimitVariance", "SigmaQ"]
+__all__ = ["gate", "second_difference", "sigma_q_sq", "sigma_sq", "LimitVariance", "SigmaQ"]
 
 DEFAULT_REL_TOL = 1.0e-10
 DEFAULT_M_CAP = 10_000_000
@@ -45,9 +45,16 @@ def second_difference(m, alpha: float):
     return float(out) if np.asarray(m).ndim == 0 else out
 
 
-def _applicability(alpha: float, q: int) -> float:
-    """Exponent q(alpha-2)+1 controlling series convergence; must be < 0."""
-    return q * (alpha - 2.0) + 1.0
+def gate(d: int, alpha: float) -> None:
+    """The applicability gate of the normal limit: Hermite rank d >= 2 and
+    alpha < 2 - 1/d.  Raises GateError naming both otherwise."""
+    if d < 2:
+        raise GateError(f"Hermite rank d >= 2 required for the normal limit; got rank {d}")
+    if alpha >= 2.0 - 1.0 / d:
+        raise GateError(
+            f"applicability requires alpha < 2 - 1/d = {2.0 - 1.0 / d:.6g}; "
+            f"got alpha={alpha} with d={d}"
+        )
 
 
 def _partial_sum(alpha: float, q: int, M: int) -> float:
@@ -80,12 +87,8 @@ def sigma_q_sq(alpha: float, q: int, rel_tol: float = DEFAULT_REL_TOL,
         raise DomainError(f"rel_tol must be > 0, got {rel_tol}")
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"alpha={alpha} outside (0, 2)")
-    expo = _applicability(alpha, q)
-    if expo >= 0.0:
-        raise GateError(
-            f"sigma_q^2 requires alpha < 2 - 1/q; got alpha={alpha}, q={q} "
-            f"(q(alpha-2)+1 = {expo:.3g} >= 0, the series may diverge)"
-        )
+    gate(q, alpha)
+    expo = q * (alpha - 2.0) + 1.0  # tail exponent, < 0 wherever the gate admits alpha
     prefac = 2.0**-q * math.factorial(q)
     decay = alpha * abs(alpha - 1.0)
 
@@ -133,15 +136,7 @@ class LimitVariance:
 def sigma_sq(f: HermiteFunction, alpha: float, rel_tol: float = DEFAULT_REL_TOL,
              m_cap: int = DEFAULT_M_CAP) -> LimitVariance:
     """sigma^2 = sum_q c_q^2 sigma_q^2 over the chaos orders present in f."""
-    if f.rank < 2:
-        raise GateError(
-            f"Hermite rank d >= 2 required for the normal limit; got rank {f.rank}"
-        )
-    if alpha >= 2.0 - 1.0 / f.rank:
-        raise GateError(
-            f"applicability requires alpha < 2 - 1/d = {2.0 - 1.0 / f.rank:.6g}; "
-            f"got alpha={alpha} with d={f.rank}"
-        )
+    gate(f.rank, alpha)
     per: dict[int, float] = {}
     ms: dict[int, int] = {}
     tails: dict[int, float] = {}

@@ -92,6 +92,9 @@ class Model:
     # a (x-1)**alpha term are not differentiable at 1.
     psi_d1_at_one: bool = True
     psi_d2_at_one: bool = True
+    # Whether interior increments scale with a step exponent >= 1 instead
+    # of alpha, so that the near-diagonal residual audits cannot close.
+    smooth_interior: bool = False
 
     def __init__(self):
         self.params: dict = getattr(self, "params", {})
@@ -107,6 +110,8 @@ class Model:
             raise DomainError(f"{self.name}: alpha={a} outside (0, 2*beta]")
         if not lam > 0.0:
             raise DomainError(f"{self.name}: lam={lam} must be positive")
+        if a < 1.0 and self.nu is None:
+            raise DomainError(f"{self.name}: nu required when alpha={a} < 1")
         if self.nu is not None and not (1.0 < self.nu <= 2.0):
             raise DomainError(f"{self.name}: nu={self.nu} outside (1, 2]")
         if not self.phi(1.0) > 0.0:
@@ -373,6 +378,7 @@ class _DWModel(Model):
     }
     psi_d1_at_one = False
     psi_d2_at_one = False
+    smooth_interior = True
 
     def __init__(self, alpha: float):
         if not 0.0 < alpha < 1.0:

@@ -22,17 +22,16 @@ shape test.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._version import __version__ as _VERSION
-from .covgrid import IncrementCovariance, increment_cov
-from .errors import DomainError, GateError, GridError
+from .covgrid import IncrementCovariance, increment_cov, num_increments
+from .errors import DomainError, GridError
 from .hermite import HermiteFunction
-from .limitvar import sigma_sq
+from .limitvar import gate, sigma_sq
 from .models import Model
 from .sampler import cholesky, sample_batch
 
@@ -60,31 +59,28 @@ TOLERANCES = {
 }
 
 
-def _num_increments(n: int, t: float) -> int:
-    return int(math.floor(n * t))
+def functional(rows: np.ndarray, f: HermiteFunction, n: int, t_grid) -> np.ndarray:
+    """F_n(t) at each t of t_grid, from one normalized row or a batch of M.
 
-
-def functional(rows: np.ndarray, f: HermiteFunction, n: int, t: float):
-    """F_n(t) for one normalized row (returns float) or a batch (M,) array."""
+    Row i of the result is F_n(t_grid[i]): a float for one row, an (M,)
+    array for a batch.  f is evaluated once on the increments below the
+    largest time, and every F_n(t) is a prefix sum of those values.
+    """
     arr = np.asarray(rows, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    m = _num_increments(n, t)
-    if m > arr.shape[1]:
-        raise GridError(f"floor(n*t) = {m} exceeds the sampled grid N = {arr.shape[1]}")
-    if m < 1:
-        out = np.zeros(arr.shape[0])
-    else:
-        out = f.evaluate(arr[:, :m]).sum(axis=1) / math.sqrt(n)
-    return float(out[0]) if single else out
+    ms = [max(num_increments(n, t), 0) for t in t_grid]
+    top = max(ms, default=0)
+    if top > arr.shape[-1]:
+        raise GridError(f"floor(n*t) = {top} exceeds the sampled grid N = {arr.shape[-1]}")
+    prefix = np.zeros(arr.shape[:-1] + (top + 1,))
+    np.cumsum(f.evaluate(arr[..., :top]), axis=-1, out=prefix[..., 1:])
+    return np.moveaxis(prefix, -1, 0)[ms] / math.sqrt(n)
 
 
 def exact_variance(model: Model, f: HermiteFunction, n: int, t: float,
                    ic: IncrementCovariance | None = None) -> float:
     """The orthogonality-based oracle for E[F_n(t)^2]; assembles the
     covariance grid unless one is passed."""
-    m = _num_increments(n, t)
+    m = num_increments(n, t)
     if m < 1:
         return 0.0
     if ic is None:
@@ -193,9 +189,6 @@ class ExperimentResult:
             "passed": self.passed,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), indent=2, **kwargs)
-
     def summary_rows(self) -> list[dict]:
         cols = ("t", "exact_var", "sample_var", "se", "kurtosis_ratio", "ks_stat", "ks_p")
         return [
@@ -257,36 +250,30 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
         raise DomainError(f"grid resolution n must be >= 2, got {n}")
     if M < MIN_REPLICAS:
         raise DomainError(f"M={M} below the minimum replication {MIN_REPLICAS}")
-    if f.rank < 2 or model.alpha >= 2.0 - 1.0 / f.rank:
-        raise GateError(
-            f"applicability gate: need rank d >= 2 and alpha < 2 - 1/d; "
-            f"got alpha={model.alpha}, d={f.rank}"
-        )
+    gate(f.rank, model.alpha)
 
-    if _num_increments(n, t_grid[0]) < 1:
+    terms = [num_increments(n, t) for t in t_grid]
+    if terms[0] < 1:
         raise GridError(
             f"t = {t_grid[0]:g} gives floor(n*t) = 0 at n = {n}; "
             f"the smallest allowed time is 1/n = {1.0 / n:g}"
         )
-    N = _num_increments(n, t_grid[-1])
+    N = terms[-1]
     ic = increment_cov(model, n, N)
     factor = cholesky(ic)
     batch = sample_batch(model, n, N, M, seed, threads=threads, ic=ic, factor=factor)
 
     limit = sigma_sq(f, model.alpha)
 
-    # evaluate f once, then every F_n(t) is a prefix sum
-    vals = f.evaluate(batch.normalized)
-    prefix = np.cumsum(vals, axis=1) / math.sqrt(n)
-
-    def F_at(t: float) -> np.ndarray:
-        m = _num_increments(n, t)
-        return prefix[:, m - 1] if m >= 1 else np.zeros(M)
+    # F_n over the grid with time 0 in front, so that consecutive rows
+    # give the path increments
+    grid0 = [0.0] + t_grid
+    paths = functional(batch.normalized, f, n, grid0)
 
     tol = TOLERANCES
     times: list[TimeStats] = []
     for i, t in enumerate(t_grid):
-        F = F_at(t)
+        F = paths[i + 1]
         exact = exact_variance(model, f, n, t, ic=ic)
         s_var = float(np.var(F, ddof=1))
         m2 = float(np.mean(F**2))
@@ -295,7 +282,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
         se_var, se_kurt = _bootstrap_moments(F, seed, i)
         ks_stat, ks_p = ks_test_normal(F / math.sqrt(exact))
         row = dict(
-            t=t, num_terms=_num_increments(n, t), mean=float(np.mean(F)),
+            t=t, num_terms=terms[i], mean=float(np.mean(F)),
             sample_var=s_var, se_var=se_var, fourth_moment=m4,
             kurtosis_ratio=kurt, se_kurtosis=se_kurt,
             ks_stat=ks_stat, ks_p=ks_p, exact_var=exact,
@@ -304,8 +291,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
         times.append(TimeStats(**row, **_verdicts(row, tol)))
 
     cross: list[CrossStats] = []
-    grid0 = [0.0] + t_grid
-    G = [F_at(t2) - F_at(t1) for t1, t2 in zip(grid0[:-1], grid0[1:])]
+    G = np.diff(paths, axis=0)
     pairs = (
         [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
         if all_pairs else [(i, i + 1) for i in range(len(G) - 1)]

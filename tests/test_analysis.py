@@ -18,6 +18,7 @@ from ssgauss.analysis import (
 )
 from ssgauss.covgrid import IncrementCovariance, increment_cov
 from ssgauss.errors import DomainError
+from ssgauss.limitvar import sigma_q_sq
 from ssgauss.models import make_model
 
 from conftest import CATALOG_CASES
@@ -90,14 +91,17 @@ def test_smooth_model_contraction_grows():
     assert norms[1] > norms[0]
 
 
+def _tv_at(model, n, q):
+    # tv_bound over the norms r = 1..q-1 of the grid with n = N
+    ic = increment_cov(model, n, n)
+    norms = {r: contraction_norm(ic, q, r, 1.0, 1.0) for r in range(1, q)}
+    return tv_bound(norms, q, sigma_q_sq(model.alpha, q).value, 1.0)
+
+
 def test_tv_bound_brownian_wiring():
-    n = 100
-    ic = increment_cov(make_model("fbm", H=0.5), n, n)
-    assert tv_bound(ic, 2, 1.0) == pytest.approx(math.sqrt(8.0 / n), rel=1e-12)
-    vals = []
-    for nn in (64, 128, 256):
-        icn = increment_cov(make_model("fbm", H=0.5), nn, nn)
-        vals.append(tv_bound(icn, 2, 1.0))
+    bm = make_model("fbm", H=0.5)
+    assert _tv_at(bm, 100, 2) == pytest.approx(math.sqrt(8.0 / 100), rel=1e-12)
+    vals = [_tv_at(bm, nn, 2) for nn in (64, 128, 256)]
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -131,9 +135,8 @@ def test_contraction_report_computes_each_norm_once(monkeypatch):
     # tv_bound reuses the report's c_q = 1 norms for r = 1..q-1
     assert len(calls) == len(ns) * 3
     for n in ns:
-        ic = increment_cov(m, n, n)
-        assert rep.tv[n] == tv_bound(ic, 4, 1.0)
-    # with a partial r list, tv_bound computes what it lacks
+        assert rep.tv[n] == _tv_at(m, n, 4)
+    # with a partial r list, the report still computes every order once
     calls.clear()
     rep = contraction_report(m, 4, ns, r_values=(2,))
     assert len(calls) == len(ns) * 3
@@ -143,11 +146,25 @@ def test_contraction_report_computes_each_norm_once(monkeypatch):
     assert part.tv == contraction_report(m, 4, ns).tv
 
 
+def test_contraction_report_sums_sigma_q_once(monkeypatch):
+    calls = []
+
+    def counted(alpha, q, *args, **kwargs):
+        calls.append((alpha, q))
+        return sigma_q_sq(alpha, q, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "sigma_q_sq", counted)
+    rep = contraction_report(make_model("swanson"), 3, (32, 64, 96))
+    assert calls == [(0.5, 3)]
+    assert set(rep.tv) == {32, 64, 96}
+    # past the gate the one call refuses and no tv is written
+    calls.clear()
+    assert contraction_report(make_model("fbm", H=0.9), 2, (16, 32)).tv == {}
+    assert calls == [(1.8, 2)]
+
+
 def test_tv_bound_swanson_decreases():
-    vals = []
-    for nn in (64, 128, 256):
-        icn = increment_cov(make_model("swanson"), nn, nn)
-        vals.append(tv_bound(icn, 2, 1.0))
+    vals = [_tv_at(make_model("swanson"), nn, 2) for nn in (64, 128, 256)]
     assert vals[0] > vals[1] > vals[2]
     assert all(math.isfinite(v) and v > 0 for v in vals)
 

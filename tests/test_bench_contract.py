@@ -42,6 +42,10 @@ OPS = [
     Op(id="contraction/swanson", command="contraction", model=SWANSON,
        argv=("contraction", "--model", "swanson", "--q", "2", "--n", "16,32"),
        extra={"q": 2, "ns": (16, 32)}),
+    # fbm at alpha = 1.4: sigma_2^2 cannot be certified, so no tv_bound is written
+    Op(id="contraction/fbm", command="contraction", model=("fbm", 0.7),
+       argv=("contraction", *workloads.model_argv(("fbm", 0.7)), "--q", "2", "--n", "16,32"),
+       extra={"q": 2, "ns": (16, 32)}),
     Op(id="clt/swanson", command="clt", model=SWANSON, f="hermite:2", n=32,
        argv=("clt", "--model", "swanson", "--f", "hermite:2", "--n", "32",
              "--t-grid", "0.5,1.0", "--M", "200", "--threads", "1", "--seed", "0"),

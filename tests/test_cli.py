@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from ssgauss.cli import main
+from ssgauss.cli import build_parser, main
 from ssgauss.sampler import read_batch
 
 
@@ -165,6 +166,66 @@ def test_norm_beyond_double_range_exits_without_inf(tmp_path, capsys, f):
     assert "Traceback" not in err
     assert "inf" not in out
     assert not (tmp_path / "variance.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["clt", "--f", "hermite:2", "--n", "64", "--M", "200", "--t-grid", "nan"],
+                 id="clt-nan"),
+    pytest.param(["clt", "--f", "hermite:2", "--n", "64", "--M", "200", "--t-grid", "0.5,inf"],
+                 id="clt-inf"),
+    pytest.param(["contraction", "--n", "64", "--t", "nan"], id="contraction-nan"),
+    pytest.param(["contraction", "--n", "64", "--t", "inf"], id="contraction-inf"),
+    pytest.param(["contraction", "--n", "64", "--t", "1e308"], id="contraction-overflow"),
+])
+def test_non_finite_time_exits_2(tmp_path, capsys, args):
+    # n * t must be a finite increment count; 1e308 overflows at n = 64
+    rc = run_cli(args + ["--model", "fbm", "--H", "0.3", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "time t=" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_sets_its_grid_by_n_only(tmp_path, capsys, value):
+    # --t-max was a second way to set --N; a time no longer reaches simulate
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--model", "fbm", "--H", "0.3", "--n", "8", "--M", "2",
+                 "--t-max", value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--t-max" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_option_sets_are_pinned():
+    # --seed and --threads only where random numbers are drawn
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    got = {name: {o for a in p._actions for o in a.option_strings} for name, p in subs.items()}
+    common = {"-h", "--help", "--config", "--print-config", "--out",
+              "--model", "--H", "--K", "--alpha"}
+    assert got == {
+        "models": {"-h", "--help", "--json"},
+        "variance": common | {"--f", "--rel-tol"},
+        "simulate": common | {"--seed", "--threads", "--n", "--N", "--M"},
+        "clt": common | {"--seed", "--threads", "--f", "--n", "--t-grid", "--M", "--all-pairs"},
+        "check": common | {"--f"},
+        "contraction": common | {"--q", "--r", "--n", "--t"},
+        "report": {"-h", "--help", "--input"},
+    }
+
+
+def test_variance_prints_the_chaos_cut_share(tmp_path, capsys):
+    # tail_sq / (l2_norm_sq + tail_sq): the share of Var f(Z) above the cut
+    for f, share in (("odd_abs_power:1", "4.3e-05"), ("odd_abs_power:12", "0.46")):
+        assert run_cli(["variance", "--model", "fbm", "--H", "0.3", "--f", f,
+                        "--out", str(tmp_path)]) == 0
+        assert f"the chaos cut leaves out {share} of Var f(Z)" in capsys.readouterr().out
+    assert run_cli(["variance", "--model", "fbm", "--H", "0.3", "--f", "even_power:2",
+                    "--out", str(tmp_path)]) == 0
+    assert "chaos cut" not in capsys.readouterr().out
 
 
 def test_simulate_threads_deterministic(tmp_path):

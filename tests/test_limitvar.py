@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from ssgauss.analysis import contraction_report
+from ssgauss.cli import main as cli_main
 from ssgauss.errors import GateError, NumericalError
 from ssgauss.hermite import HermiteFunction, builtin_family
 from ssgauss.limitvar import _partial_sum, second_difference, sigma_q_sq, sigma_sq
+from ssgauss.models import make_model
+from ssgauss.montecarlo import run_experiment
 
 # frozen from a pre-build direct summation over |m| <= 1e7 (tail < 2e-14 rel)
 SIGMA2_HALF_Q2 = 2.35748744831344
@@ -79,6 +83,34 @@ def test_gate_rejections():
     f2 = builtin_family("single_hermite", 2)
     with pytest.raises(GateError):
         sigma_sq(f2, 1.6)
+
+
+def test_gate_is_closed_at_two_minus_one_over_d():
+    # alpha = 1.9 = 2 - 1/10 exactly; the series certificate exponent
+    # 10 (alpha - 2) + 1 rounds to -9e-16 there, so only the gate refuses
+    with pytest.raises(GateError, match="2 - 1/d"):
+        sigma_q_sq(1.9, 10)
+
+
+# (d, H) for fbm with alpha = 2H, and whether the gate alpha < 2 - 1/d admits it
+GATE_CASES = [(2, 0.75, False), (10, 0.95, False), (3, 0.9, False),
+              (2, 0.5, True), (3, 0.5, True)]
+
+
+@pytest.mark.parametrize("d,H,admitted", GATE_CASES)
+def test_every_caller_applies_the_same_gate(tmp_path, capsys, d, H, admitted):
+    model, f = make_model("fbm", H=H), builtin_family("single_hermite", d)
+    for call in (lambda: sigma_sq(f, model.alpha), lambda: sigma_q_sq(model.alpha, d),
+                 lambda: run_experiment(model, f, 16, [1.0], M=100, seed=0)):
+        if admitted:
+            call()
+        else:
+            with pytest.raises(GateError):
+                call()
+    assert bool(contraction_report(model, d, (16,)).tv) == admitted
+    cli_main(["check", "--model", "fbm", "--H", str(H), "--f", f"hermite:{d}",
+              "--out", str(tmp_path)])
+    assert ("warning" in capsys.readouterr().out) != admitted
 
 
 def test_non_finite_total_is_a_numerical_error():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ssgauss.errors import DomainError, NumericalError, SingularityError
-from ssgauss.models import FBM, list_models, make_model
+from ssgauss.models import FBM, Model, list_models, make_model
 
 from conftest import CATALOG_CASES
 from oracles import kernel_eval_scaled, kernel_masked
@@ -245,3 +245,22 @@ def test_catalog_documented_exponents():
     assert dw.nu == pytest.approx(1.6)
     assert make_model("fbm", H=0.3).nu == pytest.approx(1.4)
     assert make_model("fbm", H=0.7).nu is None
+
+
+def test_alpha_below_one_needs_nu_at_construction():
+    # the far-covariance and tail audits read nu when alpha < 1, so a
+    # model without it is refused when built, not when audited
+    class NoNu(FBM):
+        def __init__(self, H):
+            self.params, self.H = {"H": H}, H
+            self.alpha, self.beta, self.lam, self.nu = 2.0 * H, H, 0.5, None
+            Model.__init__(self)
+
+    with pytest.raises(DomainError, match="nu required"):
+        NoNu(0.3)
+    assert NoNu(0.7).nu is None
+
+
+def test_smooth_interior_marks_the_dw_models():
+    smooth = {name for name, kw in CATALOG_CASES if make_model(name, **kw).smooth_interior}
+    assert smooth == {"dw-z1", "dw-z2"}

@@ -1,4 +1,5 @@
-import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -22,20 +23,31 @@ H2 = builtin_family("single_hermite", 2)
 
 def test_functional_zero_below_first_gridpoint():
     rows = np.zeros(16)
-    assert functional(rows, H2, 32, 0.01) == 0.0
+    assert functional(rows, H2, 32, [0.01]).tolist() == [0.0]
     assert exact_variance(make_model("fbm", H=0.5), H2, 32, 0.01) == 0.0
 
 
 def test_functional_constant_rows():
-    # He_2(0) = -1 on every term
+    # He_2(0) = -1 on every term; row i of the result is F_n(t_grid[i])
     rows = np.zeros(16)
-    assert functional(rows, H2, 16, 1.0) == pytest.approx(-16.0 / 4.0)
-    assert functional(rows, H2, 16, 0.5) == pytest.approx(-8.0 / 4.0)
+    assert functional(rows, H2, 16, [1.0, 0.5]) == pytest.approx([-16.0 / 4.0, -8.0 / 4.0])
+    batch = functional(np.zeros((3, 16)), H2, 16, [1.0, 0.5])
+    assert batch.shape == (2, 3)
+    assert batch[1] == pytest.approx([-2.0] * 3)
 
 
 def test_functional_grid_overflow():
     with pytest.raises(GridError):
-        functional(np.zeros(8), H2, 16, 1.0)
+        functional(np.zeros(8), H2, 16, [1.0])
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 1e308])
+def test_non_finite_time_is_a_domain_error(t):
+    # n * t must be a finite number of increments; 1e308 overflows at n = 64
+    with pytest.raises(DomainError, match=re.escape(f"t={t}")):
+        exact_variance(make_model("fbm", H=0.5), H2, 64, t)
+    with pytest.raises(DomainError, match=re.escape(f"t={t}")):
+        functional(np.zeros(16), H2, 64, [0.25, t])
 
 
 def test_exact_variance_brownian_values():
@@ -105,7 +117,7 @@ def test_run_experiment_small_brownian():
     assert abs(res.cross[0].cov) <= 4.0 * res.cross[0].se
     # reproducible end to end
     res2 = run_experiment(m, H2, 128, [0.5, 1.0], M=400, seed=7)
-    assert json.loads(res.to_json()) == json.loads(res2.to_json())
+    assert res.to_dict() == res2.to_dict()
 
 
 def test_run_experiment_all_pairs_flag():

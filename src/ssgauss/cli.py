@@ -41,6 +41,8 @@ EXIT_GATE = 3
 EXIT_NUMERICAL = 4
 
 _MODEL_PARAM_FLAGS = ("H", "K", "alpha")
+# parsed attributes that steer main rather than a handler, so no config value
+_NOT_CONFIG = frozenset({"command", "func", "config", "print_config"})
 
 
 def _parse(convert, text, flag: str):
@@ -108,7 +110,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _echo(cfg: dict, extra: dict | None = None) -> dict:
-    keep = {k: v for k, v in cfg.items() if v is not None and k not in ("func",)}
+    keep = {k: v for k, v in cfg.items() if v is not None}
     return {"config": keep | (extra or {}), "version": __version__}
 
 
@@ -318,27 +320,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
+    """The --config file's keys under the flags given; a file that cannot be
+    read, is not a JSON object or sets a key the subcommand does not define
+    is a usage error."""
     cfg: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            cfg.update(json.load(fh))
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except OSError as exc:
+            raise DomainError(f"cannot read config file {args.config}: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"config file {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise DomainError(f"config file {args.config} must hold a JSON object, "
+                              f"not {type(loaded).__name__}")
+        unknown = sorted(set(loaded) - (set(vars(args)) - _NOT_CONFIG))
+        if unknown:
+            raise DomainError(f"config file {args.config} sets {', '.join(map(repr, unknown))}, "
+                              f"which {args.command} does not take")
+        cfg.update(loaded)
     for key, value in vars(args).items():
-        if key in ("config", "print_config"):
+        if key in _NOT_CONFIG:
             continue
         if value is not None:
             cfg[key] = value
-    cfg.pop("command", None)
     return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _merge_config(args)
-    if getattr(args, "print_config", False):
-        shown = {k: v for k, v in cfg.items() if k != "func"}
-        print(json.dumps(shown, indent=2, default=str))
-        return EXIT_OK
     try:
+        cfg = _merge_config(args)
+        if getattr(args, "print_config", False):
+            print(json.dumps(cfg, indent=2, default=str))
+            return EXIT_OK
         return args.func(cfg)
     except GateError as exc:
         print(f"gate violation: {exc}", file=sys.stderr)

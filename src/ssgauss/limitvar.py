@@ -15,6 +15,12 @@ for m >= 2 turns the qualitative decay into the computable certificate
     sum_{m > M} |A|^q <= (alpha |alpha-1|)^q (M-1)^(q(alpha-2)+1)
                           / |q(alpha-2)+1|.
 
+The cutoff M doubles from 1024 until the certificate is met.  Terms are
+summed in chunks of 2^20 on a grid fixed at m = 1, 1 + 2^20, ...; each
+chunk raises each lattice point to alpha once and forms A from
+neighbouring powers, and the sum of every whole chunk is kept across
+the doublings of one call, so only a partial last chunk is summed again.
+
 At alpha = 1 every off-center term vanishes and sigma_q^2 = q! exactly.
 """
 
@@ -57,13 +63,26 @@ def gate(d: int, alpha: float) -> None:
         )
 
 
-def _partial_sum(alpha: float, q: int, M: int) -> float:
-    """sum over |m| <= M of A(m)^q, ascending m, fixed chunking."""
+def _partial_sum(alpha: float, q: int, M: int, whole: dict[int, float] | None = None) -> float:
+    """sum over |m| <= M of A(m)^q, ascending m, on the fixed chunk grid
+    lo = 1, 1 + _CHUNK, ...
+
+    The sum of each whole chunk is kept in `whole` (keyed by lo) for a
+    later call at a larger M.  fsum rounds the exact sum of the parts, so
+    the result does not depend on which of them were reused.
+    """
+    whole = {} if whole is None else whole
     parts = []
     for lo in range(1, M + 1, _CHUNK):
-        m = np.arange(lo, min(lo + _CHUNK, M + 1), dtype=float)
-        a = (m + 1.0) ** alpha + (m - 1.0) ** alpha - 2.0 * m**alpha
-        parts.append(float(np.sum(a**q)))
+        hi = min(lo + _CHUNK, M + 1)
+        part = whole.get(lo)
+        if part is None:
+            p = np.arange(lo - 1, hi + 1, dtype=float) ** alpha
+            a = p[2:] + p[:-2] - 2.0 * p[1:-1]
+            part = float(np.sum(a**q))
+            if hi == lo + _CHUNK:
+                whole[lo] = part
+        parts.append(part)
     return 2.0**q + 2.0 * math.fsum(parts)  # A(0) = 2 plus both signed tails
 
 
@@ -93,8 +112,9 @@ def sigma_q_sq(alpha: float, q: int, rel_tol: float = DEFAULT_REL_TOL,
     decay = alpha * abs(alpha - 1.0)
 
     M = min(_M_START, m_cap)
+    whole: dict[int, float] = {}
     while True:
-        total = _partial_sum(alpha, q, M)
+        total = _partial_sum(alpha, q, M, whole)
         value = prefac * total
         tail = prefac * 2.0 * decay**q * (M - 1.0) ** expo / abs(expo)
         if tail <= rel_tol * abs(value):

@@ -87,3 +87,14 @@ def hermite_table(x: np.ndarray, q_max: int) -> np.ndarray:
     for q in range(1, q_max):
         out[q + 1] = xa * out[q] - q * out[q - 1]
     return out
+
+
+def partial_sum_three_powers(alpha: float, q: int, M: int, chunk: int = 1 << 20) -> float:
+    """sum over |m| <= M of A(m)^q, each term from three powers
+    (m+1)^alpha, (m-1)^alpha and m^alpha, every chunk summed afresh."""
+    parts = []
+    for lo in range(1, M + 1, chunk):
+        m = np.arange(lo, min(lo + chunk, M + 1), dtype=float)
+        a = (m + 1.0) ** alpha + (m - 1.0) ** alpha - 2.0 * m**alpha
+        parts.append(float(np.sum(a**q)))
+    return 2.0**q + 2.0 * math.fsum(parts)

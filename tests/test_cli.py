@@ -341,5 +341,37 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert echo["n"] == 128 and echo["M"] == 400
 
 
+@pytest.mark.parametrize("text,named", [
+    (None, "cannot read config file"),
+    ('{"model": "fbm",', "is not valid JSON"),
+    ('["model", "fbm"]', "must hold a JSON object, not list"),
+])
+def test_unusable_config_file_exits_2(tmp_path, capsys, text, named):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    rc = run_cli(["variance", "--model", "fbm", "--H", "0.3", "--f", "hermite:2",
+                  "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "variance.json").exists()
+
+
+def test_config_key_the_command_does_not_take_exits_2(tmp_path, capsys):
+    # variance takes no seed, and t_max belongs to no command
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "fbm", "H": 0.3, "f": "hermite:2",
+                                "seed": 5, "t_max": 2.0}))
+    rc = run_cli(["variance", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'seed', 't_max'" in err and "variance does not take" in err
+    assert not (tmp_path / "variance.json").exists()
+    path.write_text(json.dumps({"model": "fbm", "H": 0.3, "f": "hermite:2"}))
+    assert run_cli(["variance", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
 def test_report_missing_file_exit_2(tmp_path):
     assert run_cli(["report", "--input", str(tmp_path / "none.json")]) == 2

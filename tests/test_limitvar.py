@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from ssgauss.analysis import contraction_report
+from ssgauss import limitvar
 from ssgauss.cli import main as cli_main
 from ssgauss.errors import GateError, NumericalError
 from ssgauss.hermite import HermiteFunction, builtin_family
 from ssgauss.limitvar import _partial_sum, second_difference, sigma_q_sq, sigma_sq
 from ssgauss.models import make_model
 from ssgauss.montecarlo import run_experiment
+
+from oracles import partial_sum_three_powers
 
 # frozen from a pre-build direct summation over |m| <= 1e7 (tail < 2e-14 rel)
 SIGMA2_HALF_Q2 = 2.35748744831344
@@ -70,6 +73,53 @@ def test_truncation_is_monotone_within_tail_bound():
     expo = q * (alpha - 2.0) + 1.0
     tail = prefac * 2.0 * (alpha * abs(alpha - 1.0)) ** q * (M - 1.0) ** expo / abs(expo)
     assert abs(p2 - p1) < tail
+
+
+CHUNK = 256  # a small chunk grid, so that many chunks and boundaries run cheaply
+BOUNDARY_MS = [1, 2, 255, 256, 257, 511, 512, 513, 1000, 5 * CHUNK, 5 * CHUNK + 1, 4097]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 0.99, 1.0, 1.01, 1.3, 1.7])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_partial_sum_is_bit_equal_to_three_power_sum(monkeypatch, alpha, q):
+    # one power per lattice point and reused whole chunks change no bit,
+    # below, on and across chunk boundaries, with and without reuse
+    monkeypatch.setattr(limitvar, "_CHUNK", CHUNK)
+    whole: dict[int, float] = {}
+    for M in BOUNDARY_MS:
+        want = partial_sum_three_powers(alpha, q, M, chunk=CHUNK).hex()
+        assert _partial_sum(alpha, q, M).hex() == want, M
+        assert _partial_sum(alpha, q, M, whole).hex() == want, M
+    assert sorted(whole) == list(range(1, 4097 - CHUNK + 1, CHUNK))
+
+
+def test_failing_series_sums_each_whole_chunk_once(monkeypatch):
+    # the cutoff doubles 1024 -> 2048 -> 4096 -> 8192 -> 10000 and fails there;
+    # each whole chunk is summed once, a partial last chunk once per cutoff
+    alpha, q, m_cap = 1.3, 2, 10_000
+    monkeypatch.setattr(limitvar, "_CHUNK", CHUNK)
+    monkeypatch.setattr(limitvar, "_partial_sum", lambda a, k, M, whole=None:
+                        partial_sum_three_powers(a, k, M, chunk=CHUNK))
+    with pytest.raises(NumericalError) as want:
+        sigma_q_sq(alpha, q, m_cap=m_cap)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(limitvar, "_CHUNK", CHUNK)
+    starts = []
+    arange = np.arange
+
+    def counting_arange(start, *args, **kwargs):
+        starts.append(start + 1)
+        return arange(start, *args, **kwargs)
+
+    monkeypatch.setattr(limitvar.np, "arange", counting_arange)
+    with pytest.raises(NumericalError) as got:
+        sigma_q_sq(alpha, q, m_cap=m_cap)
+    monkeypatch.undo()
+    assert str(got.value) == str(want.value)
+    whole_los = list(range(1, m_cap - CHUNK + 2, CHUNK))
+    assert sorted(lo for lo in starts if lo in whole_los) == whole_los
+    assert sorted(lo for lo in starts if lo not in whole_los) == [m_cap - m_cap % CHUNK + 1]
 
 
 def test_gate_rejections():

@@ -19,7 +19,15 @@ Audited expansions, for 0 < s <= t and 0 < 2s <= t/3 <= r <= t - 2s:
 
 plus the far-pair decay |E[DX_j DX_k]| <= C n^(-2b) k^(2b+nu-2) (j-k)^(-nu)
 for 3k <= j (alpha < 1 branch; for alpha >= 1 the envelope is
-k^(2b-a) (j-k)^(a-2)).
+n^(-2b) k^(2b-a) (j-k)^(a-2)).
+
+Every audit runs at unit scale: self-similarity, R(c s, c t) =
+c^(2b) R(s, t), scales a residual and its envelope alike, so the residual
+audits take t = 1 and the far-pair audit takes n = 1, each covariance the
+kernel rectangle (R(j+1,k+1) - R(j,k+1)) - (R(j+1,k) - R(j,k)) on the
+integer grid.  One floor serves every audit: |residual| <= 5e-14 max(scale,
+1) counts as zero, the scale being the residual itself, |actual| + |main| +
+R(1, 1) near the diagonal, or |R(j+1, k+1)| for a far pair.
 
 The residual grids run s = 2^-k for k = 3..16.  The two smooth catalog
 models (dw-z1, dw-z2) genuinely fail the three residual audits: their
@@ -46,7 +54,7 @@ contraction norms (which dominate the symmetrized ones).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,19 +81,17 @@ __all__ = [
 SLOPE_TOL = 0.05
 SLOPE_IDENTITY_TOL = 1.0e-9
 
-# audit grids: x up to 1e4 at 160 geometric points; residuals at t = 1,
-# to which self-similarity maps every t > 0, on s = 2^-3..2^-16 with 9
-# points r per s; far pairs (j, k) = (3^e, 3^(e-1)), e = 1..6, at n = 3^6
+# audit grids: x up to 1e4 at 160 geometric points; residuals at t = 1 on
+# s = 2^-3..2^-16 with 9 points r per s; far pairs (j, k) = (3^e, 3^(e-1)),
+# e = 1..6, on the integer grid
 _X_MAX = 1.0e4
 _GRID_SIZE = 160
-_T = 1.0
 _S = 2.0 ** -np.arange(3, 17, dtype=float)
 _R_COUNT = 9
-_FAR_N = 729
-_FAR_PAIRS = tuple((3**e, 3 ** (e - 1)) for e in range(1, 7))
+_FAR_J = 3.0 ** np.arange(1, 7)
 _COARSE_SLACK = 0.05  # rise non_increasing allows on the coarsest n step
 
-# residuals below this multiple of the working scale count as exactly zero
+# residuals at most this multiple of max(scale, 1) count as exactly zero
 _ZERO_FLOOR = 5.0e-14
 
 _SMOOTH_NOTE = (
@@ -114,16 +120,7 @@ class BoundCheckReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "model": self.model,
-            "grid": list(self.grid),
-            "ratios": list(self.ratios),
-            "ratio_sup": self.ratio_sup,
-            "trend_slope": self.trend_slope,
-            "verdict": bool(self.verdict),
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _trend_slope(u: np.ndarray, ratios: np.ndarray) -> float:
@@ -146,23 +143,21 @@ def _trend_slope(u: np.ndarray, ratios: np.ndarray) -> float:
     return float(np.polyfit(np.log(u[mask]), np.log(r[mask]), 1)[0])
 
 
-def _ratio_report(target: str, model: Model, u, residuals, envelopes, scales,
-                  note: str = "") -> BoundCheckReport:
-    res = np.abs(np.asarray(residuals, dtype=float))
-    env = np.asarray(envelopes, dtype=float)
-    floor = _ZERO_FLOOR * np.maximum(np.asarray(scales, dtype=float), 1.0)
-    effective = np.where(res <= floor, 0.0, res)
-    ratios = effective / env
+def _floored(residual, scale) -> np.ndarray:
+    """|residual|, zeroed where it is at most _ZERO_FLOOR * max(scale, 1)."""
+    res = np.abs(residual)
+    return np.where(res <= _ZERO_FLOOR * np.maximum(scale, 1.0), 0.0, res)
+
+
+def _report(target: str, model: Model, u, ratios, note: str = "") -> BoundCheckReport:
+    """The audit's floored ratios over the asymptotic parameter u, with
+    their sup, trend slope and verdict."""
     sup = float(np.max(ratios))
-    if sup == 0.0:
-        slope = 0.0
-    else:
-        slope = _trend_slope(np.asarray(u, dtype=float), ratios)
-    verdict = math.isfinite(sup) and slope <= SLOPE_TOL
+    slope = 0.0 if sup == 0.0 else _trend_slope(u, ratios)
     return BoundCheckReport(
-        target=target, model=model.name, grid=[float(v) for v in np.asarray(u).ravel()],
+        target=target, model=model.name, grid=[float(v) for v in np.ravel(u)],
         ratios=[float(v) for v in ratios], ratio_sup=sup, trend_slope=slope,
-        verdict=bool(verdict), note=note,
+        verdict=math.isfinite(sup) and slope <= SLOPE_TOL, note=note,
     )
 
 
@@ -185,10 +180,9 @@ def check_shape_derivatives(model: Model) -> list[BoundCheckReport]:
     x = np.geomspace(1.0 + 1.0e-3, _X_MAX, _GRID_SIZE)
     d1 = np.abs(model.psi(x, 1))
     d2 = np.abs(model.psi(x, 2))
-    rep1 = _ratio_report("psi-deriv1-envelope", model, x, d1, x ** (a - 1.0),
-                         np.maximum(d1, 1.0))
-    rep2 = _ratio_report("psi-deriv2-envelope", model, x, d2,
-                         (x - 1.0) ** (a - 1.0) / x, np.maximum(d2, 1.0))
+    rep1 = _report("psi-deriv1-envelope", model, x, _floored(d1, d1) / x ** (a - 1.0))
+    rep2 = _report("psi-deriv2-envelope", model, x,
+                   _floored(d2, d2) / ((x - 1.0) ** (a - 1.0) / x))
 
     try:
         resid = abs(model.psi(1.0, 1) - model.beta * model.psi(1.0, 0))
@@ -225,86 +219,72 @@ def check_tail_derivatives(model: Model) -> list[BoundCheckReport]:
         env1 = (x - 1.0) ** (a - 2.0)
         env2 = (x - 1.0) ** (a - 3.0)
     return [
-        _ratio_report("phi-deriv1-tail", model, x, d1, env1, np.maximum(d1, 1.0)),
-        _ratio_report("phi-deriv2-tail", model, x, d2, env2, np.maximum(d2, 1.0)),
+        _report("phi-deriv1-tail", model, x, _floored(d1, d1) / env1),
+        _report("phi-deriv2-tail", model, x, _floored(d2, d2) / env2),
     ]
 
 
 # ---------------------------------------------------------------------------
-# Increment-moment residual audits.
+# Increment-moment residual audits at t = 1.
+
+def _near_floored(model: Model, actual, main) -> np.ndarray:
+    """|actual - main| floored at the scale |actual| + |main| + R(1, 1)."""
+    scale = np.abs(actual) + np.abs(main) + abs(model.r(1.0, 1.0))
+    return _floored(actual - main, scale)
+
 
 def check_increment_variance(model: Model) -> BoundCheckReport:
-    """Residual of E[(X_{t+s} - X_t)^2] - 2 lam t^(2b-a) s^a on s = 2^-k."""
-    a, b, lam = model.alpha, model.beta, model.lam
-    t, s = _T, _S
-    actual = model.r(t + s, t + s) - 2.0 * model.r(t + s, t) + model.r(t, t)
-    main = 2.0 * lam * t ** (2 * b - a) * s**a
-    env = s * t ** (2 * b - 1.0) if a < 1.0 else s**2 * t ** (2 * b - 2.0)
-    scale = np.abs(actual) + np.abs(main) + abs(model.r(t, t))
-    return _ratio_report("increment-variance-residual", model, 1.0 / s,
-                         actual - main, env, scale, note=_smooth_note(model))
+    """Residual of E[(X_{1+s} - X_1)^2] - 2 lam s^a on s = 2^-k."""
+    a, s = model.alpha, _S
+    actual = model.r(1.0 + s, 1.0 + s) - 2.0 * model.r(1.0 + s, 1.0) + model.r(1.0, 1.0)
+    main = 2.0 * model.lam * s**a
+    env = s if a < 1.0 else s**2
+    return _report("increment-variance-residual", model, 1.0 / s,
+                   _near_floored(model, actual, main) / env, _smooth_note(model))
 
 
 def check_adjacent_covariance(model: Model) -> BoundCheckReport:
-    """Residual of the adjacent-increment covariance against
-    (2^a - 2) lam t^(2b-a) s^a, for 0 < 2s <= t."""
-    a, b, lam = model.alpha, model.beta, model.lam
-    t, s = _T, _S
-    actual = (model.r(t + s, t) - model.r(t + s, t - s)
-              - model.r(t, t) + model.r(t, t - s))
-    main = (2.0**a - 2.0) * lam * t ** (2 * b - a) * s**a
-    env = s**2 * (t - s) ** (2 * b - 2.0) + s ** (a + 1.0) * (t - s) ** (2 * b - a - 1.0)
-    scale = np.abs(actual) + np.abs(main) + abs(model.r(t, t))
-    return _ratio_report("adjacent-covariance-residual", model, 1.0 / s,
-                         actual - main, env, scale, note=_smooth_note(model))
+    """Residual of the adjacent-increment covariance at t = 1 against
+    (2^a - 2) lam s^a, for 0 < 2s <= 1."""
+    a, b, s = model.alpha, model.beta, _S
+    actual = (model.r(1.0 + s, 1.0) - model.r(1.0 + s, 1.0 - s)
+              - model.r(1.0, 1.0) + model.r(1.0, 1.0 - s))
+    main = (2.0**a - 2.0) * model.lam * s**a
+    env = s**2 * (1.0 - s) ** (2 * b - 2.0) + s ** (a + 1.0) * (1.0 - s) ** (2 * b - a - 1.0)
+    return _report("adjacent-covariance-residual", model, 1.0 / s,
+                   _near_floored(model, actual, main) / env, _smooth_note(model))
 
 
 def check_separated_covariance(model: Model) -> BoundCheckReport:
     """Residual of the separated-increment covariance on the wedge
-    0 < 2s <= t/3 <= r <= t - 2s; per s the worst ratio over r is kept."""
-    a, b, lam = model.alpha, model.beta, model.lam
-    t = _T
-    ratios, scales = [], []
-    for s in _S:
-        r = np.linspace(t / 3.0, t - 2.0 * s, _R_COUNT)
-        actual = (model.r(t, r) - model.r(t, r - s)
-                  - model.r(t - s, r) + model.r(t - s, r - s))
-        main = lam * (r - s) ** (2 * b - a) * (
-            (t - r - s) ** a + (t - r + s) ** a - 2.0 * (t - r) ** a
-        )
-        env = (s**2 * (r - s) ** (2 * b - a - 1.0) * (t - r - s) ** (a - 1.0)
-               + s**2 * (r - s) ** (2 * b - 2.0))
-        scale = np.abs(actual) + np.abs(main) + abs(model.r(t, t))
-        res = np.abs(actual - main)
-        floor = _ZERO_FLOOR * np.maximum(scale, 1.0)
-        eff = np.where(res <= floor, 0.0, res)
-        ratios.append(float(np.max(eff / env)))
-        scales.append(float(np.max(scale)))
-    # ratios already floored pointwise; pass scale 0 to keep them as is
-    return _ratio_report("separated-covariance-residual", model, 1.0 / _S,
-                         ratios, np.ones(len(ratios)), np.zeros(len(ratios)),
-                         note=_smooth_note(model))
+    0 < 2s <= 1/3 <= r <= 1 - 2s; per s the worst ratio over r is kept."""
+    a, b, lam, s = model.alpha, model.beta, model.lam, _S[:, None]
+    r = np.linspace(1.0 / 3.0, 1.0 - 2.0 * _S, _R_COUNT, axis=1)
+    actual = (model.r(1.0, r) - model.r(1.0, r - s)
+              - model.r(1.0 - s, r) + model.r(1.0 - s, r - s))
+    main = lam * (r - s) ** (2 * b - a) * (
+        (1.0 - r - s) ** a + (1.0 - r + s) ** a - 2.0 * (1.0 - r) ** a
+    )
+    env = (s**2 * (r - s) ** (2 * b - a - 1.0) * (1.0 - r - s) ** (a - 1.0)
+           + s**2 * (r - s) ** (2 * b - 2.0))
+    return _report("separated-covariance-residual", model, 1.0 / _S,
+                   np.max(_near_floored(model, actual, main) / env, axis=1),
+                   _smooth_note(model))
 
 
 def check_far_decay(model: Model) -> BoundCheckReport:
-    """Decay of |E[DX_j DX_k]| for triple-separated pairs (j, k) = (3^e, 3^(e-1)).
-
-    The envelope branches on alpha as in the module docstring.
-    """
-    a, b, n = model.alpha, model.beta, _FAR_N
-    ic = increment_cov(model, n, _FAR_PAIRS[-1][0] + 1)
-    ratios, js = [], []
-    for j, k in _FAR_PAIRS:
-        c = abs(float(ic.cov[j, k]))
-        if a < 1.0:
-            env = n ** (-2.0 * b) * k ** (2.0 * b + model.nu - 2.0) * (j - k) ** (-model.nu)
-        else:
-            env = n ** (-2.0 * b) * k ** (2.0 * b - a) * (j - k) ** (a - 2.0)
-        ratios.append(c / env)
-        js.append(float(j))
-    return _ratio_report("far-covariance-decay", model, js, ratios,
-                         np.ones(len(ratios)), np.zeros(len(ratios)),
-                         note=_smooth_note(model))
+    """Decay of |E[DX_j DX_k]| for the pairs (j, k) = (3^e, 3^(e-1)) on the
+    integer grid; the envelope branches on alpha as in the module docstring."""
+    a, b, j = model.alpha, model.beta, _FAR_J
+    k = j / 3.0
+    corner = model.r(j + 1.0, k + 1.0)
+    cov = (corner - model.r(j, k + 1.0)) - (model.r(j + 1.0, k) - model.r(j, k))
+    if a < 1.0:
+        env = k ** (2.0 * b + model.nu - 2.0) * (j - k) ** (-model.nu)
+    else:
+        env = k ** (2.0 * b - a) * (j - k) ** (a - 2.0)
+    return _report("far-covariance-decay", model, j, _floored(cov, np.abs(corner)) / env,
+                   _smooth_note(model))
 
 
 def run_all_checks(model: Model) -> dict[str, BoundCheckReport]:

@@ -79,13 +79,9 @@ def _build_f(cfg: dict) -> hermite.HermiteFunction:
     fdesc = cfg.get("f")
     if not fdesc:
         raise DomainError("an --f value is required (e.g. hermite:2, even_power:2)")
-    if isinstance(fdesc, dict):
-        kind = fdesc.get("f")
-        value = fdesc.get("q", fdesc.get("p"))
-    else:
-        kind, _, value = str(fdesc).partition(":")
-        if not value:
-            raise DomainError(f"malformed --f value {fdesc!r}; expected kind:integer")
+    kind, _, value = str(fdesc).partition(":")
+    if not isinstance(fdesc, str) or not value:
+        raise DomainError(f"malformed --f value {fdesc!r}; expected kind:integer")
     kind = {"hermite": "single_hermite"}.get(kind, kind)
     return hermite.builtin_family(kind, _parse(int, value, "--f"))
 
@@ -97,10 +93,31 @@ def _seed_from(cfg: dict) -> int:
     return _parse(int, env, "SSGAUSS_SEED") if env else 0
 
 
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg.get("out") or ".")
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(cfg: dict, sub: str = "") -> Path:
+    """The output directory (with its subdirectory sub), created before any
+    work; a path that cannot be a directory is a usage error."""
+    out = Path(cfg.get("out") or ".", sub)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
+
+
+def _read_object(path, what: str) -> dict:
+    """The JSON object held in the file at path; an unreadable file or a
+    JSON value other than an object is a usage error naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise DomainError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise DomainError(f"{what} {path} must hold a JSON object, "
+                          f"not {type(loaded).__name__}")
+    return loaded
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -133,13 +150,13 @@ def cmd_models(cfg: dict) -> int:
 
 
 def cmd_variance(cfg: dict) -> int:
+    path = _out_dir(cfg) / "variance.json"
     model = _build_model(cfg)
     f = _build_f(cfg)
     rel_tol = _get(cfg, "rel_tol", float, limitvar.DEFAULT_REL_TOL)
     lv = limitvar.sigma_sq(f, model.alpha, rel_tol=rel_tol)
     payload = _echo(cfg, {"model_resolved": model.describe(), "f_resolved": f.describe()})
     payload |= lv.describe()
-    path = _out_dir(cfg) / "variance.json"
     _write_json(path, payload)
     # the share of Var f(Z) above the chaos cut, which sigma_sq leaves out
     cut = (f"; the chaos cut leaves out {f.tail_sq / (f.l2_norm_sq + f.tail_sq):.2g} "
@@ -150,12 +167,12 @@ def cmd_variance(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
+    out = _out_dir(cfg)
     model = _build_model(cfg)
     n = _get(cfg, "n", int)
     N = _get(cfg, "N", int, n)
     batch = sampler.sample_batch(model, n, N, _get(cfg, "M", int), _seed_from(cfg),
                                  threads=_get(cfg, "threads", int, 1))
-    out = _out_dir(cfg)
     sampler.write_batch(batch, out / "batch.bin")
     meta = _echo(cfg, {"model_resolved": model.describe(),
                        "n": n, "N": N, "M": batch.M, "seed": batch.seed})
@@ -165,6 +182,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_clt(cfg: dict) -> int:
+    out = _out_dir(cfg)
     model = _build_model(cfg)
     f = _build_f(cfg)
     t_grid = _parse_list(float, _get(cfg, "t_grid", str, "1.0"), "--t-grid")
@@ -173,7 +191,6 @@ def cmd_clt(cfg: dict) -> int:
         seed=_seed_from(cfg), threads=_get(cfg, "threads", int, 1),
         all_pairs=bool(cfg.get("all_pairs")),
     )
-    out = _out_dir(cfg)
     _write_json(out / "experiment.json", result.to_dict())
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         rows = result.summary_rows()
@@ -190,6 +207,7 @@ def cmd_clt(cfg: dict) -> int:
 
 
 def cmd_check(cfg: dict) -> int:
+    out = _out_dir(cfg, "reports")
     model = _build_model(cfg)
     if cfg.get("f"):
         try:
@@ -198,8 +216,6 @@ def cmd_check(cfg: dict) -> int:
             print(f"warning: {exc}; the normal limit is not guaranteed for this f "
                   f"(checks still run)")
     reports = analysis.run_all_checks(model)
-    out = _out_dir(cfg) / "reports"
-    out.mkdir(parents=True, exist_ok=True)
     tag = model.name.replace("-", "")
     payload = _echo(cfg, {"model_resolved": model.describe()})
     payload["reports"] = {k: rep.to_dict() for k, rep in reports.items()}
@@ -215,6 +231,7 @@ def cmd_check(cfg: dict) -> int:
 
 
 def cmd_contraction(cfg: dict) -> int:
+    path = _out_dir(cfg) / "contraction.json"
     model = _build_model(cfg)
     q = _get(cfg, "q", int, 2)
     rs = _parse_list(int, _get(cfg, "r", str, "1"), "--r")
@@ -223,7 +240,6 @@ def cmd_contraction(cfg: dict) -> int:
     report = analysis.contraction_report(model, q, ns, r_values=rs, t=t)
     payload = _echo(cfg, {"model_resolved": model.describe()})
     payload |= report.to_dict()
-    path = _out_dir(cfg) / "contraction.json"
     _write_json(path, payload)
     for n in ns:
         for r in rs:
@@ -236,16 +252,20 @@ def cmd_contraction(cfg: dict) -> int:
 
 def cmd_report(cfg: dict) -> int:
     path = Path(cfg.get("input") or "experiment.json")
-    with open(path, encoding="utf-8") as fh:
-        saved = json.load(fh)
-    tol = saved["config"]["tolerances"]
-    ok = montecarlo.derive_verdicts(saved["times"], saved["cross"], tol)
+    saved = _read_object(path, "experiment file")
+    try:
+        ok = montecarlo.derive_verdicts(saved["times"], saved["cross"],
+                                        saved["config"]["tolerances"])
+        rows = [f"  t={ts['t']:g}: sample_var={ts['sample_var']:.6g} "
+                f"exact={ts['exact_var']:.6g} ks_p={ts['ks_p']:.4g}" for ts in saved["times"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"experiment file {path} is not a saved clt run: "
+                          f"missing or malformed {exc}") from None
     stored = saved.get("passed")
     print(f"{path}: rederived verdict = {'pass' if ok else 'fail'} "
           f"(stored: {'pass' if stored else 'fail'})")
-    for ts in saved["times"]:
-        print(f"  t={ts['t']:g}: sample_var={ts['sample_var']:.6g} "
-              f"exact={ts['exact_var']:.6g} ks_p={ts['ks_p']:.4g}")
+    for row in rows:
+        print(row)
     if ok != bool(stored):
         print("warning: stored verdict disagrees with rederivation")
     return EXIT_OK if ok else EXIT_NUMERICAL
@@ -325,16 +345,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     is a usage error."""
     cfg: dict = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise DomainError(f"cannot read config file {args.config}: {exc.strerror}") from None
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"config file {args.config} is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise DomainError(f"config file {args.config} must hold a JSON object, "
-                              f"not {type(loaded).__name__}")
+        loaded = _read_object(args.config, "config file")
         unknown = sorted(set(loaded) - (set(vars(args)) - _NOT_CONFIG))
         if unknown:
             raise DomainError(f"config file {args.config} sets {', '.join(map(repr, unknown))}, "
@@ -359,7 +370,7 @@ def main(argv=None) -> int:
     except GateError as exc:
         print(f"gate violation: {exc}", file=sys.stderr)
         return EXIT_GATE
-    except (DomainError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

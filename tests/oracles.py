@@ -98,3 +98,23 @@ def partial_sum_three_powers(alpha: float, q: int, M: int, chunk: int = 1 << 20)
         a = (m + 1.0) ** alpha + (m - 1.0) ** alpha - 2.0 * m**alpha
         parts.append(float(np.sum(a**q)))
     return 2.0**q + 2.0 * math.fsum(parts)
+
+
+def far_decay_ratios_on_grid(model, n: int = 729) -> list:
+    """|cov[j, k]| / envelope for (j, k) = (3^e, 3^(e-1)), e = 1..6, read
+    from the assembled increment covariance at resolution n, with the
+    envelope's n^(-2 beta) factor: the far-pair audit at grid scale, which
+    self-similarity maps onto the integer grid."""
+    from ssgauss.covgrid import increment_cov
+
+    a, b = model.alpha, model.beta
+    ic = increment_cov(model, n, 3**6 + 1)
+    ratios = []
+    for e in range(1, 7):
+        j, k = 3**e, 3 ** (e - 1)
+        if a < 1.0:
+            env = n ** (-2.0 * b) * k ** (2.0 * b + model.nu - 2.0) * (j - k) ** (-model.nu)
+        else:
+            env = n ** (-2.0 * b) * k ** (2.0 * b - a) * (j - k) ** (a - 2.0)
+        ratios.append(abs(float(ic.cov[j, k])) / env)
+    return ratios

@@ -22,7 +22,7 @@ from ssgauss.limitvar import sigma_q_sq
 from ssgauss.models import make_model
 
 from conftest import CATALOG_CASES
-from oracles import contraction_norm_bruteforce
+from oracles import contraction_norm_bruteforce, far_decay_ratios_on_grid
 
 HONEST_RESIDUAL_CASES = [
     ("swanson", {}),
@@ -235,6 +235,23 @@ def test_far_decay_brownian_like_branches():
     # alpha >= 1 branch
     rep = check_far_decay(make_model("subfbm", H=0.8))
     assert rep.verdict
+
+
+@pytest.mark.parametrize("name,kw", CATALOG_CASES + [("fbm", {"H": 0.7}),
+                                                     ("subfbm", {"H": 0.8})])
+def test_far_decay_on_the_integer_grid_matches_the_n_729_assembly(name, kw):
+    # self-similarity: the rectangles of model.r on the integer grid are the
+    # n = 729 increment covariances times 729^(2 beta); only the rounding of
+    # the cancelling rectangle differs
+    m = make_model(name, **kw)
+    rep = check_far_decay(m)
+    want = far_decay_ratios_on_grid(m)
+    assert rep.grid == [3.0**e for e in range(1, 7)]
+    assert rep.ratios == pytest.approx(want, rel=1e-8)
+    # the trend window is the top four pairs, as none of the ratios is zero
+    slope = float(np.polyfit(np.log(rep.grid[-4:]), np.log(want[-4:]), 1)[0])
+    assert rep.trend_slope == pytest.approx(slope, abs=1e-8)
+    assert rep.verdict == (slope <= analysis.SLOPE_TOL)
 
 
 def test_run_all_checks_shape():

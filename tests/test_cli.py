@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ssgauss import cli
 from ssgauss.cli import build_parser, main
 from ssgauss.sampler import read_batch
 
@@ -375,3 +376,81 @@ def test_config_key_the_command_does_not_take_exits_2(tmp_path, capsys):
 
 def test_report_missing_file_exit_2(tmp_path):
     assert run_cli(["report", "--input", str(tmp_path / "none.json")]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["variance", "--f", "hermite:2"], id="variance"),
+    pytest.param(["check"], id="check"),
+    pytest.param(["contraction", "--n", "64"], id="contraction"),
+    pytest.param(["simulate", "--n", "8", "--M", "2"], id="simulate"),
+    pytest.param(["clt", "--f", "hermite:2", "--n", "64", "--M", "200"], id="clt"),
+])
+def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, args):
+    calls = []
+    monkeypatch.setattr(cli, "_build_model", lambda cfg: calls.append(cfg))
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    rc = run_cli(args + ["--model", "fbm", "--H", "0.3", "--out", str(taken)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(taken) in err and "Traceback" not in err
+    assert calls == []
+    assert taken.read_text() == "keep"
+
+
+def test_check_reports_path_taken_by_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "reports").write_text("keep")
+    assert run_cli(["check", "--model", "swanson", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "reports") in err and "Traceback" not in err
+
+
+def test_out_creates_nested_directories_and_print_config_creates_none(tmp_path, capsys):
+    nested = tmp_path / "a" / "b"
+    args = ["variance", "--model", "fbm", "--H", "0.3", "--f", "hermite:2", "--out", str(nested)]
+    assert run_cli(args + ["--print-config"]) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(args) == 0
+    assert (nested / "variance.json").is_file()
+
+
+@pytest.mark.parametrize("content,named", [
+    pytest.param(None, "cannot read experiment file", id="directory"),
+    pytest.param(b"\xff\xfe", "is not valid JSON", id="not-utf8"),
+    pytest.param(b"[1, 2]", "must hold a JSON object, not list", id="list"),
+    pytest.param(b"{}", "is not a saved clt run: missing or malformed 'times'", id="empty"),
+    pytest.param(b'{"times": [{"t": 1.0}], "cross": [], "config": {"tolerances": {}}}',
+                 "is not a saved clt run", id="incomplete-row"),
+])
+def test_report_input_faults_exit_2(tmp_path, capsys, content, named):
+    path = tmp_path / "experiment.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert run_cli(["report", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and named in err and str(path) in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_main_maps_only_the_typed_errors(monkeypatch):
+    # a KeyError from a handler is a bug, not a usage error
+    def broken(cfg):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "cmd_variance", broken)
+    with pytest.raises(KeyError):
+        run_cli(["variance"])
+
+
+def test_f_given_as_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "fbm", "H": 0.3,
+                                "f": {"f": "single_hermite", "q": 2}}))
+    rc = run_cli(["variance", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "malformed --f value {'f': 'single_hermite', 'q': 2}" in err
+    assert not (tmp_path / "variance.json").exists()

@@ -18,6 +18,8 @@ exponent; it can be strictly smaller than 2*beta (arcsine model).
 Each model writes out only psi and its first two derivatives, in closed
 form; phi and its derivatives are derived from psi through the split
 above, term by term, so no finite differences appear on the primary path.
+A derivative with no finite value at x = 1 is found from the closed form
+itself (a negative power of x - 1) and raises SingularityError.
 The covariance kernel R is evaluated directly in (s, t) form, which avoids
 the cancellation incurred by s**(2*beta) * phi(t/s) when t - s is many
 orders of magnitude below t.  Construction checks the two independent
@@ -72,11 +74,6 @@ _IDENTITY_POINTS = (1.0, 1.5, 2.0, 10.0, 1.0e4)
 _IDENTITY_RTOL = 1.0e-10
 
 
-def _check_order(order: int) -> None:
-    if order not in (0, 1, 2):
-        raise DomainError(f"derivative order must be 0, 1 or 2, got {order!r}")
-
-
 class Model:
     """Base class: validation, domain checks and the generic kernel.
 
@@ -88,10 +85,6 @@ class Model:
 
     name: str = ""
     catalog: dict = {}
-    # Whether psi' / psi'' stay finite as x -> 1+.  Models whose psi keeps
-    # a (x-1)**alpha term are not differentiable at 1.
-    psi_d1_at_one: bool = True
-    psi_d2_at_one: bool = True
     # Whether interior increments scale with a step exponent >= 1 instead
     # of alpha, so that the near-diagonal residual audits cannot close.
     smooth_interior: bool = False
@@ -128,24 +121,7 @@ class Model:
 
     def phi(self, x, order: int = 0):
         """Shape function phi(x) = E[X_1 X_x] or its derivatives on x >= 1."""
-        _check_order(order)
-        xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
-        xa = np.atleast_1d(xa)
-        if np.any(xa < 1.0):
-            raise DomainError("phi requires x >= 1")
-        if order >= 1 and np.any(xa == 1.0):
-            # the power term -lam*(x-1)**alpha has divergent derivatives at 1
-            if order == 1 and self.alpha < 1.0:
-                raise SingularityError(
-                    f"{self.name}: phi'(1) diverges for alpha={self.alpha} < 1"
-                )
-            if order == 2 and self.alpha != 1.0:
-                raise SingularityError(
-                    f"{self.name}: phi''(1) diverges for alpha={self.alpha}"
-                )
-        out = self._phi(xa, order)
-        return float(out[0]) if scalar else out
+        return self._closed_form("phi", self._phi, x, order)
 
     def _phi(self, x, order):
         """phi = psi - lam*(x-1)**alpha, differentiated term by term."""
@@ -162,18 +138,24 @@ class Model:
 
     def psi(self, x, order: int = 0):
         """Smooth remainder psi(x) = phi(x) + lam*(x-1)**alpha, or derivatives."""
-        _check_order(order)
+        return self._closed_form("psi", self._psi, x, order)
+
+    def _closed_form(self, label, evaluate, x, order):
+        """evaluate(x, order) on x >= 1.  A negative power of x - 1 makes
+        the closed form infinite (or inf - inf) at x = 1; SingularityError
+        then names the derivative that has no finite value there."""
+        if order not in (0, 1, 2):
+            raise DomainError(f"derivative order must be 0, 1 or 2, got {order!r}")
         xa = np.asarray(x, dtype=float)
         scalar = xa.ndim == 0
         xa = np.atleast_1d(xa)
         if np.any(xa < 1.0):
-            raise DomainError("psi requires x >= 1")
-        if np.any(xa == 1.0):
-            if order == 1 and not self.psi_d1_at_one:
-                raise SingularityError(f"{self.name}: psi'(1) diverges")
-            if order == 2 and not self.psi_d2_at_one:
-                raise SingularityError(f"{self.name}: psi''(1) diverges")
-        out = self._psi(xa, order)
+            raise DomainError(f"{label} requires x >= 1")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = evaluate(xa, order)
+        if not np.all(np.isfinite(out[xa == 1.0])):
+            primes = "'" * order
+            raise SingularityError(f"{self.name}: {label}{primes}(1) is not finite")
         return float(out[0]) if scalar else out
 
     def r(self, s, t):
@@ -345,13 +327,13 @@ class Swanson(Model):
     The remainder derivatives are evaluated through the exact algebraic
     rewrite (sqrt(x)-1)/sqrt(x-1) = sqrt(x-1)/(sqrt(x)+1), which removes
     the cancellation of order sqrt(x-1) that the naive forms suffer near
-    x = 1 (psi'(1) = pi/4 comes out exactly).
+    x = 1 (psi'(1) = pi/4 comes out exactly; psi'' diverges there like
+    -(x-1)^(-1/2)/8).
     """
 
     name = "swanson"
     alpha, beta, lam, nu = 0.5, 0.5, 1.0, 2.0
     catalog = {"params": {}, "alpha": alpha, "beta": beta, "lam": lam, "nu": nu}
-    psi_d2_at_one = False  # psi'' ~ -(x-1)^(-1/2)/8 near 1
 
     def _psi(self, x, order):
         rx = np.sqrt(x)
@@ -376,8 +358,6 @@ class _DWModel(Model):
         "lam": "Gamma(1 - alpha)",
         "nu": "2 - alpha",
     }
-    psi_d1_at_one = False
-    psi_d2_at_one = False
     smooth_interior = True
 
     def __init__(self, alpha: float):

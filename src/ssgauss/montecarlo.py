@@ -79,12 +79,16 @@ def functional(rows: np.ndarray, f: HermiteFunction, n: int, t_grid) -> np.ndarr
 def exact_variance(model: Model, f: HermiteFunction, n: int, t: float,
                    ic: IncrementCovariance | None = None) -> float:
     """The orthogonality-based oracle for E[F_n(t)^2]; assembles the
-    covariance grid unless one is passed."""
+    covariance grid unless one is passed.  A passed grid must be of the
+    same model; its resolution may differ, as corr does not depend on n."""
     m = num_increments(n, t)
     if m < 1:
         return 0.0
     if ic is None:
         ic = increment_cov(model, n, m)
+    elif ic.model.describe() != model.describe():
+        raise DomainError(f"the prebuilt covariance is of {ic.model.describe()}, "
+                          f"not of {model.describe()}")
     if m > ic.N:
         raise GridError(f"floor(n*t) = {m} exceeds the covariance grid N = {ic.N}")
     sub = ic.corr[:m, :m]

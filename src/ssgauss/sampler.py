@@ -63,13 +63,12 @@ def cholesky(ic: IncrementCovariance) -> CholeskyFactor:
     the assembled matrix is not close to positive semidefinite and signals
     an invalid model/grid combination.
     """
-    scale = float(np.trace(ic.cov)) / ic.N
+    cov = ic.cov
+    scale = float(np.trace(cov)) / ic.N
     for eps_rel in JITTER_LADDER:
         eps = eps_rel * scale
         try:
-            L = np.linalg.cholesky(
-                ic.cov if eps == 0.0 else ic.cov + eps * np.eye(ic.N)
-            )
+            L = np.linalg.cholesky(cov if eps == 0.0 else cov + eps * np.eye(ic.N))
             return CholeskyFactor(L=L, jitter=eps)
         except np.linalg.LinAlgError:
             continue
@@ -197,6 +196,11 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
         raise DomainError(f"thread count must be >= 1, got {threads}")
     if ic is None:
         ic = increment_cov(model, n, N)
+    else:
+        for what, want, got in (("model", model.describe(), ic.model.describe()),
+                                ("n", n, ic.n), ("N", N, ic.N)):
+            if got != want:
+                raise DomainError(f"the prebuilt covariance has {what} {got}, not {want}")
     if factor is None:
         factor = cholesky(ic)
     LT = factor.L.T.copy()

@@ -378,7 +378,7 @@ def test_criterion_06_contraction_condition():
         std = np.sqrt(np.diag(cov))
         corr = cov / np.outer(std, std)
         np.fill_diagonal(corr, 1.0)
-        ic = IncrementCovariance(model=fbm, n=N, N=N, cov=cov, std=std, corr=corr)
+        ic = IncrementCovariance(model=fbm, n=N, N=N, std=std, corr=corr)
         for q, r in ((2, 1), (3, 2)):
             fast = contraction_norm(ic, q, r, 1.0, 1.0)
             slow = contraction_norm_bruteforce(ic, q, r, 1.0, 1.0)

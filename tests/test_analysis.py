@@ -44,7 +44,7 @@ def _random_corr_instance(N, seed):
     corr = cov / np.outer(std, std)
     np.fill_diagonal(corr, 1.0)
     return IncrementCovariance(model=make_model("fbm", H=0.5), n=N, N=N,
-                               cov=cov, std=std, corr=corr)
+                               std=std, corr=corr)
 
 
 def test_contraction_identity_on_brownian_grid():

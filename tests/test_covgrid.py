@@ -7,10 +7,14 @@ import pytest
 from ssgauss import covgrid
 from ssgauss.covgrid import MAX_N, increment_cov
 from ssgauss.errors import DomainError
+from ssgauss.hermite import builtin_family
 from ssgauss.models import make_model
+from ssgauss.montecarlo import exact_variance
 
 from conftest import CATALOG_CASES
 from oracles import increment_cov_full_grid
+
+EPS = np.finfo(float).eps
 
 
 def test_brownian_increments_are_independent():
@@ -112,23 +116,50 @@ def test_blocked_assembly_bit_identical_to_full_grid(name, kw, monkeypatch):
         for n, N in sizes:
             ic = increment_cov(m, n, N)
             cov, std, corr = increment_cov_full_grid(m, n, N)
-            for got, want in ((ic.cov, cov), (ic.std, std), (ic.corr, corr)):
+            for got, want in ((ic.std, std), (ic.corr, corr)):
                 assert got.tobytes() == want.tobytes(), (entries, n, N)
+            # the derived cov rounds std[j] std[k], corr and their product,
+            # each by at most half an ulp
+            derived = ic.cov
+            assert np.array_equal(derived == 0.0, cov == 0.0), (entries, n, N)
+            assert np.all(np.abs(derived - cov) <= 2 * EPS * np.abs(cov)), (entries, n, N)
 
 
-def test_assembly_peak_memory_is_two_outputs_plus_blocks():
-    # cov and corr are 2 x 8 N^2 bytes; the blocked assembly peaks at about
-    # 2.07 x 8 N^2, a full-grid one at about 8.1 x 8 N^2 with its kernel
-    # grid and mirrored temporaries
-    m = make_model("bifbm", H=0.6, K=0.5)
-    N = 2048
-    increment_cov(m, 64, 64)
+def _block_allowance(N):
+    # a kernel block is rows + 1 by at most N + 1 values, at most
+    # _BLOCK_ENTRIES + N + 1 doubles; Model.r holds its ordered operands and
+    # power and sum terms, and the rectangle differences, mask and std outer
+    # product follow: at most 12 block-sized arrays live at once
+    return 12 * 8 * (covgrid._BLOCK_ENTRIES + N + 1)
+
+
+def _peak_bytes(call):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        ic = increment_cov(m, N, N)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ic.cov.shape == (N, N)
-    assert peak <= 3 * 8 * N * N, peak / (8 * N * N)
+
+
+def test_assembly_peak_memory_is_one_output_plus_blocks():
+    # corr is the one 8 N^2-byte array; a full-grid assembly peaks at about
+    # 8 x 8 N^2 with its kernel grid and mirrored temporaries
+    m = make_model("bifbm", H=0.6, K=0.5)
+    N = 2048
+    increment_cov(m, 64, 64)
+    ic, peak = _peak_bytes(lambda: increment_cov(m, N, N))
+    assert ic.corr.shape == (N, N)
+    assert peak <= 8 * N * N + _block_allowance(N), peak / (8 * N * N)
+
+
+def test_exact_variance_peak_memory_is_corr_plus_one_power():
+    # corr and the elementwise power summed for each chaos
+    m = make_model("bifbm", H=0.6, K=0.5)
+    f = builtin_family("single_hermite", 2)
+    N = 2048
+    exact_variance(m, f, 64, 1.0)
+    value, peak = _peak_bytes(lambda: exact_variance(m, f, N, 1.0))
+    assert value > 0.0
+    assert peak <= 2 * 8 * N * N + _block_allowance(N), peak / (8 * N * N)

@@ -198,6 +198,26 @@ def test_domain_errors():
         m.phi(2.0, order=3)
 
 
+# (model, params, orders of phi singular at 1, orders of psi singular at 1):
+# phi' diverges at 1 for alpha < 1 and phi'' for alpha != 1, through the
+# power term -lam (x-1)^alpha; psi keeps a power of x - 1 only for swanson
+# (psi'' ~ -(x-1)^(-1/2)/8) and the dw models ((x-1)^alpha itself)
+SINGULAR_AT_ONE = [
+    ("fbm", {"H": 0.3}, {1, 2}, set()),
+    ("fbm", {"H": 0.5}, set(), set()),
+    ("fbm", {"H": 0.7}, {2}, set()),
+    ("subfbm", {"H": 0.3}, {1, 2}, set()),
+    ("subfbm", {"H": 0.5}, set(), set()),
+    ("subfbm", {"H": 0.8}, {2}, set()),
+    ("bifbm", {"H": 0.6, "K": 0.5}, {1, 2}, set()),
+    ("bifbm", {"H": 0.8, "K": 0.625}, set(), set()),
+    ("bifbm", {"H": 0.9, "K": 0.8}, {2}, set()),
+    ("swanson", {}, {1, 2}, {2}),
+    ("dw-z1", {"alpha": 0.5}, {1, 2}, {1, 2}),
+    ("dw-z2", {"alpha": 0.3}, {1, 2}, {1, 2}),
+]
+
+
 def test_singularities_at_one():
     sw = make_model("swanson")
     with pytest.raises(SingularityError):
@@ -213,6 +233,21 @@ def test_singularities_at_one():
     b = make_model("fbm", H=0.5)
     assert b.phi(1.0, 1) == pytest.approx(0.0, abs=1e-15)
     assert b.phi(1.0, 2) == pytest.approx(0.0, abs=1e-15)
+    for name, kw, phi_singular, psi_singular in SINGULAR_AT_ONE:
+        m = make_model(name, **kw)
+        for label, singular in (("phi", phi_singular), ("psi", psi_singular)):
+            fn = getattr(m, label)
+            for order in (1, 2):
+                case = (name, kw, label, order)
+                if order in singular:
+                    with pytest.raises(SingularityError, match=f"{name}: {label}"):
+                        fn(1.0, order)
+                    with pytest.raises(SingularityError):
+                        fn(np.array([2.0, 1.0]), order)
+                else:
+                    assert math.isfinite(fn(1.0, order)), case
+                # away from 1 every closed form is finite
+                assert np.all(np.isfinite(fn(np.array([1.0 + 1e-9, 2.0]), order))), case
 
 
 def test_parameter_validation():

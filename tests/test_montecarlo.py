@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from ssgauss.covgrid import increment_cov
 from ssgauss.errors import DomainError, GateError, GridError
 from ssgauss.hermite import HermiteFunction, builtin_family
 from ssgauss.limitvar import sigma_q_sq
@@ -67,6 +68,20 @@ def test_exact_variance_additive_over_chaoses():
     assert total == pytest.approx(parts, rel=1e-12)
 
 
+def test_exact_variance_refuses_a_grid_of_another_model():
+    fbm = make_model("fbm", H=0.3)
+    ic = increment_cov(make_model("swanson"), 16, 16)
+    with pytest.raises(DomainError, match="swanson"):
+        exact_variance(fbm, H2, 16, 1.0, ic=ic)
+
+
+def test_exact_variance_reads_a_grid_at_another_resolution():
+    # corr does not depend on n, so a grid built at n = 64 serves n = 16
+    m = make_model("fbm", H=0.3)
+    ic = increment_cov(m, 64, 16)
+    assert exact_variance(m, H2, 16, 1.0, ic=ic) == exact_variance(m, H2, 16, 1.0)
+
+
 def test_exact_variance_approaches_series_limit():
     m = make_model("swanson")
     target = sigma_q_sq(0.5, 2).value
@@ -78,7 +93,6 @@ def test_exact_variance_linear_in_time():
     # Brownian-limit property at high resolution
     m = make_model("fbm", H=0.3)
     n = 4096
-    from ssgauss.covgrid import increment_cov
     ic = increment_cov(m, n, n)
     ts = np.linspace(0.125, 1.0, 8)
     vs = np.array([exact_variance(m, H2, n, t, ic=ic) for t in ts])

@@ -22,7 +22,7 @@ def _manual_ic(cov, n=2):
     corr = cov / np.outer(std, std)
     np.fill_diagonal(corr, 1.0)
     return IncrementCovariance(model=make_model("fbm", H=0.5), n=n,
-                               N=cov.shape[0], cov=cov, std=std, corr=corr)
+                               N=cov.shape[0], std=std, corr=corr)
 
 
 def test_cholesky_brownian_grid():
@@ -135,6 +135,19 @@ def test_batch_empirical_covariance_in_band():
     var = batch.normalized.var(axis=0, ddof=1)
     assert np.all(var >= 1.0 - 5.0 / np.sqrt(M))
     assert np.all(var <= 1.0 + 5.0 / np.sqrt(M))
+
+
+@pytest.mark.parametrize("what,other", [
+    ("model", dict(model=make_model("swanson"))),
+    ("n", dict(n=16)),
+    ("N", dict(N=12)),
+])
+def test_batch_refuses_a_prebuilt_grid_of_another_call(what, other):
+    m = make_model("fbm", H=0.3)
+    built = dict(model=m, n=32, N=16) | other
+    ic = increment_cov(built["model"], built["n"], built["N"])
+    with pytest.raises(DomainError, match=f"{what} "):
+        sample_batch(m, 32, 16, 20, seed=0, ic=ic)
 
 
 def test_batch_rejects_empty():

@@ -305,9 +305,12 @@ def run_all_checks(model: Model) -> dict[str, BoundCheckReport]:
 def contraction_norm(ic: IncrementCovariance, q: int, r: int, c_q: float,
                      t: float = 1.0) -> float:
     """(c_q^4 / n^2) trace((A B)^2) with A = corr**r, B = corr**(q-r)
-    elementwise, over indices below floor(n t)."""
+    elementwise, over indices below floor(n t).  corr is symmetric, so the
+    norm is the same for r and q - r; both are formed with the smaller
+    order as r, and give the same bits."""
     if not 1 <= r <= q - 1:
         raise DomainError(f"contraction order r must be in [1, q-1]; got r={r}, q={q}")
+    r = min(r, q - r)
     m = num_increments(ic.n, t)
     if m < 1 or m > ic.N:
         raise DomainError(f"floor(n*t) = {m} outside the grid [1, {ic.N}]")
@@ -376,13 +379,17 @@ def contraction_report(model, q: int, n_values, r_values=None,
     except (GateError, NumericalError):
         # sigma_q^2 undefined past the gate or uncertified; norms stay useful
         sq = None
-    # tv_bound reads every order r = 1..q-1, so compute them all once for it
+    # tv_bound reads every order r = 1..q-1, so compute them all for it,
+    # each unordered pair {r, q - r} once
     orders = rs if sq is None else sorted(set(rs) | set(range(1, q)))
     norms: dict = {}
     tv: dict = {}
     for n in ns:
         ic = increment_cov(model, n, ms[n])
-        at_n = {r: contraction_norm(ic, q, r, 1.0, t) for r in orders}
+        at_n: dict = {}
+        for r in orders:
+            twin = at_n.get(q - r)
+            at_n[r] = contraction_norm(ic, q, r, 1.0, t) if twin is None else twin
         norms.update({(n, r): at_n[r] for r in rs})
         if sq is not None:
             tv[n] = tv_bound(at_n, q, sq, t)

@@ -12,13 +12,26 @@ far-apart index pairs.  Matrices are dense; exactness is the point here,
 and the increments are non-stationary for every model except fbm, so
 circulant or FFT shortcuts do not apply.
 
+Self-similarity, R(cs, ct) = c^(2 beta) R(s, t), makes the correlation
+corr[j, k] = cov[j, k] / (std[j] std[k]) independent of n, and the N x N
+correlation the leading block of every larger one.  So corr is assembled
+at unit scale, on the integer times 0..N, and held in one module-level
+slot keyed on the model's class and describe(): a request for at most
+the held N is served the leading block, a larger one grows the slot by
+forming only the entries of the new columns, and a request for another
+model drops the held grid before anything is assembled, so at most one
+grid is held at a time.  std is formed at resolution n from the diagonal
+rectangles, O(N) kernel values per call.
+
 The assembly runs in row blocks of about 2^18 kernel values.  A block of
-rows j0..j1-1 evaluates R on times j0..j1 against j0..N, i.e. once per
-unordered pair of grid times up to the thin diagonal strip, forms the
-rectangle entries on and above the diagonal and writes their transpose
-below it, divided by std[j] std[k] as it is formed; std comes first, from
-the diagonal rectangles.  Peak memory is the one N x N array corr plus
-block temporaries of a few MB.  cov = corr std[j] std[k] is not stored.
+rows j0..j1-1 evaluates R on times j0..j1 against the times from
+max(j0, N0) to N, where N0 is the size already held (0 for a fresh grid),
+i.e. once per unordered pair of new grid times up to the thin diagonal
+strip.  It forms the rectangle entries on and above the diagonal,
+divides them by the unit-scale std[j] std[k] as they are formed, and
+writes their transpose below the diagonal.  Peak memory is the one N x N
+array corr, plus the held block it grows from, plus block temporaries of
+a few MB.  cov = corr std[j] std[k] is not stored.
 """
 
 from __future__ import annotations
@@ -56,8 +69,9 @@ def num_increments(n: int, t: float) -> int:
 class IncrementCovariance:
     """std[j], the L2 norm of DX_j, and corr[j, k], the correlation of DX_j
     and DX_k, on a grid of resolution n with N increments.  corr does not
-    depend on n (self-similarity); cov[j, k] = corr[j, k] std[j] std[k] is
-    not stored but formed on each access.  Instances are immutable and
+    depend on n (self-similarity); increment_cov returns it as a read-only
+    leading block of the grid it holds.  cov[j, k] = corr[j, k] std[j] std[k]
+    is not stored but formed on each access.  Instances are immutable and
     safe to share across workers."""
 
     model: Model
@@ -74,18 +88,16 @@ class IncrementCovariance:
         return cov
 
 
-def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:
-    """Assemble the exact increment correlation and norms at resolution n."""
-    if n < 2:
-        raise DomainError(f"grid resolution n must be >= 2, got {n}")
-    if N < 1:
-        raise DomainError(f"increment count N must be >= 1, got {N}")
-    if N > MAX_N:
-        raise DomainError(f"N={N} exceeds the dense-matrix cap {MAX_N}")
+# The one held grid: (class and describe() of its model, its read-only
+# unit-scale corr).  See the module docstring for when it is grown or
+# dropped.
+_slot: tuple | None = None
 
-    times = np.arange(N + 1, dtype=float) / float(n)
-    # the diagonal rectangles, with the operands in the order the blocks
-    # below subtract them, so std holds the bits of the assembled diagonal
+
+def _std(model: Model, times: np.ndarray, n: int) -> np.ndarray:
+    """Square roots of the diagonal rectangles on consecutive times, with
+    the operands in the order the blocks of _grow subtract them, so they
+    hold the bits of the assembled diagonal; raises on a nonpositive one."""
     lo, hi = times[:-1], times[1:]
     diag = (model.r(hi, hi) - model.r(lo, hi)) - (model.r(hi, lo) - model.r(lo, lo))
     diag[np.abs(diag) < _FLUSH_EPS] = 0.0
@@ -94,28 +106,68 @@ def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:
         raise NumericalError(
             f"{model.name}: nonpositive increment variance {diag[j]!r} at j={j}, n={n}"
         )
-    std = np.sqrt(diag)
+    return np.sqrt(diag)
 
-    rows = max(1, _BLOCK_ENTRIES // (N + 1))
+
+def _grow(model: Model, held: np.ndarray | None, N: int) -> np.ndarray:
+    """The unit-scale N x N corr, read-only: the held leading block copied
+    and only the entries in its new columns (and their mirror) formed."""
+    N0 = 0 if held is None else held.shape[0]
+    times = np.arange(N + 1, dtype=float)
+    std = _std(model, times, 1)
     corr = np.empty((N, N), dtype=float)
+    if N0:
+        corr[:N0, :N0] = held
+    rows = max(1, _BLOCK_ENTRIES // (N + 1 - N0))
     for j0 in range(0, N, rows):
         j1 = min(j0 + rows, N)
-        # rows j0..j1 of R against columns j0..N hold every kernel value
-        # the upper triangle of corr rows j0..j1-1 reads, R[j+1, j] on its
-        # diagonal included: Model.r orders its arguments, so R is
-        # bitwise symmetric and R[j+1, j] = R[j, j+1]
-        R = model.r(times[j0:j1 + 1, None], times[None, j0:])
+        c0 = max(j0, N0)
+        # rows j0..j1 of R against columns c0..N hold every kernel value
+        # the new upper-triangle entries of corr rows j0..j1-1 read,
+        # R[j+1, j] on the diagonal included: Model.r orders its arguments,
+        # so R is bitwise symmetric and R[j+1, j] = R[j, j+1]
+        R = model.r(times[j0:j1 + 1, None], times[None, c0:])
         blk = (R[1:, 1:] - R[:-1, 1:]) - (R[1:, :-1] - R[:-1, :-1])
         del R
         blk[np.abs(blk) < _FLUSH_EPS] = 0.0
-        blk /= np.outer(std[j0:j1], std[j0:])
+        blk /= np.outer(std[j0:j1], std[c0:])
         # the rectangle of a symmetric kernel is symmetric; mirror the upper
-        # triangle so the stored matrix is exactly so
-        b = j1 - j0
-        square = blk[:, :b]
+        # triangle of the block's square on the diagonal (rows and columns
+        # c0..j1-1) so the stored matrix is exactly so
+        b = max(j1 - c0, 0)
+        square = blk[c0 - j0:, :b]
         lower = np.tril_indices(b, -1)
         square[lower] = square.T[lower]
-        corr[j0:j1, j0:] = blk
-        corr[j1:, j0:j1] = blk[:, b:].T
+        corr[j0:j1, c0:] = blk
+        corr[c0:, j0:j1] = blk.T
     np.fill_diagonal(corr, 1.0)
-    return IncrementCovariance(model=model, n=int(n), N=int(N), std=std, corr=corr)
+    corr.flags.writeable = False
+    return corr
+
+
+def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:
+    """The exact increment correlation and norms at resolution n.
+
+    corr is a read-only view of the leading N x N block of the one held
+    unit-scale grid, grown first if it holds fewer than N increments of
+    this model; the grid of any other model is dropped before this one is
+    assembled.  std is formed at resolution n on each call.
+    """
+    global _slot
+    if n < 2:
+        raise DomainError(f"grid resolution n must be >= 2, got {n}")
+    if N < 1:
+        raise DomainError(f"increment count N must be >= 1, got {N}")
+    if N > MAX_N:
+        raise DomainError(f"N={N} exceeds the dense-matrix cap {MAX_N}")
+
+    std = _std(model, np.arange(N + 1, dtype=float) / float(n), n)
+    key = (type(model), model.describe())
+    held_key, held = _slot or (None, None)
+    if held_key != key:
+        held = None
+    if held is None or held.shape[0] < N:
+        _slot = None
+        held = _grow(model, held, N)
+        _slot = (key, held)
+    return IncrementCovariance(model=model, n=int(n), N=int(N), std=std, corr=held[:N, :N])

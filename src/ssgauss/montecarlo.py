@@ -78,9 +78,11 @@ def functional(rows: np.ndarray, f: HermiteFunction, n: int, t_grid) -> np.ndarr
 
 def exact_variance(model: Model, f: HermiteFunction, n: int, t: float,
                    ic: IncrementCovariance | None = None) -> float:
-    """The orthogonality-based oracle for E[F_n(t)^2]; assembles the
-    covariance grid unless one is passed.  A passed grid must be of the
-    same model; its resolution may differ, as corr does not depend on n."""
+    """The orthogonality-based oracle for E[F_n(t)^2], from the leading
+    floor(n t) block of the n-free corr.  Unless a grid is passed, that is
+    a view of increment_cov's one held unit-scale grid, which a ladder of
+    n for one model grows once instead of assembling per n.  A passed
+    grid must be of the same model; its resolution may differ."""
     m = num_increments(n, t)
     if m < 1:
         return 0.0

@@ -52,8 +52,14 @@ _U_MAX = np.nextafter(1.0, 0.0)
 
 @dataclass(frozen=True)
 class CholeskyFactor:
+    """Lower-triangular L with L L^T = cov + jitter I for the increment
+    covariance of model at resolution n with N increments."""
+
     L: np.ndarray
     jitter: float
+    model: Model
+    n: int
+    N: int
 
 
 def cholesky(ic: IncrementCovariance) -> CholeskyFactor:
@@ -69,7 +75,7 @@ def cholesky(ic: IncrementCovariance) -> CholeskyFactor:
         eps = eps_rel * scale
         try:
             L = np.linalg.cholesky(cov if eps == 0.0 else cov + eps * np.eye(ic.N))
-            return CholeskyFactor(L=L, jitter=eps)
+            return CholeskyFactor(L=L, jitter=eps, model=ic.model, n=ic.n, N=ic.N)
         except np.linalg.LinAlgError:
             continue
     raise NumericalError(
@@ -176,6 +182,14 @@ class SampleBatch:
     normalized: np.ndarray
 
 
+def _check_grid(what: str, built, model: Model, n: int, N: int) -> None:
+    """Refuse a prebuilt covariance or factor of another model or grid."""
+    for field, want, got in (("model", model.describe(), built.model.describe()),
+                             ("n", n, built.n), ("N", N, built.N)):
+        if got != want:
+            raise DomainError(f"the prebuilt {what} has {field} {got}, not {want}")
+
+
 def _worker_count(threads: int) -> int:
     """threads capped at the CPUs this process may run on: workers beyond
     that only queue behind each other and behind the BLAS threads."""
@@ -187,7 +201,8 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
                  factor: CholeskyFactor | None = None) -> SampleBatch:
     """M independent increment rows of the model at resolution n.
 
-    Pass a prebuilt covariance/factor to amortize setup across batches.
+    Pass a prebuilt covariance/factor to amortize setup across batches;
+    one of another model, n or N is refused with DomainError.
     threads is capped at the usable CPU count; it never changes the result.
     """
     if M < 1:
@@ -197,12 +212,11 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
     if ic is None:
         ic = increment_cov(model, n, N)
     else:
-        for what, want, got in (("model", model.describe(), ic.model.describe()),
-                                ("n", n, ic.n), ("N", N, ic.N)):
-            if got != want:
-                raise DomainError(f"the prebuilt covariance has {what} {got}, not {want}")
+        _check_grid("covariance", ic, model, n, N)
     if factor is None:
         factor = cholesky(ic)
+    else:
+        _check_grid("factor", factor, model, n, N)
     LT = factor.L.T.copy()
     inc = np.empty((M, N), dtype=float)
 

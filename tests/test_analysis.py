@@ -132,17 +132,19 @@ def test_contraction_report_computes_each_norm_once(monkeypatch):
     monkeypatch.setattr(analysis, "contraction_norm", counted)
     m, ns = make_model("swanson"), (32, 64, 96)
     rep = contraction_report(m, 4, ns)
-    # tv_bound reuses the report's c_q = 1 norms for r = 1..q-1
-    assert len(calls) == len(ns) * 3
+    # tv_bound reuses the report's c_q = 1 norms for r = 1..q-1; the norms
+    # of r and q - r are equal, so the pairs {1, 3} and {2} take one each
+    assert len(calls) == len(ns) * 2
     for n in ns:
         assert rep.tv[n] == _tv_at(m, n, 4)
-    # with a partial r list, the report still computes every order once
+        assert rep.norms[(n, 3)] == rep.norms[(n, 1)]
+    # with a partial r list, the report still computes every pair once
     calls.clear()
     rep = contraction_report(m, 4, ns, r_values=(2,))
-    assert len(calls) == len(ns) * 3
+    assert len(calls) == len(ns) * 2
     calls.clear()
     part = contraction_report(m, 4, ns, r_values=(1, 3))
-    assert len(calls) == len(ns) * 3
+    assert len(calls) == len(ns) * 2
     assert part.tv == contraction_report(m, 4, ns).tv
 
 

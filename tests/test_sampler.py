@@ -150,6 +150,22 @@ def test_batch_refuses_a_prebuilt_grid_of_another_call(what, other):
         sample_batch(m, 32, 16, 20, seed=0, ic=ic)
 
 
+@pytest.mark.parametrize("what,other", [
+    ("model", dict(model=make_model("swanson"))),
+    ("n", dict(n=16)),
+    ("N", dict(N=12)),
+])
+def test_batch_refuses_a_prebuilt_factor_of_another_call(what, other):
+    # a swanson factor would label swanson increments fbm; one of another N
+    # would reach the matmul with the wrong shape
+    m = make_model("fbm", H=0.3)
+    built = dict(model=m, n=32, N=16) | other
+    factor = cholesky(increment_cov(built["model"], built["n"], built["N"]))
+    assert (factor.model, factor.n, factor.N) == (built["model"], built["n"], built["N"])
+    with pytest.raises(DomainError, match=f"factor has {what} "):
+        sample_batch(m, 32, 16, 20, seed=0, factor=factor)
+
+
 def test_batch_rejects_empty():
     with pytest.raises(DomainError):
         sample_batch(make_model("fbm", H=0.5), 8, 8, 0, seed=1)

@@ -15,23 +15,27 @@ circulant or FFT shortcuts do not apply.
 Self-similarity, R(cs, ct) = c^(2 beta) R(s, t), makes the correlation
 corr[j, k] = cov[j, k] / (std[j] std[k]) independent of n, and the N x N
 correlation the leading block of every larger one.  So corr is assembled
-at unit scale, on the integer times 0..N, and held in one module-level
-slot keyed on the model's class and describe(): a request for at most
-the held N is served the leading block, a larger one grows the slot by
-forming only the entries of the new columns, and a request for another
-model drops the held grid before anything is assembled, so at most one
-grid is held at a time.  std is formed at resolution n from the diagonal
-rectangles, O(N) kernel values per call.
+at unit scale, on the integer times 0..N, and the module holds one grid,
+of the model last asked for.  A request for a model with the same
+Model.identity() and at most the held N is served the leading block,
+read-only: a view of the held grid, or a copy when it has at most half
+the held increments.  A view keeps its grid alive after the module drops
+it, and a copy never does, so no result keeps alive more than four times
+its own corr.  A request for a larger N grows the held grid: the held
+block is copied and only the entries of the new columns are formed.  A
+request for another model drops the held grid before assembling its
+own, and release_grid() drops it outright.  std is formed at resolution
+n from the diagonal rectangles, O(N) kernel values per call.
 
 The assembly runs in row blocks of about 2^18 kernel values.  A block of
 rows j0..j1-1 evaluates R on times j0..j1 against the times from
-max(j0, N0) to N, where N0 is the size already held (0 for a fresh grid),
-i.e. once per unordered pair of new grid times up to the thin diagonal
-strip.  It forms the rectangle entries on and above the diagonal,
-divides them by the unit-scale std[j] std[k] as they are formed, and
-writes their transpose below the diagonal.  Peak memory is the one N x N
-array corr, plus the held block it grows from, plus block temporaries of
-a few MB.  cov = corr std[j] std[k] is not stored.
+max(j0, N0) to N, where N0 is the size of the held block (0 for a fresh
+grid), i.e. once per unordered pair of new grid times up to the thin
+diagonal strip.  It forms the rectangle entries on and above the
+diagonal, divides them by the unit-scale std[j] std[k] as they are
+formed, and writes their transpose below the diagonal.  Peak memory is
+the one N x N array corr, plus the held block while it grows, plus block
+temporaries of a few MB.  cov = corr std[j] std[k] is not stored.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .models import Model
 
-__all__ = ["IncrementCovariance", "increment_cov", "num_increments"]
+__all__ = ["IncrementCovariance", "increment_cov", "num_increments", "release_grid"]
 
 # Dense N x N doubles; 8192^2 is one ~0.5 GB matrix, the ceiling for
 # desk-scale runs.
@@ -69,9 +73,8 @@ def num_increments(n: int, t: float) -> int:
 class IncrementCovariance:
     """std[j], the L2 norm of DX_j, and corr[j, k], the correlation of DX_j
     and DX_k, on a grid of resolution n with N increments.  corr does not
-    depend on n (self-similarity); increment_cov returns it as a read-only
-    leading block of the grid it holds.  cov[j, k] = corr[j, k] std[j] std[k]
-    is not stored but formed on each access.  Instances are immutable and
+    depend on n (self-similarity); cov[j, k] = corr[j, k] std[j] std[k] is
+    not stored but formed on each access.  Instances are immutable and
     safe to share across workers."""
 
     model: Model
@@ -88,10 +91,14 @@ class IncrementCovariance:
         return cov
 
 
-# The one held grid: (class and describe() of its model, its read-only
-# unit-scale corr).  See the module docstring for when it is grown or
-# dropped.
-_slot: tuple | None = None
+# The held grid: (identity of its model, its read-only unit-scale corr).
+_held: tuple | None = None
+
+
+def release_grid() -> None:
+    """Drop the held grid; the next request assembles its own."""
+    global _held
+    _held = None
 
 
 def _std(model: Model, times: np.ndarray, n: int) -> np.ndarray:
@@ -110,8 +117,9 @@ def _std(model: Model, times: np.ndarray, n: int) -> np.ndarray:
 
 
 def _grow(model: Model, held: np.ndarray | None, N: int) -> np.ndarray:
-    """The unit-scale N x N corr, read-only: the held leading block copied
-    and only the entries in its new columns (and their mirror) formed."""
+    """The unit-scale N x N corr, read-only: the held leading block of the
+    same model copied (none for a fresh grid) and only the entries of the
+    new columns and their mirror formed."""
     N0 = 0 if held is None else held.shape[0]
     times = np.arange(N + 1, dtype=float)
     std = _std(model, times, 1)
@@ -146,14 +154,9 @@ def _grow(model: Model, held: np.ndarray | None, N: int) -> np.ndarray:
 
 
 def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:
-    """The exact increment correlation and norms at resolution n.
-
-    corr is a read-only view of the leading N x N block of the one held
-    unit-scale grid, grown first if it holds fewer than N increments of
-    this model; the grid of any other model is dropped before this one is
-    assembled.  std is formed at resolution n on each call.
-    """
-    global _slot
+    """The exact increment correlation and norms at resolution n; corr is
+    read from the held grid (see the module docstring)."""
+    global _held
     if n < 2:
         raise DomainError(f"grid resolution n must be >= 2, got {n}")
     if N < 1:
@@ -162,12 +165,18 @@ def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:
         raise DomainError(f"N={N} exceeds the dense-matrix cap {MAX_N}")
 
     std = _std(model, np.arange(N + 1, dtype=float) / float(n), n)
-    key = (type(model), model.describe())
-    held_key, held = _slot or (None, None)
+    key = model.identity()
+    # one read of _held, so a concurrent call can cost an assembly but
+    # never mix two grids
+    held_key, held = _held or (None, None)
     if held_key != key:
         held = None
     if held is None or held.shape[0] < N:
-        _slot = None
+        _held = None
         held = _grow(model, held, N)
-        _slot = (key, held)
-    return IncrementCovariance(model=model, n=int(n), N=int(N), std=std, corr=held[:N, :N])
+        _held = (key, held)
+    corr = held[:N, :N]
+    if 2 * N <= held.shape[0]:
+        corr = corr.copy()
+        corr.flags.writeable = False
+    return IncrementCovariance(model=model, n=int(n), N=int(N), std=std, corr=corr)

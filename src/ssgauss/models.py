@@ -180,6 +180,11 @@ class Model:
 
     # -- metadata -----------------------------------------------------
 
+    def identity(self) -> tuple:
+        """The class and describe(): models with equal identities have the
+        same kernel, so a grid of one serves the other."""
+        return (type(self), self.describe())
+
     def describe(self) -> dict:
         return {
             "model": self.name,
@@ -190,7 +195,7 @@ class Model:
             "nu": self.nu,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
         return f"{type(self).__name__}({ps})"
 

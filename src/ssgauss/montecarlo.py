@@ -79,18 +79,16 @@ def functional(rows: np.ndarray, f: HermiteFunction, n: int, t_grid) -> np.ndarr
 def exact_variance(model: Model, f: HermiteFunction, n: int, t: float,
                    ic: IncrementCovariance | None = None) -> float:
     """The orthogonality-based oracle for E[F_n(t)^2], from the leading
-    floor(n t) block of the n-free corr.  Unless a grid is passed, that is
-    a view of increment_cov's one held unit-scale grid, which a ladder of
-    n for one model grows once instead of assembling per n.  A passed
-    grid must be of the same model; its resolution may differ."""
+    floor(n t) block of the n-free corr.  A passed grid must be of the
+    same model; its resolution may differ."""
     m = num_increments(n, t)
     if m < 1:
         return 0.0
     if ic is None:
         ic = increment_cov(model, n, m)
-    elif ic.model.describe() != model.describe():
-        raise DomainError(f"the prebuilt covariance is of {ic.model.describe()}, "
-                          f"not of {model.describe()}")
+    elif ic.model.identity() != model.identity():
+        raise DomainError(f"the prebuilt covariance is of {ic.model.name} {ic.model!r}, "
+                          f"not of {model.name} {model!r}")
     if m > ic.N:
         raise GridError(f"floor(n*t) = {m} exceeds the covariance grid N = {ic.N}")
     sub = ic.corr[:m, :m]

@@ -184,8 +184,10 @@ class SampleBatch:
 
 def _check_grid(what: str, built, model: Model, n: int, N: int) -> None:
     """Refuse a prebuilt covariance or factor of another model or grid."""
-    for field, want, got in (("model", model.describe(), built.model.describe()),
-                             ("n", n, built.n), ("N", N, built.N)):
+    if built.model.identity() != model.identity():
+        raise DomainError(f"the prebuilt {what} has model {built.model.name} {built.model!r}, "
+                          f"not {model.name} {model!r}")
+    for field, want, got in (("n", n, built.n), ("N", N, built.N)):
         if got != want:
             raise DomainError(f"the prebuilt {what} has {field} {got}, not {want}")
 

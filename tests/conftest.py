@@ -1,6 +1,6 @@
 import pytest
 
-from ssgauss.models import make_model
+from ssgauss.models import FBM, SubFBM, make_model
 
 # canonical parameter choices used across the suite; alpha < 1.5 throughout
 CATALOG_CASES = [
@@ -11,6 +11,13 @@ CATALOG_CASES = [
     ("dw-z1", {"alpha": 0.5}),
     ("dw-z2", {"alpha": 0.5}),
 ]
+
+
+class SubFBMNamedFBM(FBM):
+    """subfbm's kernel under fbm's class name, so describe() matches fbm's."""
+
+    _psi = SubFBM._psi
+    _r = SubFBM._r
 
 
 @pytest.fixture(scope="session")

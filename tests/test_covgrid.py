@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,19 +9,19 @@ from ssgauss import covgrid
 from ssgauss.covgrid import MAX_N, increment_cov
 from ssgauss.errors import DomainError
 from ssgauss.hermite import builtin_family
-from ssgauss.models import FBM, SubFBM, make_model
+from ssgauss.models import FBM, make_model
 from ssgauss.montecarlo import exact_variance
 
-from conftest import CATALOG_CASES
+from conftest import CATALOG_CASES, SubFBMNamedFBM
 from oracles import increment_cov_full_grid
 
 EPS = np.finfo(float).eps
 
 
 @pytest.fixture
-def empty_slot():
+def released():
     """Drop the held grid, so the test's first request assembles afresh."""
-    covgrid._slot = None
+    covgrid.release_grid()
 
 
 def test_brownian_increments_are_independent():
@@ -120,53 +121,45 @@ def test_blocked_assembly_bit_identical_to_full_grid(name, kw, monkeypatch):
         if entries is not None:
             monkeypatch.setattr(covgrid, "_BLOCK_ENTRIES", entries)
         for n, N in sizes:
-            covgrid._slot = None
+            covgrid.release_grid()
             ic = increment_cov(m, n, N)
-            cov, std, corr_n = increment_cov_full_grid(m, n, N)
-            corr = increment_cov_full_grid(m, 1, N)[2]
+            std = increment_cov_full_grid(m, n, N)[1]
+            cov, std_unit, corr = increment_cov_full_grid(m, 1, N)
             for got, want in ((ic.std, std), (ic.corr, corr)):
                 assert got.tobytes() == want.tobytes(), (entries, n, N)
             # the derived cov rounds std[j] std[k], corr and their product,
-            # each by at most half an ulp; its corr is the unit-scale one,
-            # which differs from the n-scale rectangles' by their rounding
-            derived = ic.cov
-            rescaled = np.abs(corr - corr_n) * np.outer(std, std)
+            # each by at most half an ulp; corr is formed from the unit-scale
+            # rectangles, so with the unit-scale std it gives them back
+            derived = dataclasses.replace(ic, std=std_unit).cov
             assert np.array_equal(derived == 0.0, cov == 0.0), (entries, n, N)
-            assert np.all(np.abs(derived - cov) <= 2 * EPS * np.abs(cov) + rescaled), \
-                (entries, n, N)
+            assert np.all(np.abs(derived - cov) <= 2 * EPS * np.abs(cov)), (entries, n, N)
 
 
 @pytest.mark.parametrize("name,kw", CATALOG_CASES)
-def test_grown_grid_is_bit_equal_to_a_fresh_assembly(name, kw, empty_slot):
+def test_grown_grid_is_bit_equal_to_a_fresh_assembly(name, kw, released):
     # 1000 is no multiple of the row-block size, so blocks straddle the
     # held size; the resolution of a request never reaches corr
     m = make_model(name, **kw)
     for N in (256, 1000, 2048):
         grown = increment_cov(m, N, N).corr
     lead = increment_cov(m, 64, 256).corr
-    covgrid._slot = None
+    covgrid.release_grid()
     fresh = increment_cov(m, 2048, 2048).corr
     assert grown.tobytes() == fresh.tobytes()
     assert lead.tobytes() == fresh[:256, :256].tobytes()
 
 
-def test_returned_corr_is_read_only(empty_slot):
+def test_returned_corr_is_read_only(released):
     m = make_model("swanson")
-    for N in (32, 16):  # the held grid itself, then a leading block of it
+    # the held grid itself, a view of its leading block and a copy of one
+    for N in (32, 24, 16):
         corr = increment_cov(m, 64, N).corr
         with pytest.raises(ValueError):
             corr[0, 1] = 0.0
 
 
-class _SubFBMNamedFBM(FBM):
-    """subfbm's kernel under fbm's class name, so describe() matches fbm's."""
-
-    _psi = SubFBM._psi
-    _r = SubFBM._r
-
-
-def test_slot_is_keyed_on_the_model_class(empty_slot):
-    fbm, other = FBM(0.3), _SubFBMNamedFBM(0.3)
+def test_held_grid_is_keyed_on_the_model_class(released):
+    fbm, other = FBM(0.3), SubFBMNamedFBM(0.3)
     assert other.describe() == fbm.describe()
     increment_cov(fbm, 16, 8)
     got = increment_cov(other, 16, 8).corr
@@ -192,7 +185,7 @@ def _peak_bytes(call):
         tracemalloc.stop()
 
 
-def test_assembly_peak_memory_is_one_output_plus_blocks(empty_slot):
+def test_assembly_peak_memory_is_one_output_plus_blocks(released):
     # corr is the one 8 N^2-byte array; a full-grid assembly peaks at about
     # 8 x 8 N^2 with its kernel grid and mirrored temporaries
     m = make_model("bifbm", H=0.6, K=0.5)
@@ -203,7 +196,7 @@ def test_assembly_peak_memory_is_one_output_plus_blocks(empty_slot):
     assert peak <= 8 * N * N + _block_allowance(N), peak / (8 * N * N)
 
 
-def test_exact_variance_peak_memory_is_corr_plus_one_power(empty_slot):
+def test_exact_variance_peak_memory_is_corr_plus_one_power(released):
     # corr and the elementwise power summed for each chaos
     m = make_model("bifbm", H=0.6, K=0.5)
     f = builtin_family("single_hermite", 2)
@@ -214,7 +207,7 @@ def test_exact_variance_peak_memory_is_corr_plus_one_power(empty_slot):
     assert peak <= 2 * 8 * N * N + _block_allowance(N), peak / (8 * N * N)
 
 
-def test_switching_models_frees_the_held_grid_first(empty_slot):
+def test_switching_models_frees_the_held_grid_first(released):
     # the swanson grid is held when bifbm is requested; traced memory may
     # rise above that level only by block temporaries, not by a second grid
     N = 2048
@@ -231,3 +224,21 @@ def test_switching_models_frees_the_held_grid_first(empty_slot):
     assert ic.corr.shape == (N, N)
     assert held >= 8 * N * N
     assert rise <= _block_allowance(N), rise / (8 * N * N)
+
+
+def test_a_small_block_does_not_keep_the_held_grid_alive(released):
+    # a block of at most half the held increments is a copy, so once
+    # another model's grid replaces the held one, only the block stays
+    N = 2048
+    m = make_model("swanson")
+    tracemalloc.start()
+    try:
+        increment_cov(m, N, N)
+        small = increment_cov(m, 64, N // 2)
+        increment_cov(make_model("bifbm", H=0.6, K=0.5), 64, 64)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert small.corr.shape == (N // 2, N // 2)
+    # the copy is a quarter of the grid; a view would keep all of it
+    assert kept < 8 * N * N / 2, kept / (8 * N * N)

@@ -19,6 +19,8 @@ from ssgauss.montecarlo import (
     run_experiment,
 )
 
+from conftest import SubFBMNamedFBM
+
 H2 = builtin_family("single_hermite", 2)
 
 
@@ -72,6 +74,10 @@ def test_exact_variance_refuses_a_grid_of_another_model():
     fbm = make_model("fbm", H=0.3)
     ic = increment_cov(make_model("swanson"), 16, 16)
     with pytest.raises(DomainError, match="swanson"):
+        exact_variance(fbm, H2, 16, 1.0, ic=ic)
+    # subfbm's kernel under fbm's describe() is another model too
+    ic = increment_cov(SubFBMNamedFBM(0.3), 16, 16)
+    with pytest.raises(DomainError, match="SubFBMNamedFBM"):
         exact_variance(fbm, H2, 16, 1.0, ic=ic)
 
 

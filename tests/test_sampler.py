@@ -16,6 +16,8 @@ from ssgauss.sampler import (
     write_batch,
 )
 
+from conftest import SubFBMNamedFBM
+
 
 def _manual_ic(cov, n=2):
     std = np.sqrt(np.diag(cov))
@@ -152,11 +154,13 @@ def test_batch_refuses_a_prebuilt_grid_of_another_call(what, other):
 
 @pytest.mark.parametrize("what,other", [
     ("model", dict(model=make_model("swanson"))),
+    ("model", dict(model=SubFBMNamedFBM(0.3))),
     ("n", dict(n=16)),
     ("N", dict(N=12)),
 ])
 def test_batch_refuses_a_prebuilt_factor_of_another_call(what, other):
-    # a swanson factor would label swanson increments fbm; one of another N
+    # a swanson factor would label swanson increments fbm, and so would a
+    # factor of subfbm's kernel under fbm's describe(); one of another N
     # would reach the matmul with the wrong shape
     m = make_model("fbm", H=0.3)
     built = dict(model=m, n=32, N=16) | other

@@ -327,8 +327,9 @@ class ContractionReport:
     estimates when the test function is a single Hermite polynomial.
 
     norms maps (n, r) to the contraction norm; tv maps n to the bound
-    (empty where sigma_q^2 is undefined past the applicability gate or
-    its tail cannot be certified).
+    (empty where sigma_q^2 is undefined past the applicability gate, is
+    uncertified or exceeds the double range, or where the bound's
+    weights exceed the double range, from q = 83 on).
     """
 
     model: str
@@ -376,8 +377,10 @@ def contraction_report(model, q: int, n_values, r_values=None,
         raise DomainError(f"floor(n*t) = {min(ms.values())} is below 1 (t={t})")
     try:
         sq = sigma_q_sq(model.alpha, q).value
+        _tv_weights(q)
     except (GateError, NumericalError):
-        # sigma_q^2 undefined past the gate or uncertified; norms stay useful
+        # sigma_q^2 undefined past the gate or uncertified, or tv_bound's
+        # weights past the double range; norms stay useful
         sq = None
     # tv_bound reads every order r = 1..q-1, so compute them all for it,
     # each unordered pair {r, q - r} once
@@ -407,6 +410,14 @@ def tv_bound(norms: dict, q: int, sigma_q2: float, t: float = 1.0) -> float:
     """
     if q < 2:
         raise DomainError(f"tv_bound needs a single Hermite factor of order q >= 2, got {q}")
-    acc = sum(r**2 * math.factorial(r) * math.comb(q, r) ** 4 * math.factorial(2 * q - 2 * r)
-              * norms[r] for r in range(1, q))
+    acc = sum(w * norms[r] for r, w in enumerate(_tv_weights(q), start=1))
     return 2.0 / (t * sigma_q2) * math.sqrt(acc / q**2)
+
+
+def _tv_weights(q: int) -> list[float]:
+    """The weights r^2 r! C(q,r)^4 (2q-2r)! of tv_bound, r = 1..q-1."""
+    try:
+        return [float(r**2 * math.factorial(r) * math.comb(q, r) ** 4
+                      * math.factorial(2 * q - 2 * r)) for r in range(1, q)]
+    except OverflowError:
+        raise NumericalError(f"tv_bound weights exceed the double range at q={q}") from None

@@ -16,16 +16,17 @@ Self-similarity, R(cs, ct) = c^(2 beta) R(s, t), makes the correlation
 corr[j, k] = cov[j, k] / (std[j] std[k]) independent of n, and the N x N
 correlation the leading block of every larger one.  So corr is assembled
 at unit scale, on the integer times 0..N, and the module holds one grid,
-of the model last asked for.  A request for a model with the same
-Model.identity() and at most the held N is served the leading block,
-read-only: a view of the held grid, or a copy when it has at most half
-the held increments.  A view keeps its grid alive after the module drops
-it, and a copy never does, so no result keeps alive more than four times
-its own corr.  A request for a larger N grows the held grid: the held
-block is copied and only the entries of the new columns are formed.  A
-request for another model drops the held grid before assembling its
-own, and release_grid() drops it outright.  std is formed at resolution
-n from the diagonal rectangles, O(N) kernel values per call.
+of the model last asked for, keyed on the model's class and describe().
+A request for a model with the same key and at most the held N is
+served the leading block, read-only: a view of the held grid, or a copy
+when it has at most half the held increments.  A view keeps its grid
+alive after the module drops it, and a copy never does, so no result
+keeps alive more than four times its own corr.  A request for a larger
+N grows the held grid: the held block is copied and only the entries of
+the new columns are formed.  A request for another model drops the held
+grid before assembling its own, and release_grid() drops it outright.
+std is formed at resolution n from the diagonal rectangles, O(N) kernel
+values per call.
 
 The assembly runs in row blocks of about 2^18 kernel values.  A block of
 rows j0..j1-1 evaluates R on times j0..j1 against the times from
@@ -91,7 +92,8 @@ class IncrementCovariance:
         return cov
 
 
-# The held grid: (identity of its model, its read-only unit-scale corr).
+# The held grid: (class and describe() of its model, its read-only
+# unit-scale corr).
 _held: tuple | None = None
 
 
@@ -165,7 +167,7 @@ def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:
         raise DomainError(f"N={N} exceeds the dense-matrix cap {MAX_N}")
 
     std = _std(model, np.arange(N + 1, dtype=float) / float(n), n)
-    key = model.identity()
+    key = (type(model), model.describe())
     # one read of _held, so a concurrent call can cost an assembly but
     # never mix two grids
     held_key, held = _held or (None, None)

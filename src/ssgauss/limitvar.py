@@ -108,7 +108,10 @@ def sigma_q_sq(alpha: float, q: int, rel_tol: float = DEFAULT_REL_TOL,
         raise DomainError(f"alpha={alpha} outside (0, 2)")
     gate(q, alpha)
     expo = q * (alpha - 2.0) + 1.0  # tail exponent, < 0 wherever the gate admits alpha
-    prefac = 2.0**-q * math.factorial(q)
+    try:
+        prefac = math.factorial(q) / 2**q
+    except OverflowError:
+        raise NumericalError(f"sigma_q^2 exceeds the double range: q!/2^q at q={q}") from None
     decay = alpha * abs(alpha - 1.0)
 
     M = min(_M_START, m_cap)
@@ -116,6 +119,8 @@ def sigma_q_sq(alpha: float, q: int, rel_tol: float = DEFAULT_REL_TOL,
     while True:
         total = _partial_sum(alpha, q, M, whole)
         value = prefac * total
+        if not math.isfinite(value):
+            raise NumericalError(f"sigma_q^2 exceeds the double range (alpha={alpha}, q={q})")
         tail = prefac * 2.0 * decay**q * (M - 1.0) ** expo / abs(expo)
         if tail <= rel_tol * abs(value):
             break

@@ -180,11 +180,6 @@ class Model:
 
     # -- metadata -----------------------------------------------------
 
-    def identity(self) -> tuple:
-        """The class and describe(): models with equal identities have the
-        same kernel, so a grid of one serves the other."""
-        return (type(self), self.describe())
-
     def describe(self) -> dict:
         return {
             "model": self.name,

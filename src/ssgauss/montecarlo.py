@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__ as _VERSION
-from .covgrid import IncrementCovariance, increment_cov, num_increments
+from .covgrid import increment_cov, num_increments
 from .errors import DomainError, GridError
 from .hermite import HermiteFunction
 from .limitvar import gate, sigma_sq
 from .models import Model
-from .sampler import cholesky, sample_batch
+from .sampler import sample_batch
 
 __all__ = [
     "functional",
@@ -76,22 +76,13 @@ def functional(rows: np.ndarray, f: HermiteFunction, n: int, t_grid) -> np.ndarr
     return np.moveaxis(prefix, -1, 0)[ms] / math.sqrt(n)
 
 
-def exact_variance(model: Model, f: HermiteFunction, n: int, t: float,
-                   ic: IncrementCovariance | None = None) -> float:
-    """The orthogonality-based oracle for E[F_n(t)^2], from the leading
-    floor(n t) block of the n-free corr.  A passed grid must be of the
-    same model; its resolution may differ."""
+def exact_variance(model: Model, f: HermiteFunction, n: int, t: float) -> float:
+    """The orthogonality-based oracle for E[F_n(t)^2], from the n-free
+    corr of the first floor(n t) increments."""
     m = num_increments(n, t)
     if m < 1:
         return 0.0
-    if ic is None:
-        ic = increment_cov(model, n, m)
-    elif ic.model.identity() != model.identity():
-        raise DomainError(f"the prebuilt covariance is of {ic.model.name} {ic.model!r}, "
-                          f"not of {model.name} {model!r}")
-    if m > ic.N:
-        raise GridError(f"floor(n*t) = {m} exceeds the covariance grid N = {ic.N}")
-    sub = ic.corr[:m, :m]
+    sub = increment_cov(model, n, m).corr
     total = 0.0
     for q, c in sorted(f.coeffs.items()):
         total += math.factorial(q) * c * c * float(np.sum(sub**q)) / n
@@ -263,9 +254,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
             f"the smallest allowed time is 1/n = {1.0 / n:g}"
         )
     N = terms[-1]
-    ic = increment_cov(model, n, N)
-    factor = cholesky(ic)
-    batch = sample_batch(model, n, N, M, seed, threads=threads, ic=ic, factor=factor)
+    batch = sample_batch(model, n, N, M, seed, threads=threads)
 
     limit = sigma_sq(f, model.alpha)
 
@@ -278,7 +267,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
     times: list[TimeStats] = []
     for i, t in enumerate(t_grid):
         F = paths[i + 1]
-        exact = exact_variance(model, f, n, t, ic=ic)
+        exact = exact_variance(model, f, n, t)
         s_var = float(np.var(F, ddof=1))
         m2 = float(np.mean(F**2))
         m4 = float(np.mean(F**4))

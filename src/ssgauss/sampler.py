@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covgrid import IncrementCovariance, increment_cov
+from .covgrid import MAX_N, IncrementCovariance, increment_cov
 from .errors import DomainError, NumericalError
 from .models import Model
 
@@ -52,14 +52,11 @@ _U_MAX = np.nextafter(1.0, 0.0)
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular L with L L^T = cov + jitter I for the increment
-    covariance of model at resolution n with N increments."""
+    """Lower-triangular L with L L^T = cov + jitter I for an increment
+    covariance."""
 
     L: np.ndarray
     jitter: float
-    model: Model
-    n: int
-    N: int
 
 
 def cholesky(ic: IncrementCovariance) -> CholeskyFactor:
@@ -75,7 +72,7 @@ def cholesky(ic: IncrementCovariance) -> CholeskyFactor:
         eps = eps_rel * scale
         try:
             L = np.linalg.cholesky(cov if eps == 0.0 else cov + eps * np.eye(ic.N))
-            return CholeskyFactor(L=L, jitter=eps, model=ic.model, n=ic.n, N=ic.N)
+            return CholeskyFactor(L=L, jitter=eps)
         except np.linalg.LinAlgError:
             continue
     raise NumericalError(
@@ -182,16 +179,6 @@ class SampleBatch:
     normalized: np.ndarray
 
 
-def _check_grid(what: str, built, model: Model, n: int, N: int) -> None:
-    """Refuse a prebuilt covariance or factor of another model or grid."""
-    if built.model.identity() != model.identity():
-        raise DomainError(f"the prebuilt {what} has model {built.model.name} {built.model!r}, "
-                          f"not {model.name} {model!r}")
-    for field, want, got in (("n", n, built.n), ("N", N, built.N)):
-        if got != want:
-            raise DomainError(f"the prebuilt {what} has {field} {got}, not {want}")
-
-
 def _worker_count(threads: int) -> int:
     """threads capped at the CPUs this process may run on: workers beyond
     that only queue behind each other and behind the BLAS threads."""
@@ -199,27 +186,22 @@ def _worker_count(threads: int) -> int:
 
 
 def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
-                 threads: int = 1, ic: IncrementCovariance | None = None,
-                 factor: CholeskyFactor | None = None) -> SampleBatch:
+                 threads: int = 1) -> SampleBatch:
     """M independent increment rows of the model at resolution n.
 
-    Pass a prebuilt covariance/factor to amortize setup across batches;
-    one of another model, n or N is refused with DomainError.
-    threads is capped at the usable CPU count; it never changes the result.
+    The batch holds at most MAX_N^2 entries, the size of the largest
+    dense grid.  threads is capped at the usable CPU count; it never
+    changes the result.
     """
     if M < 1:
         raise DomainError(f"replica count M must be >= 1, got {M}")
     if threads < 1:
         raise DomainError(f"thread count must be >= 1, got {threads}")
-    if ic is None:
-        ic = increment_cov(model, n, N)
-    else:
-        _check_grid("covariance", ic, model, n, N)
-    if factor is None:
-        factor = cholesky(ic)
-    else:
-        _check_grid("factor", factor, model, n, N)
-    LT = factor.L.T.copy()
+    if M * N > MAX_N**2:
+        raise DomainError(f"a batch of M={M} rows of N={N} increments exceeds "
+                          f"the cap of MAX_N^2 = {MAX_N**2} entries")
+    ic = increment_cov(model, n, N)
+    LT = cholesky(ic).L.T.copy()
     inc = np.empty((M, N), dtype=float)
 
     def fill(lo: int, hi: int) -> None:

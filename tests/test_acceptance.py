@@ -478,7 +478,7 @@ def test_criterion_09_sampler_exactness(tmp_path):
     model = make_model("fbm", H=0.7)
     M, n = 2000, 64
     ic = increment_cov(model, n, n)
-    batch = sample_batch(model, n, n, M, seed=SEED, ic=ic)
+    batch = sample_batch(model, n, n, M, seed=SEED)
     emp = batch.increments.T @ batch.increments / M
     band = np.sqrt((np.outer(np.diag(ic.cov), np.diag(ic.cov)) + ic.cov**2) / M)
     dev = float(np.max(np.abs(emp - ic.cov)))

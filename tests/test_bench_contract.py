@@ -79,7 +79,8 @@ def test_benchmark_reads_every_name_and_key(tmp_path):
     assert {"variance/fbm/variance.json", "contraction/swanson/contraction.json",
             "clt/swanson/experiment.json", "simulate/swanson/batch.bin"} <= digested
 
-    assert tr.absent == ["ssgauss.montecarlo.exact_variance_from_corr"]
+    assert tr.absent == ["ssgauss.montecarlo.cholesky",
+                         "ssgauss.montecarlo.exact_variance_from_corr"]
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     wanted = {m["name"] for m in declared} - ADDED_OUTSIDE_TRACER
     assert wanted - set(tr.layer_metrics()) == set()

@@ -156,6 +156,28 @@ def test_contraction_keeps_norms_where_sigma_q_is_not_certified(tmp_path, capsys
     assert payload["tv_bound"] == {}
 
 
+@pytest.mark.parametrize("q", [83, 171])
+def test_contraction_keeps_norms_where_tv_bound_overflows(tmp_path, capsys, q):
+    # from q = 83 tv_bound's weights, and from q = 171 q!, pass the double range
+    rc = run_cli(["contraction", "--model", "fbm", "--H", "0.3", "--q", str(q),
+                  "--n", "8", "--out", str(tmp_path)])
+    assert rc != 1
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads((tmp_path / "contraction.json").read_text())
+    assert [r["n"] for r in payload["norms"]] == [8]
+    assert all(np.isfinite(r["norm"]) for r in payload["norms"])
+    assert payload["tv_bound"] == {}
+
+
+def test_simulate_batch_beyond_the_cap_exits_2(tmp_path, capsys):
+    rc = run_cli(["simulate", "--model", "fbm", "--H", "0.3", "--n", "64",
+                  "--M", "4611686018427387904", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "M=4611686018427387904" in err and "N=64" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("f", ["even_power:85", "even_power:86", "odd_abs_power:80",
                                "hermite:171"])
 def test_norm_beyond_double_range_exits_without_inf(tmp_path, capsys, f):

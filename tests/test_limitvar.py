@@ -168,6 +168,14 @@ def test_non_finite_total_is_a_numerical_error():
         sigma_sq(HermiteFunction({2: 1e154}), 0.5)
 
 
+@pytest.mark.parametrize("q", [171, 197])
+def test_sigma_q_past_the_double_range_is_a_numerical_error(q):
+    # sigma_q^2 is about q!, past the double range from q = 171; the
+    # prefactor q!/2^q is too from q = 197
+    with pytest.raises(NumericalError, match=f"double range.*q={q}"):
+        sigma_q_sq(0.6, q)
+
+
 def test_blowup_toward_gate():
     # certified accuracy degrades as alpha approaches the q=2 gate at 1.5
     # (the tail exponent 2(alpha-2)+1 tends to 0), so audit the growth at

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from ssgauss.covgrid import increment_cov
+from ssgauss.covgrid import release_grid
 from ssgauss.errors import DomainError, GateError, GridError
 from ssgauss.hermite import HermiteFunction, builtin_family
 from ssgauss.limitvar import sigma_q_sq
@@ -18,8 +18,7 @@ from ssgauss.montecarlo import (
     ks_test_normal,
     run_experiment,
 )
-
-from conftest import SubFBMNamedFBM
+from ssgauss.sampler import sample_batch
 
 H2 = builtin_family("single_hermite", 2)
 
@@ -70,24 +69,6 @@ def test_exact_variance_additive_over_chaoses():
     assert total == pytest.approx(parts, rel=1e-12)
 
 
-def test_exact_variance_refuses_a_grid_of_another_model():
-    fbm = make_model("fbm", H=0.3)
-    ic = increment_cov(make_model("swanson"), 16, 16)
-    with pytest.raises(DomainError, match="swanson"):
-        exact_variance(fbm, H2, 16, 1.0, ic=ic)
-    # subfbm's kernel under fbm's describe() is another model too
-    ic = increment_cov(SubFBMNamedFBM(0.3), 16, 16)
-    with pytest.raises(DomainError, match="SubFBMNamedFBM"):
-        exact_variance(fbm, H2, 16, 1.0, ic=ic)
-
-
-def test_exact_variance_reads_a_grid_at_another_resolution():
-    # corr does not depend on n, so a grid built at n = 64 serves n = 16
-    m = make_model("fbm", H=0.3)
-    ic = increment_cov(m, 64, 16)
-    assert exact_variance(m, H2, 16, 1.0, ic=ic) == exact_variance(m, H2, 16, 1.0)
-
-
 def test_exact_variance_approaches_series_limit():
     m = make_model("swanson")
     target = sigma_q_sq(0.5, 2).value
@@ -99,9 +80,8 @@ def test_exact_variance_linear_in_time():
     # Brownian-limit property at high resolution
     m = make_model("fbm", H=0.3)
     n = 4096
-    ic = increment_cov(m, n, n)
     ts = np.linspace(0.125, 1.0, 8)
-    vs = np.array([exact_variance(m, H2, n, t, ic=ic) for t in ts])
+    vs = np.array([exact_variance(m, H2, n, t) for t in ts])
     slope, intercept = np.polyfit(ts, vs, 1)
     fitted = slope * ts + intercept
     ss_res = float(np.sum((vs - fitted) ** 2))
@@ -138,6 +118,25 @@ def test_run_experiment_small_brownian():
     # reproducible end to end
     res2 = run_experiment(m, H2, 128, [0.5, 1.0], M=400, seed=7)
     assert res.to_dict() == res2.to_dict()
+
+
+@pytest.mark.parametrize("name,kw", [("swanson", {}), ("subfbm", {"H": 0.35}),
+                                     ("dw-z2", {"alpha": 0.5})])
+def test_run_experiment_takes_its_grid_from_the_one_path(name, kw):
+    # run_experiment builds no grid of its own: its oracle and its sample
+    # variances are, bit for bit, those of exact_variance and sample_batch
+    # called alone, whatever grid was held before each call
+    m = make_model(name, **kw)
+    f = builtin_family("even_power", 2)
+    n, M, seed, ts = 64, 200, 11, [0.25, 0.5, 1.0]
+    release_grid()
+    res = run_experiment(m, f, n, ts, M=M, seed=seed)
+    for row, t in zip(res.times, ts):
+        release_grid()
+        assert row.exact_var == exact_variance(m, f, n, t)
+    release_grid()
+    F = functional(sample_batch(m, n, 64, M, seed).normalized, f, n, ts)
+    assert [row.sample_var for row in res.times] == [float(np.var(x, ddof=1)) for x in F]
 
 
 def test_run_experiment_all_pairs_flag():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssgauss import sampler
-from ssgauss.covgrid import IncrementCovariance, increment_cov
+from ssgauss.covgrid import MAX_N, IncrementCovariance, increment_cov
 from ssgauss.errors import DomainError
 from ssgauss.models import make_model
 from ssgauss.sampler import (
@@ -15,8 +15,6 @@ from ssgauss.sampler import (
     sample_batch,
     write_batch,
 )
-
-from conftest import SubFBMNamedFBM
 
 
 def _manual_ic(cov, n=2):
@@ -130,7 +128,7 @@ def test_batch_empirical_covariance_in_band():
     m = make_model("fbm", H=0.7)
     M, N = 2000, 64
     ic = increment_cov(m, 64, N)
-    batch = sample_batch(m, 64, N, M, seed=2024, ic=ic)
+    batch = sample_batch(m, 64, N, M, seed=2024)
     emp = batch.increments.T @ batch.increments / M
     band = np.sqrt((np.outer(np.diag(ic.cov), np.diag(ic.cov)) + ic.cov**2) / M)
     assert np.max(np.abs(emp - ic.cov)) <= 5.0 * np.max(band)
@@ -139,35 +137,17 @@ def test_batch_empirical_covariance_in_band():
     assert np.all(var <= 1.0 + 5.0 / np.sqrt(M))
 
 
-@pytest.mark.parametrize("what,other", [
-    ("model", dict(model=make_model("swanson"))),
-    ("n", dict(n=16)),
-    ("N", dict(N=12)),
-])
-def test_batch_refuses_a_prebuilt_grid_of_another_call(what, other):
-    m = make_model("fbm", H=0.3)
-    built = dict(model=m, n=32, N=16) | other
-    ic = increment_cov(built["model"], built["n"], built["N"])
-    with pytest.raises(DomainError, match=f"{what} "):
-        sample_batch(m, 32, 16, 20, seed=0, ic=ic)
+def test_batch_beyond_the_cap_is_refused_before_any_work(monkeypatch):
+    # M * N = MAX_N^2 + 1 entries, one more than the largest dense grid
+    def no_grid(*args):
+        raise AssertionError("assembled a grid for a refused batch")
 
-
-@pytest.mark.parametrize("what,other", [
-    ("model", dict(model=make_model("swanson"))),
-    ("model", dict(model=SubFBMNamedFBM(0.3))),
-    ("n", dict(n=16)),
-    ("N", dict(N=12)),
-])
-def test_batch_refuses_a_prebuilt_factor_of_another_call(what, other):
-    # a swanson factor would label swanson increments fbm, and so would a
-    # factor of subfbm's kernel under fbm's describe(); one of another N
-    # would reach the matmul with the wrong shape
-    m = make_model("fbm", H=0.3)
-    built = dict(model=m, n=32, N=16) | other
-    factor = cholesky(increment_cov(built["model"], built["n"], built["N"]))
-    assert (factor.model, factor.n, factor.N) == (built["model"], built["n"], built["N"])
-    with pytest.raises(DomainError, match=f"factor has {what} "):
-        sample_batch(m, 32, 16, 20, seed=0, factor=factor)
+    monkeypatch.setattr(sampler, "increment_cov", no_grid)
+    N = 5
+    M = (MAX_N**2 + 1) // N
+    assert M * N == MAX_N**2 + 1
+    with pytest.raises(DomainError, match=f"M={M} .*N={N} .*{MAX_N**2}"):
+        sample_batch(make_model("fbm", H=0.3), 8, N, M, seed=0)
 
 
 def test_batch_rejects_empty():

@@ -18,6 +18,13 @@ covariance of consecutive path increments of F_n (which the limit says
 vanish).  KS standardization uses the exact finite-n variance, not the
 limit value, to keep slow variance convergence from contaminating the
 shape test.
+
+The per-row passes run in blocks of rows sized to stay in a core's L2
+cache: the Hermite recurrence and prefix sums of F_n, and the draws,
+gathers and means of the bootstrap.  None moves a bit: the recurrence
+and prefix sums act on each row alone, each bootstrap row is still one
+pairwise mean over its own draws, and the blocks of draws continue one
+Philox stream.
 """
 
 from __future__ import annotations
@@ -58,21 +65,35 @@ TOLERANCES = {
     "cross_se_mult": 4.0,
 }
 
+# The Hermite recurrence and prefix sums of functional, and the draws and
+# gathers of _bootstrap_moments, run on blocks of rows of about these many
+# values, so that a block and its temporaries stay in a core's L2 cache
+# instead of spanning whole (M, N) and (B, M) arrays.
+_FUNCTIONAL_ENTRIES = 1 << 15
+_BOOTSTRAP_ENTRIES = 1 << 16
+
 
 def functional(rows: np.ndarray, f: HermiteFunction, n: int, t_grid) -> np.ndarray:
     """F_n(t) at each t of t_grid, from one normalized row or a batch of M.
 
     Row i of the result is F_n(t_grid[i]): a float for one row, an (M,)
     array for a batch.  f is evaluated once on the increments below the
-    largest time, and every F_n(t) is a prefix sum of those values.
+    largest time, and every F_n(t) is a prefix sum of those values.  Both
+    run on blocks of rows of about _FUNCTIONAL_ENTRIES values; each value
+    depends on its own row alone, so the blocks give the bits of one pass.
     """
     arr = np.asarray(rows, dtype=float)
     ms = [max(num_increments(n, t), 0) for t in t_grid]
     top = max(ms, default=0)
     if top > arr.shape[-1]:
         raise GridError(f"floor(n*t) = {top} exceeds the sampled grid N = {arr.shape[-1]}")
-    prefix = np.zeros(arr.shape[:-1] + (top + 1,))
-    np.cumsum(f.evaluate(arr[..., :top]), axis=-1, out=prefix[..., 1:])
+    flat = arr.reshape(-1, arr.shape[-1])
+    prefix = np.zeros((flat.shape[0], top + 1))
+    step = max(1, _FUNCTIONAL_ENTRIES // max(top, 1))
+    for lo in range(0, flat.shape[0], step):
+        np.cumsum(f.evaluate(flat[lo:lo + step, :top]), axis=-1,
+                  out=prefix[lo:lo + step, 1:])
+    prefix = prefix.reshape(arr.shape[:-1] + (top + 1,))
     return np.moveaxis(prefix, -1, 0)[ms] / math.sqrt(n)
 
 
@@ -214,16 +235,31 @@ def derive_verdicts(times: list[dict], cross: list[dict], tol: dict) -> bool:
 def _bootstrap_moments(values: np.ndarray, seed: int, stream: int,
                        B: int = BOOTSTRAP_B) -> tuple[float, float]:
     """Bootstrap standard errors of the sample variance and of the
-    fourth-moment ratio, from a dedicated Philox stream."""
+    fourth-moment ratio, from a dedicated Philox stream.
+
+    The B resamples are drawn and reduced in blocks of rows of about
+    _BOOTSTRAP_ENTRIES draws: consecutive draws continue the one Philox
+    stream, and each row is still one pairwise mean over its m draws, so
+    the blocks give the bits of a single (B, m) pass.
+    """
     m = values.size
     key = np.array([seed & (2**64 - 1), (1 << 32) + stream], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    idx = rng.integers(0, m, size=(B, m))
     # powers are elementwise, so raising before the gather reduces the
-    # same (B, m) values in the same order as raising the gathered draws
-    mean1 = np.mean(values[idx], axis=1)
-    mean2 = np.mean((values**2)[idx], axis=1)
-    m4 = np.mean((values**4)[idx], axis=1)
+    # same values in the same order as raising the gathered draws
+    powers = (values, values**2, values**4)
+    means = np.empty((3, B))
+    rows = max(1, _BOOTSTRAP_ENTRIES // m)
+    buf = np.empty((min(rows, B), m))
+    for lo in range(0, B, rows):
+        hi = min(lo + rows, B)
+        idx = rng.integers(0, m, size=(hi - lo, m))
+        for src, mean in zip(powers, means):
+            # every draw lies in [0, m), so clip moves none; unlike the
+            # default mode it lets take write into buf without a copy
+            np.take(src, idx, out=buf[:hi - lo], mode="clip")
+            np.mean(buf[:hi - lo], axis=1, out=mean[lo:hi])
+    mean1, mean2, m4 = means
     m2 = mean2 - mean1**2
     kurt = m4 / (3.0 * np.maximum(mean2, 1e-300) ** 2)
     return float(np.std(m2, ddof=1)), float(np.std(kurt, ddof=1))
@@ -253,10 +289,11 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
             f"t = {t_grid[0]:g} gives floor(n*t) = 0 at n = {n}; "
             f"the smallest allowed time is 1/n = {1.0 / n:g}"
         )
+    # sigma^2 before any sampling: where its series cannot be certified,
+    # the run stops without drawing a batch
+    limit = sigma_sq(f, model.alpha)
     N = terms[-1]
     batch = sample_batch(model, n, N, M, seed, threads=threads)
-
-    limit = sigma_sq(f, model.alpha)
 
     # F_n over the grid with time 0 in front, so that consecutive rows
     # give the path increments

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from ssgauss.models import FBM, SubFBM, make_model
@@ -11,6 +13,17 @@ CATALOG_CASES = [
     ("dw-z1", {"alpha": 0.5}),
     ("dw-z2", {"alpha": 0.5}),
 ]
+
+
+def peak_bytes(call):
+    """(call(), the peak of traced memory while it ran)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class SubFBMNamedFBM(FBM):

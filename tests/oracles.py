@@ -118,3 +118,44 @@ def far_decay_ratios_on_grid(model, n: int = 729) -> list:
             env = n ** (-2.0 * b) * k ** (2.0 * b - a) * (j - k) ** (a - 2.0)
         ratios.append(abs(float(ic.cov[j, k])) / env)
     return ratios
+
+
+def functional_whole_array(rows, f, n: int, t_grid):
+    """F_n(t) over t_grid from one pass over the whole array: f on every
+    increment below the largest time, then prefix sums along each row."""
+    arr = np.asarray(rows, dtype=float)
+    ms = [max(math.floor(n * t), 0) for t in t_grid]
+    top = max(ms, default=0)
+    prefix = np.zeros(arr.shape[:-1] + (top + 1,))
+    np.cumsum(f.evaluate(arr[..., :top]), axis=-1, out=prefix[..., 1:])
+    return np.moveaxis(prefix, -1, 0)[ms] / math.sqrt(n)
+
+
+def sample_increments_whole_chunks(model, n: int, N: int, M: int, seed: int):
+    """The increments of sample_batch with the normals of each replica
+    chunk from one inverse-CDF call on all of the chunk's uniforms."""
+    from ssgauss.covgrid import increment_cov
+    from ssgauss.sampler import _REPLICA_CHUNK, _replica_uniforms, cholesky, normal_icdf
+
+    LT = cholesky(increment_cov(model, n, N)).L.T.copy()
+    inc = np.empty((M, N), dtype=float)
+    for lo in range(0, M, _REPLICA_CHUNK):
+        hi = min(lo + _REPLICA_CHUNK, M)
+        u = np.stack([_replica_uniforms(seed, rep, N) for rep in range(lo, hi)])
+        inc[lo:hi] = normal_icdf(u) @ LT
+    return inc
+
+
+def bootstrap_moments_whole_array(values, seed: int, stream: int, B: int):
+    """Bootstrap standard errors of the sample variance and the kurtosis
+    ratio as first written: all B x m draws at once, and powers of the
+    gathered draws."""
+    m = values.size
+    key = np.array([seed & (2**64 - 1), (1 << 32) + stream], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    idx = rng.integers(0, m, size=(B, m))
+    draws = values[idx]
+    m2 = np.mean(draws**2, axis=1) - np.mean(draws, axis=1) ** 2
+    m4 = np.mean(draws**4, axis=1)
+    kurt = m4 / (3.0 * np.maximum(np.mean(draws**2, axis=1), 1e-300) ** 2)
+    return float(np.std(m2, ddof=1)), float(np.std(kurt, ddof=1))

@@ -12,7 +12,7 @@ from ssgauss.hermite import builtin_family
 from ssgauss.models import FBM, make_model
 from ssgauss.montecarlo import exact_variance
 
-from conftest import CATALOG_CASES, SubFBMNamedFBM
+from conftest import CATALOG_CASES, SubFBMNamedFBM, peak_bytes
 from oracles import increment_cov_full_grid
 
 EPS = np.finfo(float).eps
@@ -175,23 +175,13 @@ def _block_allowance(N):
     return 12 * 8 * (covgrid._BLOCK_ENTRIES + N + 1)
 
 
-def _peak_bytes(call):
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_assembly_peak_memory_is_one_output_plus_blocks(released):
     # corr is the one 8 N^2-byte array; a full-grid assembly peaks at about
     # 8 x 8 N^2 with its kernel grid and mirrored temporaries
     m = make_model("bifbm", H=0.6, K=0.5)
     N = 2048
     increment_cov(m, 64, 64)
-    ic, peak = _peak_bytes(lambda: increment_cov(m, N, N))
+    ic, peak = peak_bytes(lambda: increment_cov(m, N, N))
     assert ic.corr.shape == (N, N)
     assert peak <= 8 * N * N + _block_allowance(N), peak / (8 * N * N)
 
@@ -202,7 +192,7 @@ def test_exact_variance_peak_memory_is_corr_plus_one_power(released):
     f = builtin_family("single_hermite", 2)
     N = 2048
     exact_variance(m, f, 64, 1.0)
-    value, peak = _peak_bytes(lambda: exact_variance(m, f, N, 1.0))
+    value, peak = peak_bytes(lambda: exact_variance(m, f, N, 1.0))
     assert value > 0.0
     assert peak <= 2 * 8 * N * N + _block_allowance(N), peak / (8 * N * N)
 

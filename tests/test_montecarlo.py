@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
+from ssgauss import montecarlo
 from ssgauss.covgrid import release_grid
-from ssgauss.errors import DomainError, GateError, GridError
+from ssgauss.errors import DomainError, GateError, GridError, NumericalError
 from ssgauss.hermite import HermiteFunction, builtin_family
 from ssgauss.limitvar import sigma_q_sq
 from ssgauss.models import make_model
@@ -19,6 +20,9 @@ from ssgauss.montecarlo import (
     run_experiment,
 )
 from ssgauss.sampler import sample_batch
+
+from conftest import peak_bytes
+from oracles import bootstrap_moments_whole_array, functional_whole_array
 
 H2 = builtin_family("single_hermite", 2)
 
@@ -163,25 +167,97 @@ def test_run_experiment_rejects_time_below_one_over_n():
         run_experiment(make_model("fbm", H=0.5), H2, 16, [0.01, 1.0], M=200, seed=0)
 
 
-def _bootstrap_moments_oracle(values, seed, stream, B=BOOTSTRAP_B):
-    # the formula as first written: powers of the gathered draws
-    m = values.size
-    key = np.array([seed & (2**64 - 1), (1 << 32) + stream], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    idx = rng.integers(0, m, size=(B, m))
-    draws = values[idx]
-    m2 = np.mean(draws**2, axis=1) - np.mean(draws, axis=1) ** 2
-    m4 = np.mean(draws**4, axis=1)
-    kurt = m4 / (3.0 * np.maximum(np.mean(draws**2, axis=1), 1e-300) ** 2)
-    return float(np.std(m2, ddof=1)), float(np.std(kurt, ddof=1))
-
-
 @pytest.mark.parametrize("seed,stream", [(0, 0), (20240801, 3)])
 def test_bootstrap_moments_bit_identical_to_oracle(seed, stream):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(1500) ** 2 - 1.0
     assert _bootstrap_moments(values, seed, stream) == \
-        _bootstrap_moments_oracle(values, seed, stream)
+        bootstrap_moments_whole_array(values, seed, stream, BOOTSTRAP_B)
+
+
+def _hex(pair):
+    return [float(x).hex() for x in pair]
+
+
+@pytest.mark.parametrize("m,B,entries", [
+    (4000, 37, None),      # 16 rows a block; B no multiple of it
+    (70000, 7, None),      # m above the block: one row a block
+    (1500, 100, 1000),     # the same with a small block, 100 blocks
+    (300, 1000, 2048),     # 6 rows a block, 167 blocks
+])
+def test_blocked_bootstrap_is_the_whole_array_bits(m, B, entries, monkeypatch):
+    # the blocks continue one Philox stream and reduce each row with one
+    # pairwise mean, so no block size moves a bit
+    if entries is not None:
+        monkeypatch.setattr(montecarlo, "_BOOTSTRAP_ENTRIES", entries)
+    values = np.random.default_rng(m).standard_normal(m) ** 2 - 1.0
+    assert _hex(_bootstrap_moments(values, 5, 2, B=B)) == \
+        _hex(bootstrap_moments_whole_array(values, 5, 2, B))
+
+
+_FS = [H2, builtin_family("odd_abs_power", 1)]
+
+
+@pytest.mark.parametrize("f", _FS, ids=["hermite2", "odd_abs_power1"])
+@pytest.mark.parametrize("shape,ts,entries", [
+    ((3, 64), [0.25, 1.0], None),            # M below one block
+    ((1000, 64), [0.5, 1.0], None),          # 512 rows a block; 1000 no multiple
+    ((4000, 512), [0.25, 0.5, 1.0], None),   # the clt-mc batch: 64 rows a block
+    ((300, 96), [0.25, 0.5], None),          # top = 48 < N: strided slices
+    ((300, 96), [0.0, 0.25, 0.75], 150),     # top = 72: 2 rows a block, strided
+    ((50, 96), [1.0], 10),                   # block below one row: one row a block
+    ((2, 5, 64), [0.5, 1.0], 64),            # a stack of batches
+    ((96,), [0.0, 0.25, 0.5, 1.0], 8),       # one row
+])
+def test_blocked_functional_is_the_whole_array_bits(f, shape, ts, entries, monkeypatch):
+    if entries is not None:
+        monkeypatch.setattr(montecarlo, "_FUNCTIONAL_ENTRIES", entries)
+    # n = N, so t = 1 reaches the last increment
+    n = shape[-1]
+    rows = np.random.default_rng(len(shape) + n).standard_normal(shape)
+    got = functional(rows, f, n, ts)
+    want = functional_whole_array(rows, f, n, ts)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_bootstrap_peak_memory_is_blocks_plus_vectors():
+    # the draws and the gathered values of one block (the next block's
+    # draws are made while the last ones are alive), two powers of the
+    # values and a few B-vectors; a whole-array bootstrap holds
+    # B x m draws and gathered values, 128 MB here
+    m, B = 8000, BOOTSTRAP_B
+    values = np.random.default_rng(0).standard_normal(m)
+    _bootstrap_moments(values, 0, 0, B=10)
+    _, peak = peak_bytes(lambda: _bootstrap_moments(values, 0, 0, B=B))
+    block = 8 * max(montecarlo._BOOTSTRAP_ENTRIES, m)
+    assert peak <= 3 * block + 8 * (4 * m + 10 * B), peak / 2**20
+
+
+def test_functional_peak_memory_is_prefix_plus_one_block():
+    # the (M, top + 1) prefix sums, the result and its scaled copy, and
+    # the recurrence temporaries of one block: f, He_(q-1), He_q, He_(q+1)
+    # and c_q He_q; a whole-array pass holds those five at (M, N)
+    M, N, n = 4000, 512, 512
+    f = builtin_family("odd_abs_power", 1)
+    rows = np.random.default_rng(0).standard_normal((M, N))
+    ts = [0.0, 0.25, 0.5, 0.75, 1.0]
+    functional(rows[:2], f, n, ts)
+    out, peak = peak_bytes(lambda: functional(rows, f, n, ts))
+    assert out.shape == (len(ts), M)
+    allowance = 8 * M * (N + 1) + 2 * 8 * len(ts) * M + 6 * 8 * montecarlo._FUNCTIONAL_ENTRIES
+    assert peak <= allowance, peak / 2**20
+
+
+def test_sigma_sq_hole_fails_before_any_sampling(monkeypatch):
+    # fbm at H = 0.7 (alpha = 1.4) passes the gate for rank 2 but its
+    # sigma^2 series cannot be certified; the run stops before a batch
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sample_batch reached")
+
+    monkeypatch.setattr(montecarlo, "sample_batch", no_sampling)
+    with pytest.raises(NumericalError):
+        run_experiment(make_model("fbm", H=0.7), H2, 512, [0.5, 1.0], M=4000, seed=0)
 
 
 def test_experiment_summary_rows():

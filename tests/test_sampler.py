@@ -16,6 +16,8 @@ from ssgauss.sampler import (
     write_batch,
 )
 
+from oracles import sample_increments_whole_chunks
+
 
 def _manual_ic(cov, n=2):
     std = np.sqrt(np.diag(cov))
@@ -193,6 +195,24 @@ def test_chunk_icdf_equals_per_replica_normals():
     assert np.array_equal(block, np.stack([normal_icdf(row) for row in u]))
     assert np.all(np.abs(block[7, :4]) > 7.0)  # r > 5 branch
     assert np.array_equal(np.sign(block[7, :6]), [-1, 1, -1, 1, -1, 1])
+
+
+@pytest.mark.parametrize("N,M,entries,threads", [
+    (96, _REPLICA_CHUNK + 9, None, 1),         # 341 rows a block; 512 no multiple
+    (96, 2 * _REPLICA_CHUNK + 100, None, 2),   # three chunks on two threads
+    (48, 700, 200, 2),                         # 4 rows a block
+    (64, 300, 16, 1),                          # block below one row: one row a block
+])
+def test_blocked_icdf_batch_is_the_whole_chunk_bits(N, M, entries, threads, monkeypatch):
+    # the inverse CDF is elementwise and each chunk still takes one
+    # product with L^T, so the block size never moves a bit
+    if entries is not None:
+        monkeypatch.setattr(sampler, "_ICDF_ENTRIES", entries)
+    monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0, 1})
+    m = make_model("swanson")
+    batch = sample_batch(m, 64, N, M, seed=20240801, threads=threads)
+    want = sample_increments_whole_chunks(m, 64, N, M, 20240801)
+    assert batch.increments.tobytes() == want.tobytes()
 
 
 def test_top_uniform_stays_below_one(monkeypatch):

@@ -46,7 +46,11 @@ _NOT_CONFIG = frozenset({"command", "func", "config", "print_config"})
 
 
 def _parse(convert, text, flag: str):
-    """convert(text), with a malformed value reported as a usage error."""
+    """convert(text), with a malformed value reported as a usage error.  A
+    config file's boolean, or its float where an integer is expected, is
+    malformed rather than truncated."""
+    if isinstance(text, bool) or (convert is int and isinstance(text, float)):
+        raise DomainError(f"malformed {flag} value {text!r}")
     try:
         return convert(text)
     except (TypeError, ValueError):

@@ -17,16 +17,18 @@ corr[j, k] = cov[j, k] / (std[j] std[k]) independent of n, and the N x N
 correlation the leading block of every larger one.  So corr is assembled
 at unit scale, on the integer times 0..N, and the module holds one grid,
 of the model last asked for, keyed on the model's class and describe().
-A request for a model with the same key and at most the held N is
-served the leading block, read-only: a view of the held grid, or a copy
-when it has at most half the held increments.  A view keeps its grid
-alive after the module drops it, and a copy never does, so no result
-keeps alive more than four times its own corr.  A request for a larger
-N grows the held grid: the held block is copied and only the entries of
-the new columns are formed.  A request for another model drops the held
-grid before assembling its own, and release_grid() drops it outright.
-std is formed at resolution n from the diagonal rectangles, O(N) kernel
-values per call.
+The grid also holds the unit-scale std, the square roots of the diagonal
+rectangles on the integer times, and std at resolution n is
+std_unit[j] n^(-beta), so a request makes no kernel call once its grid
+is held.  A request for a model with the same key and at most the held
+N is served the leading block, read-only: a view of the held grid, or a
+copy when it has at most half the held increments.  A view keeps its
+grid alive after the module drops it, and a copy never does, so no
+result keeps alive more than four times its own corr.  A request for a
+larger N grows the held grid: the held block is copied and only the
+entries of the new columns are formed.  A request for another model
+drops the held grid before assembling its own, and release_grid() drops
+it outright.
 
 The assembly runs in row blocks of about 2^18 kernel values.  A block of
 rows j0..j1-1 evaluates R on times j0..j1 against the times from
@@ -74,9 +76,10 @@ def num_increments(n: int, t: float) -> int:
 class IncrementCovariance:
     """std[j], the L2 norm of DX_j, and corr[j, k], the correlation of DX_j
     and DX_k, on a grid of resolution n with N increments.  corr does not
-    depend on n (self-similarity); cov[j, k] = corr[j, k] std[j] std[k] is
-    not stored but formed on each access.  Instances are immutable and
-    safe to share across workers."""
+    depend on n, and std only through the factor n^(-beta) (self-
+    similarity); cov[j, k] = corr[j, k] std[j] std[k] is not stored but
+    formed on each access.  Instances are immutable and safe to share
+    across workers."""
 
     model: Model
     n: int
@@ -92,8 +95,8 @@ class IncrementCovariance:
         return cov
 
 
-# The held grid: (class and describe() of its model, its read-only
-# unit-scale corr).
+# The held grid: (class and describe() of its model, its unit-scale std,
+# its read-only unit-scale corr).
 _held: tuple | None = None
 
 
@@ -103,7 +106,7 @@ def release_grid() -> None:
     _held = None
 
 
-def _std(model: Model, times: np.ndarray, n: int) -> np.ndarray:
+def _std(model: Model, times: np.ndarray) -> np.ndarray:
     """Square roots of the diagonal rectangles on consecutive times, with
     the operands in the order the blocks of _grow subtract them, so they
     hold the bits of the assembled diagonal; raises on a nonpositive one."""
@@ -113,18 +116,18 @@ def _std(model: Model, times: np.ndarray, n: int) -> np.ndarray:
     if np.any(diag <= 0.0):
         j = int(np.argmin(diag))
         raise NumericalError(
-            f"{model.name}: nonpositive increment variance {diag[j]!r} at j={j}, n={n}"
+            f"{model.name}: nonpositive increment variance {diag[j]!r} at j={j}"
         )
     return np.sqrt(diag)
 
 
-def _grow(model: Model, held: np.ndarray | None, N: int) -> np.ndarray:
-    """The unit-scale N x N corr, read-only: the held leading block of the
-    same model copied (none for a fresh grid) and only the entries of the
-    new columns and their mirror formed."""
+def _grow(model: Model, held: np.ndarray | None, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-scale std and N x N corr, corr read-only: the held leading
+    block of the same model copied (none for a fresh grid) and only the
+    entries of the new columns and their mirror formed."""
     N0 = 0 if held is None else held.shape[0]
     times = np.arange(N + 1, dtype=float)
-    std = _std(model, times, 1)
+    std = _std(model, times)
     corr = np.empty((N, N), dtype=float)
     if N0:
         corr[:N0, :N0] = held
@@ -152,12 +155,12 @@ def _grow(model: Model, held: np.ndarray | None, N: int) -> np.ndarray:
         corr[c0:, j0:j1] = blk.T
     np.fill_diagonal(corr, 1.0)
     corr.flags.writeable = False
-    return corr
+    return std, corr
 
 
 def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:
-    """The exact increment correlation and norms at resolution n; corr is
-    read from the held grid (see the module docstring)."""
+    """The exact increment correlation and norms at resolution n, read from
+    the held grid (see the module docstring)."""
     global _held
     if n < 2:
         raise DomainError(f"grid resolution n must be >= 2, got {n}")
@@ -166,19 +169,21 @@ def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:
     if N > MAX_N:
         raise DomainError(f"N={N} exceeds the dense-matrix cap {MAX_N}")
 
-    std = _std(model, np.arange(N + 1, dtype=float) / float(n), n)
     key = (type(model), model.describe())
     # one read of _held, so a concurrent call can cost an assembly but
     # never mix two grids
-    held_key, held = _held or (None, None)
+    held_key, std_unit, held = _held or (None, None, None)
     if held_key != key:
         held = None
     if held is None or held.shape[0] < N:
         _held = None
-        held = _grow(model, held, N)
-        _held = (key, held)
+        std_unit, held = _grow(model, held, N)
+        _held = (key, std_unit, held)
     corr = held[:N, :N]
     if 2 * N <= held.shape[0]:
         corr = corr.copy()
         corr.flags.writeable = False
+    # self-similarity: the increments on {j/n} are n^(-beta) times those
+    # on the integers
+    std = std_unit[:N] * float(n) ** (-model.beta)
     return IncrementCovariance(model=model, n=int(n), N=int(N), std=std, corr=corr)

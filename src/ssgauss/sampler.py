@@ -1,7 +1,8 @@
 """Exact Gaussian increment sampling with replica-indexed randomness.
 
-Sampling is exact: a Cholesky factor L of the increment covariance turns
-i.i.d. standard normals z into rows L z with the target law.  Randomness
+Sampling is exact: a Cholesky factor L of the increment correlation
+turns i.i.d. standard normals z into rows L z with the law of the
+normalized increments DX_j / std[j], which do not depend on n.  Randomness
 is counter-based and splittable: replica i draws its normals from a
 Philox stream keyed by (seed, i), so any degree of parallelism, and any
 chunking of the replica range, reproduces identical batches bit for bit.
@@ -60,27 +61,29 @@ _U_MAX = np.nextafter(1.0, 0.0)
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular L with L L^T = cov + jitter I for an increment
-    covariance."""
+    """Lower-triangular L with L L^T = corr + jitter diag(std^-2) for an
+    increment grid, so diag(std) L factors cov + jitter I.  jitter is in
+    the units of cov; unjittered, L does not depend on n."""
 
     L: np.ndarray
     jitter: float
 
 
 def cholesky(ic: IncrementCovariance) -> CholeskyFactor:
-    """Lower-triangular factor of cov + eps*I for the smallest workable eps.
+    """Lower-triangular factor of corr + eps diag(std^-2), which is
+    cov + eps*I in correlation units, for the smallest workable eps.
 
-    eps walks the escalation ladder scaled by trace/N; exhausting it means
-    the assembled matrix is not close to positive semidefinite and signals
-    an invalid model/grid combination.
+    eps walks the escalation ladder scaled by trace(cov)/N; exhausting it
+    means the assembled matrix is not close to positive semidefinite and
+    signals an invalid model/grid combination.  cov itself is never formed.
     """
-    cov = ic.cov
-    scale = float(np.trace(cov)) / ic.N
+    var = ic.std**2
+    scale = float(var.sum()) / ic.N
     for eps_rel in JITTER_LADDER:
         eps = eps_rel * scale
+        a = ic.corr if eps == 0.0 else ic.corr + np.diag(eps / var)
         try:
-            L = np.linalg.cholesky(cov if eps == 0.0 else cov + eps * np.eye(ic.N))
-            return CholeskyFactor(L=L, jitter=eps)
+            return CholeskyFactor(L=np.linalg.cholesky(a), jitter=eps)
         except np.linalg.LinAlgError:
             continue
     raise NumericalError(
@@ -173,18 +176,25 @@ def _replica_normals(seed: int, replica: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Replica-indexed batch of increment rows and their normalizations.
+    """Replica-indexed batch of normalized increment rows.
 
-    Row i is replica i.  Content is a pure function of (model, n, N, M,
-    seed); the threads argument of sample_batch never changes it.
+    Row i is replica i: normalized[i, j] = DX_j / std[j], with unit
+    variance.  Only normalized and std are stored; the increments are
+    formed on each access.  Content is a pure function of (model, n, N,
+    M, seed); the threads argument of sample_batch never changes it.
     """
 
     seed: int
     M: int
     n: int
     N: int
-    increments: np.ndarray
     normalized: np.ndarray
+    std: np.ndarray
+
+    @property
+    def increments(self) -> np.ndarray:
+        """normalized * std, a new array on each access."""
+        return self.normalized * self.std
 
 
 def _worker_count(threads: int) -> int:
@@ -197,10 +207,14 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
                  threads: int = 1) -> SampleBatch:
     """M independent increment rows of the model at resolution n.
 
-    The batch holds at most MAX_N^2 entries, the size of the largest
-    dense grid.  threads is capped at the usable CPU count; it never
-    changes the result.
+    The batch stores one array of at most MAX_N^2 entries, the size of the
+    largest dense grid.  The seed must fit the int64 of the batch header.
+    threads is capped at the usable CPU count; it never changes the
+    result.
     """
+    if not -(1 << 63) <= seed < 1 << 63:
+        raise DomainError(f"seed {seed} is outside [-2^63, 2^63), the range "
+                          f"a batch file stores")
     if M < 1:
         raise DomainError(f"replica count M must be >= 1, got {M}")
     if threads < 1:
@@ -210,7 +224,7 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
                           f"the cap of MAX_N^2 = {MAX_N**2} entries")
     ic = increment_cov(model, n, N)
     LT = cholesky(ic).L.T.copy()
-    inc = np.empty((M, N), dtype=float)
+    normalized = np.empty((M, N), dtype=float)
 
     def fill(lo: int, hi: int) -> None:
         # normal_icdf is elementwise, so calls on blocks of the chunk's
@@ -223,7 +237,7 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
         step = max(1, _ICDF_ENTRIES // N)
         for r0 in range(0, hi - lo, step):
             z[r0:r0 + step] = normal_icdf(z[r0:r0 + step])
-        inc[lo:hi] = z @ LT
+        normalized[lo:hi] = z @ LT
 
     chunks = [(lo, min(lo + _REPLICA_CHUNK, M)) for lo in range(0, M, _REPLICA_CHUNK)]
     workers = _worker_count(threads)
@@ -233,9 +247,8 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda c: fill(*c), chunks))
-    normalized = inc / ic.std[None, :]
     return SampleBatch(seed=int(seed), M=int(M), n=int(n), N=int(N),
-                       increments=inc, normalized=normalized)
+                       normalized=normalized, std=ic.std)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +261,7 @@ _HEADER = struct.Struct("<4q")
 def write_batch(batch: SampleBatch, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(batch.n, batch.N, batch.M, batch.seed))
-        fh.write(np.ascontiguousarray(batch.increments, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(batch.increments, dtype="<f8"))
 
 
 def read_batch(path) -> tuple[dict, np.ndarray]:

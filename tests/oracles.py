@@ -131,19 +131,19 @@ def functional_whole_array(rows, f, n: int, t_grid):
     return np.moveaxis(prefix, -1, 0)[ms] / math.sqrt(n)
 
 
-def sample_increments_whole_chunks(model, n: int, N: int, M: int, seed: int):
-    """The increments of sample_batch with the normals of each replica
+def sample_normalized_whole_chunks(model, n: int, N: int, M: int, seed: int):
+    """The normalized rows of sample_batch with the normals of each replica
     chunk from one inverse-CDF call on all of the chunk's uniforms."""
     from ssgauss.covgrid import increment_cov
     from ssgauss.sampler import _REPLICA_CHUNK, _replica_uniforms, cholesky, normal_icdf
 
     LT = cholesky(increment_cov(model, n, N)).L.T.copy()
-    inc = np.empty((M, N), dtype=float)
+    rows = np.empty((M, N), dtype=float)
     for lo in range(0, M, _REPLICA_CHUNK):
         hi = min(lo + _REPLICA_CHUNK, M)
         u = np.stack([_replica_uniforms(seed, rep, N) for rep in range(lo, hi)])
-        inc[lo:hi] = normal_icdf(u) @ LT
-    return inc
+        rows[lo:hi] = normal_icdf(u) @ LT
+    return rows
 
 
 def bootstrap_moments_whole_array(values, seed: int, stream: int, B: int):
@@ -159,3 +159,32 @@ def bootstrap_moments_whole_array(values, seed: int, stream: int, B: int):
     m4 = np.mean(draws**4, axis=1)
     kurt = m4 / (3.0 * np.maximum(np.mean(draws**2, axis=1), 1e-300) ** 2)
     return float(np.std(m2, ddof=1)), float(np.std(kurt, ddof=1))
+
+
+def kernel_mp(model, u, v):
+    """R(u, v) for 0 <= u <= v from the catalog's closed forms in mpmath,
+    at the working precision of the caller's mp context; the parameters are
+    the model's doubles, taken exactly."""
+    import mpmath as mp
+
+    if u == 0:
+        return mp.mpf(0)
+    u, v = mp.mpf(u), mp.mpf(v)
+    p = {k: mp.mpf(x) for k, x in model.params.items()}
+    if model.name == "fbm":
+        g = 2 * p["H"]
+        return (u**g + v**g - (v - u) ** g) / 2
+    if model.name == "subfbm":
+        g = 2 * p["H"]
+        return u**g + v**g - ((u + v) ** g + (v - u) ** g) / 2
+    if model.name == "bifbm":
+        H, K = p["H"], p["K"]
+        return 2 ** (-K) * ((u ** (2 * H) + v ** (2 * H)) ** K - (v - u) ** (2 * H * K))
+    if model.name == "swanson":
+        return mp.sqrt(u * v) * mp.asin(mp.sqrt(u / v))
+    a = p["alpha"]
+    if model.name == "dw-z1":
+        return mp.gamma(1 - a) * ((u + v) ** a - v**a)
+    if model.name == "dw-z2":
+        return mp.gamma(1 - a) * (u**a + v**a - (u + v) ** a)
+    raise ValueError(f"no reference kernel for {model.name}")

@@ -178,6 +178,37 @@ def test_simulate_batch_beyond_the_cap_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", ["9223372036854775808", "-9223372036854775809"])
+@pytest.mark.parametrize("args", [["simulate", "--M", "4"],
+                                  ["clt", "--f", "hermite:2", "--M", "200"]])
+def test_seed_beyond_the_batch_header_exits_2(tmp_path, capsys, args, seed):
+    # the header stores the seed as an int64; a seed outside it would alias
+    # seed + 2^64 and could not be written, so no batch is drawn for it
+    rc = run_cli(args + ["--model", "fbm", "--H", "0.3", "--n", "16", "--seed", seed,
+                         "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"seed {seed}" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config,named", [
+    pytest.param({"n": 8.9, "M": 2}, "--n value 8.9", id="float-n"),
+    pytest.param({"n": 8, "M": 2.7}, "--M value 2.7", id="float-M"),
+    pytest.param({"n": 8, "M": True}, "--M value True", id="bool-M"),
+    pytest.param({"n": 8, "M": 2, "H": True}, "--H value True", id="bool-H"),
+])
+def test_config_value_that_is_no_integer_exits_2(tmp_path, capsys, config, named):
+    # json.load gives floats and booleans as such; int() would truncate them
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "fbm", "H": 0.3} | config))
+    rc = run_cli(["simulate", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "batch.bin").exists()
+
+
 @pytest.mark.parametrize("f", ["even_power:85", "even_power:86", "odd_abs_power:80",
                                "hermite:171"])
 def test_norm_beyond_double_range_exits_without_inf(tmp_path, capsys, f):

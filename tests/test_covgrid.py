@@ -13,7 +13,7 @@ from ssgauss.models import FBM, make_model
 from ssgauss.montecarlo import exact_variance
 
 from conftest import CATALOG_CASES, SubFBMNamedFBM, peak_bytes
-from oracles import increment_cov_full_grid
+from oracles import increment_cov_full_grid, kernel_mp
 
 EPS = np.finfo(float).eps
 
@@ -123,8 +123,9 @@ def test_blocked_assembly_bit_identical_to_full_grid(name, kw, monkeypatch):
         for n, N in sizes:
             covgrid.release_grid()
             ic = increment_cov(m, n, N)
-            std = increment_cov_full_grid(m, n, N)[1]
             cov, std_unit, corr = increment_cov_full_grid(m, 1, N)
+            # std at resolution n is the unit-scale std times n^(-beta)
+            std = std_unit * float(n) ** (-m.beta)
             for got, want in ((ic.std, std), (ic.corr, corr)):
                 assert got.tobytes() == want.tobytes(), (entries, n, N)
             # the derived cov rounds std[j] std[k], corr and their product,
@@ -133,6 +134,53 @@ def test_blocked_assembly_bit_identical_to_full_grid(name, kw, monkeypatch):
             derived = dataclasses.replace(ic, std=std_unit).cov
             assert np.array_equal(derived == 0.0, cov == 0.0), (entries, n, N)
             assert np.all(np.abs(derived - cov) <= 2 * EPS * np.abs(cov)), (entries, n, N)
+
+
+@pytest.mark.parametrize("name,kw", CATALOG_CASES)
+def test_unit_scale_std_against_50_digit_rectangles(name, kw):
+    # std[j]^2 is the rectangle rect = A - 2B + D of the kernel values
+    # A = R(j+1, j+1), B = R(j, j+1) = R(j+1, j) and D = R(j, j), formed as
+    # (A - B) - (B - D).  If Model.r gives them with relative errors at most
+    # rho, the three subtractions each round by at most u = eps/2 of a
+    # partial sum, and those sums total at most S = |A| + 2|B| + |D|; the
+    # square root rounds by u, which squaring (exact here) doubles.  So
+    #     |std^2 - rect| <= (rho + 2u) S + 2u |rect|
+    # to first order in u: a relative error of kappa (rho + 2u) + 2u, with
+    # kappa = S / |rect| the rectangle's condition number.  The test allows
+    # (rho + eps) S + 2 eps |rect|, with room for the second-order terms.
+    mp = pytest.importorskip("mpmath")
+    m = make_model(name, **kw)
+    N = 1024
+    times = np.arange(N + 1, dtype=float)
+    std = covgrid._std(m, times)
+    got_diag, got_off = m.r(times, times), m.r(times[:-1], times[1:])
+    eps = mp.mpf(EPS)
+    with mp.workdps(50):
+        diag = [kernel_mp(m, j, j) for j in range(N + 1)]
+        off = [kernel_mp(m, j, j + 1) for j in range(N)]
+        for j in range(N):
+            corners = ((got_diag[j + 1], diag[j + 1]), (got_off[j], off[j]),
+                       (got_diag[j], diag[j]))
+            rho = max((abs(mp.mpf(g) - x) / abs(x) if x else mp.mpf(0)) for g, x in corners)
+            S = abs(diag[j + 1]) + 2 * abs(off[j]) + abs(diag[j])
+            rect = diag[j + 1] - 2 * off[j] + diag[j]
+            gap = abs(mp.mpf(std[j]) ** 2 - rect)
+            assert gap <= (rho + eps) * S + 2 * eps * abs(rect), (name, j)
+
+
+def test_a_held_grid_is_served_at_any_resolution_without_a_kernel_call(released,
+                                                                       monkeypatch):
+    m = make_model("swanson")
+    std_unit = increment_cov_full_grid(m, 1, 256)[1]
+    increment_cov(m, 64, 256)
+
+    def no_kernel(*args):
+        raise AssertionError("evaluated the kernel for a held grid")
+
+    monkeypatch.setattr(m, "r", no_kernel)
+    for n, N in ((64, 256), (1000, 128), (2, 7)):
+        ic = increment_cov(m, n, N)
+        assert ic.std.tobytes() == (std_unit[:N] * float(n) ** (-m.beta)).tobytes()
 
 
 @pytest.mark.parametrize("name,kw", CATALOG_CASES)

@@ -3,7 +3,7 @@ import pytest
 
 from ssgauss import sampler
 from ssgauss.covgrid import MAX_N, IncrementCovariance, increment_cov
-from ssgauss.errors import DomainError
+from ssgauss.errors import DomainError, NumericalError
 from ssgauss.models import make_model
 from ssgauss.sampler import (
     _REPLICA_CHUNK,
@@ -16,7 +16,8 @@ from ssgauss.sampler import (
     write_batch,
 )
 
-from oracles import sample_increments_whole_chunks
+from conftest import CATALOG_CASES, peak_bytes
+from oracles import sample_normalized_whole_chunks
 
 
 def _manual_ic(cov, n=2):
@@ -28,15 +29,19 @@ def _manual_ic(cov, n=2):
 
 
 def test_cholesky_brownian_grid():
+    # L factors corr; diag(std) L factors cov
     ic = increment_cov(make_model("fbm", H=0.5), 4, 4)
     factor = cholesky(ic)
     assert factor.jitter == 0.0
-    assert np.array_equal(factor.L, np.eye(4) / 2.0)
+    assert np.array_equal(factor.L, np.eye(4))
+    assert np.array_equal(ic.std[:, None] * factor.L, np.eye(4) / 2.0)
 
 
 def test_cholesky_diagonal_input():
-    factor = cholesky(_manual_ic(np.diag([4.0, 1.0])))
-    assert np.array_equal(factor.L, np.diag([2.0, 1.0]))
+    ic = _manual_ic(np.diag([4.0, 1.0]))
+    factor = cholesky(ic)
+    assert np.array_equal(factor.L, np.eye(2))
+    assert np.array_equal(ic.std[:, None] * factor.L, np.diag([2.0, 1.0]))
 
 
 def test_cholesky_swanson_without_jitter():
@@ -97,9 +102,13 @@ def test_batch_rows_are_replica_normals_times_factor():
     m = make_model("swanson")
     seed, n, N, M = 11, 64, 48, _REPLICA_CHUNK + 9
     batch = sample_batch(m, n, N, M, seed=seed)
-    L = cholesky(increment_cov(m, n, N)).L
+    ic = increment_cov(m, n, N)
+    L = cholesky(ic).L
     for i in (0, 1, _REPLICA_CHUNK - 1, _REPLICA_CHUNK, M - 1):
         want = _replica_normals(seed, i, N) @ L.T
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(batch.normalized[i] - want)) <= 1e-12 * scale
+        want = want * ic.std
         scale = np.max(np.abs(want))
         assert np.max(np.abs(batch.increments[i] - want)) <= 1e-12 * scale
 
@@ -211,8 +220,8 @@ def test_blocked_icdf_batch_is_the_whole_chunk_bits(N, M, entries, threads, monk
     monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0, 1})
     m = make_model("swanson")
     batch = sample_batch(m, 64, N, M, seed=20240801, threads=threads)
-    want = sample_increments_whole_chunks(m, 64, N, M, 20240801)
-    assert batch.increments.tobytes() == want.tobytes()
+    want = sample_normalized_whole_chunks(m, 64, N, M, 20240801)
+    assert batch.normalized.tobytes() == want.tobytes()
 
 
 def test_top_uniform_stays_below_one(monkeypatch):
@@ -232,3 +241,89 @@ def test_top_uniform_stays_below_one(monkeypatch):
     unclamped = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     assert np.array_equal(u[1:], unclamped[1:])
     assert np.all(np.isfinite(_replica_normals(0, 0, 3)))
+
+
+def test_unjittered_factor_is_the_same_bits_at_two_resolutions():
+    # corr does not depend on n, and an unjittered factor is read from corr
+    # alone, so the factor and the normalized rows are n-free to the bit
+    unjittered = 0
+    for name, kw in CATALOG_CASES:
+        m = make_model(name, **kw)
+        coarse, fine = cholesky(increment_cov(m, 64, 48)), cholesky(increment_cov(m, 4096, 48))
+        if coarse.jitter == 0.0:
+            unjittered += 1
+            assert fine.jitter == 0.0
+            assert coarse.L.tobytes() == fine.L.tobytes(), name
+            a, b = (sample_batch(m, n, 48, 3, seed=5).normalized for n in (64, 4096))
+            assert a.tobytes() == b.tobytes(), name
+    assert unjittered == len(CATALOG_CASES) - 1  # all but dw-z2
+
+
+def test_increments_are_normalized_times_std():
+    m = make_model("bifbm", H=0.6, K=0.5)
+    batch = sample_batch(m, 32, 40, _REPLICA_CHUNK + 3, seed=8)
+    want = batch.normalized * increment_cov(m, 32, 40).std
+    assert batch.increments.tobytes() == want.tobytes()
+
+
+# the jitter cholesky chose when it factored cov + eps I itself: the same
+# rung of the ladder, in cov units, or the same failure (None)
+_COV_JITTER = {64: 2.5552159381310732e-14, 512: 1.1511107842976692e-13, 2048: None}
+
+
+@pytest.mark.parametrize("name,kw", CATALOG_CASES)
+def test_corr_factor_keeps_the_cov_jitter(name, kw):
+    # corr + eps diag(std^-2) is cov + eps I in correlation units, so each
+    # grid takes the rung it took on cov.  Rungs are a factor 10 apart, and
+    # eps = eps_rel trace(cov) / N moves only with std, at rounding level
+    # (1.3e-7 relative at most, dw-z2 at a = 0.3 and N = 4096), so 1e-6
+    # tells the rungs apart
+    m = make_model(name, **kw)
+    for N in (64, 512, 2048):
+        want = _COV_JITTER[N] if name == "dw-z2" else 0.0
+        ic = increment_cov(m, N, N)
+        if want is None:
+            with pytest.raises(NumericalError, match=f"n={N}, N={N}"):
+                cholesky(ic)
+        else:
+            assert cholesky(ic).jitter == pytest.approx(want, rel=1e-6, abs=0.0), N
+
+
+def test_cholesky_never_forms_cov(monkeypatch):
+    monkeypatch.setattr(IncrementCovariance, "cov",
+                        property(lambda ic: pytest.fail("formed cov")))
+    for name, kw in (("swanson", {}), ("dw-z2", {"alpha": 0.5})):  # unjittered, jittered
+        ic = increment_cov(make_model(name, **kw), 64, 64)
+        assert (cholesky(ic).jitter > 0.0) == (name == "dw-z2")
+
+
+def test_batch_peak_memory_is_one_array_plus_chunk_temporaries():
+    # a batch stores normalized alone; the rest is the factor and its
+    # transpose, a chunk of normals with its product, and the inverse-CDF
+    # temporaries of one block (AS 241 keeps about a dozen block arrays)
+    m = make_model("swanson")
+    N, M = 256, 16 * _REPLICA_CHUNK
+    sample_batch(m, 64, N, 1, seed=1)  # hold the grid
+    batch, peak = peak_bytes(lambda: sample_batch(m, 64, N, M, seed=1))
+    allowance = 8 * (2 * N * N + 2 * _REPLICA_CHUNK * N + 16 * sampler._ICDF_ENTRIES)
+    assert peak <= 8 * M * N + allowance, peak / (8 * M * N)
+    assert batch.normalized.nbytes == 8 * M * N
+
+
+@pytest.mark.parametrize("seed", [1 << 63, -(1 << 63) - 1, (1 << 64) + 3])
+def test_seed_outside_int64_is_refused_before_any_work(monkeypatch, seed):
+    # the batch header stores an int64, and the Philox key reads the seed
+    # modulo 2^64, so seed + 2^64 would alias seed
+    def no_grid(*args):
+        raise AssertionError("assembled a grid for a refused seed")
+
+    monkeypatch.setattr(sampler, "increment_cov", no_grid)
+    with pytest.raises(DomainError, match=f"seed {seed} "):
+        sample_batch(make_model("fbm", H=0.3), 8, 8, 2, seed=seed)
+
+
+def test_seed_at_the_int64_edges_is_drawn_and_written(tmp_path):
+    m = make_model("fbm", H=0.3)
+    for seed in (-(1 << 63), (1 << 63) - 1):
+        write_batch(sample_batch(m, 8, 8, 2, seed=seed), tmp_path / "batch.bin")
+        assert read_batch(tmp_path / "batch.bin")[0]["seed"] == seed

@@ -45,7 +45,8 @@ matrix restricted to indices below floor(n t),
 
     ||f_q contracted_r f_q||^2 = (c_q^4 / n^2) trace((A B)^2),
 
-algebraically identical to the quadruple sum but O(N^3).  For a single
+algebraically identical to the quadruple sum but O(N^3).
+contraction_norm computes it for He_q itself, c_q = 1.  For a single
 Hermite polynomial He_q this also yields a total-variation upper estimate
 for the distance of F_n(t) to its normal limit, using the unsymmetrized
 contraction norms (which dominate the symmetrized ones).
@@ -302,12 +303,11 @@ def run_all_checks(model: Model) -> dict[str, BoundCheckReport]:
 # ---------------------------------------------------------------------------
 # Contraction norms and the total-variation diagnostic.
 
-def contraction_norm(ic: IncrementCovariance, q: int, r: int, c_q: float,
-                     t: float = 1.0) -> float:
-    """(c_q^4 / n^2) trace((A B)^2) with A = corr**r, B = corr**(q-r)
-    elementwise, over indices below floor(n t).  corr is symmetric, so the
-    norm is the same for r and q - r; both are formed with the smaller
-    order as r, and give the same bits."""
+def contraction_norm(ic: IncrementCovariance, q: int, r: int, t: float = 1.0) -> float:
+    """(1/n^2) trace((A B)^2) with A = corr**r, B = corr**(q-r)
+    elementwise, over indices below floor(n t): the norm of He_q, c_q = 1.
+    corr is symmetric, so the norm is the same for r and q - r; both are
+    formed with the smaller order as r, and give the same bits."""
     if not 1 <= r <= q - 1:
         raise DomainError(f"contraction order r must be in [1, q-1]; got r={r}, q={q}")
     r = min(r, q - r)
@@ -318,7 +318,7 @@ def contraction_norm(ic: IncrementCovariance, q: int, r: int, c_q: float,
     A = sub**int(r)
     B = sub ** int(q - r)
     P = A @ B
-    return float(c_q**4 / ic.n**2 * np.sum(P * P.T))
+    return float(1.0 / ic.n**2 * np.sum(P * P.T))
 
 
 @dataclass(frozen=True)
@@ -392,7 +392,7 @@ def contraction_report(model, q: int, n_values, r_values=None,
         at_n: dict = {}
         for r in orders:
             twin = at_n.get(q - r)
-            at_n[r] = contraction_norm(ic, q, r, 1.0, t) if twin is None else twin
+            at_n[r] = contraction_norm(ic, q, r, t) if twin is None else twin
         norms.update({(n, r): at_n[r] for r in rs})
         if sq is not None:
             tv[n] = tv_bound(at_n, q, sq, t)
@@ -405,7 +405,7 @@ def tv_bound(norms: dict, q: int, sigma_q2: float, t: float = 1.0) -> float:
 
         2 / (t sigma_q^2) * sqrt( (1/q^2) sum_r r^2 r! C(q,r)^4 (2q-2r)! norms[r] ),
 
-    where norms maps each r = 1..q-1 to contraction_norm(ic, q, r, 1.0, t).
+    where norms maps each r = 1..q-1 to contraction_norm(ic, q, r, t).
     The norms are unsymmetrized, which bound the symmetrized ones from above.
     """
     if q < 2:

@@ -10,6 +10,11 @@ E[g^(q)(Z)] (Nourdin and Peccati 2012, ch. 1), gives the closed forms
 
 with no other orders, so both have Hermite rank 2.  The second is cut at
 order ODD_ABS_Q_MAX; tail_sq is the exact mass the cut leaves out.
+
+The chaos weights q! c_q^2 have one owner, covariance: for standard
+normals X, Y of correlation rho, E[f(X) f(Y)] = sum_q q! c_q^2 rho^q by
+the orthogonality of the chaoses (Nourdin and Peccati 2012, ch. 2), and
+E[f(Z)^2] = l2_norm_sq is its value at rho = 1.
 """
 
 from __future__ import annotations
@@ -47,8 +52,25 @@ class HermiteFunction:
 
     @property
     def l2_norm_sq(self) -> float:
-        """sum q! c_q^2 over the retained orders, in ascending q."""
-        return float(sum(_factorial(q) * c * c for q, c in sorted(self.coeffs.items())))
+        """E[f(Z)^2] over the retained orders: covariance(1.0)."""
+        return self.covariance(1.0)
+
+    def covariance(self, rho):
+        """E[f(X) f(Y)] = sum_q q! c_q^2 rho^q over the retained orders, for
+        standard normals X, Y of correlation rho, elementwise.
+
+        Horner's rule from the top order down, in one new array updated in
+        place: q_max products with rho and one sum per retained order
+        below q_max.  A weight past the double range is inf.
+        """
+        r = np.asarray(rho, dtype=float)
+        weights = {q: _factorial(q) * c * c for q, c in self.coeffs.items()}
+        acc = weights[self.q_max] * r
+        for q in range(self.q_max - 1, 0, -1):
+            if q in weights:
+                acc += weights[q]
+            acc *= r
+        return float(acc) if r.ndim == 0 else acc
 
     @property
     def q_max(self) -> int:

@@ -7,7 +7,8 @@ The functional under study is
 which is zero when floor(n t) < 1.  Its second moment admits an exact
 finite-n oracle through chaos orthogonality,
 
-    E[F_n(t)^2] = sum_q q! c_q^2 (1/n) sum_{j,k < floor(nt)} corr[j,k]^q,
+    E[F_n(t)^2] = (1/n) sum_{j,k < floor(nt)} g(corr[j,k]),
+    g(rho) = E[f(X) f(Y)] = sum_q q! c_q^2 rho^q = f.covariance(rho),
 
 so Monte Carlo output can be held against a non-random target at every n
 rather than only against the n -> infinity limit.  The experiment
@@ -24,7 +25,12 @@ cache: the Hermite recurrence and prefix sums of F_n, and the draws,
 gathers and means of the bootstrap.  None moves a bit: the recurrence
 and prefix sums act on each row alone, each bootstrap row is still one
 pairwise mean over its own draws, and the blocks of draws continue one
-Philox stream.
+Philox stream.  The oracle sums g over blocks of rows of corr as well,
+and adds the block sums exactly, so no N x N temporary is formed.
+
+A statistic or oracle that leaves the double range, as the fourth
+powers of a large or a tiny f do, stops the experiment with
+NumericalError naming it and t; nothing non-finite is recorded.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 
 from ._version import __version__ as _VERSION
 from .covgrid import increment_cov, num_increments
-from .errors import DomainError, GridError
+from .errors import DomainError, GridError, NumericalError
 from .hermite import HermiteFunction
 from .limitvar import gate, sigma_sq
 from .models import Model
@@ -65,10 +71,11 @@ TOLERANCES = {
     "cross_se_mult": 4.0,
 }
 
-# The Hermite recurrence and prefix sums of functional, and the draws and
-# gathers of _bootstrap_moments, run on blocks of rows of about these many
-# values, so that a block and its temporaries stay in a core's L2 cache
-# instead of spanning whole (M, N) and (B, M) arrays.
+# The Hermite recurrence and prefix sums of functional, the sum of
+# f.covariance in exact_variance, and the draws and gathers of
+# _bootstrap_moments, run on blocks of rows of about these many values,
+# so that a block and its temporaries stay in a core's L2 cache instead
+# of spanning whole (M, N), (N, N) and (B, M) arrays.
 _FUNCTIONAL_ENTRIES = 1 << 15
 _BOOTSTRAP_ENTRIES = 1 << 16
 
@@ -98,15 +105,26 @@ def functional(rows: np.ndarray, f: HermiteFunction, n: int, t_grid) -> np.ndarr
 
 
 def exact_variance(model: Model, f: HermiteFunction, n: int, t: float) -> float:
-    """The orthogonality-based oracle for E[F_n(t)^2], from the n-free
-    corr of the first floor(n t) increments."""
+    """The orthogonality-based oracle for E[F_n(t)^2]: (1/n) times the sum
+    of f.covariance over the n-free corr of the first floor(n t)
+    increments, taken on blocks of rows of about _FUNCTIONAL_ENTRIES
+    values and added exactly.  NumericalError when it is not finite."""
     m = num_increments(n, t)
     if m < 1:
         return 0.0
-    sub = increment_cov(model, n, m).corr
-    total = 0.0
-    for q, c in sorted(f.coeffs.items()):
-        total += math.factorial(q) * c * c * float(np.sum(sub**q)) / n
+    corr = increment_cov(model, n, m).corr
+    step = max(1, _FUNCTIONAL_ENTRIES // m)
+    # past the double range a weight or a block sum is inf, and an inf
+    # weight times a zero correlation nan; fsum refuses overflow and inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = [float(np.sum(f.covariance(corr[lo:lo + step]))) for lo in range(0, m, step)]
+    try:
+        total = math.fsum(blocks) / n
+    except (OverflowError, ValueError):
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError(f"E[F_n(t)^2] of {f.label or 'f'} exceeds the double range "
+                             f"at n = {n}, t = {t:g}")
     return total
 
 
@@ -265,6 +283,14 @@ def _bootstrap_moments(values: np.ndarray, seed: int, stream: int,
     return float(np.std(m2, ddof=1)), float(np.std(kurt, ddof=1))
 
 
+def _require_finite(row: dict, where: str) -> None:
+    """NumericalError naming the first statistic of row that is not finite."""
+    for key, value in row.items():
+        if not math.isfinite(value):
+            raise NumericalError(f"{key} at {where} is {value}: the statistics of f "
+                                 "leave the double range")
+
+
 def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
                    M: int = DEFAULT_M, seed: int = 0, threads: int = 1,
                    all_pairs: bool = False) -> ExperimentResult:
@@ -302,36 +328,42 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
 
     tol = TOLERANCES
     times: list[TimeStats] = []
-    for i, t in enumerate(t_grid):
-        F = paths[i + 1]
-        exact = exact_variance(model, f, n, t)
-        s_var = float(np.var(F, ddof=1))
-        m2 = float(np.mean(F**2))
-        m4 = float(np.mean(F**4))
-        kurt = m4 / (3.0 * m2 * m2)
-        se_var, se_kurt = _bootstrap_moments(F, seed, i)
-        ks_stat, ks_p = ks_test_normal(F / math.sqrt(exact))
-        row = dict(
-            t=t, num_terms=terms[i], mean=float(np.mean(F)),
-            sample_var=s_var, se_var=se_var, fourth_moment=m4,
-            kurtosis_ratio=kurt, se_kurtosis=se_kurt,
-            ks_stat=ks_stat, ks_p=ks_p, exact_var=exact,
-            predicted_var=limit.sigma_sq * t,
-        )
-        times.append(TimeStats(**row, **_verdicts(row, tol)))
-
     cross: list[CrossStats] = []
-    G = np.diff(paths, axis=0)
-    pairs = (
-        [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-        if all_pairs else [(i, i + 1) for i in range(len(G) - 1)]
-    )
-    for i, j in pairs:
-        prod = G[i] * G[j]
-        cov = float(np.mean(prod) - np.mean(G[i]) * np.mean(G[j]))
-        se = float(np.std(prod, ddof=1) / math.sqrt(M))
-        row = dict(t_lo=grid0[i], t_mid=grid0[i + 1], t_hi=grid0[j + 1], cov=cov, se=se)
-        cross.append(CrossStats(**row, **_verdicts(row, tol)))
+    # the fourth powers of a large f overflow, and those of a tiny f
+    # underflow to a zero kurtosis denominator; the run then stops on the
+    # first statistic that is not finite rather than record it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, t in enumerate(t_grid):
+            F = paths[i + 1]
+            exact = exact_variance(model, f, n, t)
+            s_var = float(np.var(F, ddof=1))
+            m2 = np.mean(F**2)
+            m4 = np.mean(F**4)
+            kurt = float(m4 / (3.0 * m2 * m2))
+            se_var, se_kurt = _bootstrap_moments(F, seed, i)
+            ks_stat, ks_p = ks_test_normal(F / math.sqrt(exact))
+            row = dict(
+                t=t, num_terms=terms[i], mean=float(np.mean(F)),
+                sample_var=s_var, se_var=se_var, fourth_moment=float(m4),
+                kurtosis_ratio=kurt, se_kurtosis=se_kurt,
+                ks_stat=ks_stat, ks_p=ks_p, exact_var=exact,
+                predicted_var=limit.sigma_sq * t,
+            )
+            _require_finite(row, f"t = {t:g}")
+            times.append(TimeStats(**row, **_verdicts(row, tol)))
+
+        G = np.diff(paths, axis=0)
+        pairs = (
+            [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
+            if all_pairs else [(i, i + 1) for i in range(len(G) - 1)]
+        )
+        for i, j in pairs:
+            prod = G[i] * G[j]
+            cov = float(np.mean(prod) - np.mean(G[i]) * np.mean(G[j]))
+            se = float(np.std(prod, ddof=1) / math.sqrt(M))
+            row = dict(t_lo=grid0[i], t_mid=grid0[i + 1], t_hi=grid0[j + 1], cov=cov, se=se)
+            _require_finite(row, f"t = {grid0[i]:g}, {grid0[i + 1]:g}, {grid0[j + 1]:g}")
+            cross.append(CrossStats(**row, **_verdicts(row, tol)))
 
     passed = derive_verdicts([vars(ts) for ts in times], [vars(cs) for cs in cross], tol)
     config = {

@@ -32,7 +32,7 @@ def kernel_eval_scaled(model, s, t):
     return out
 
 
-def contraction_norm_bruteforce(ic, q: int, r: int, c_q: float, t: float = 1.0) -> float:
+def contraction_norm_bruteforce(ic, q: int, r: int, t: float = 1.0) -> float:
     """Literal quadruple sum; O(N^4), for cross-checking small grids."""
     if not 1 <= r <= q - 1:
         raise DomainError(f"contraction order r must be in [1, q-1]; got r={r}, q={q}")
@@ -45,7 +45,7 @@ def contraction_norm_bruteforce(ic, q: int, r: int, c_q: float, t: float = 1.0) 
                 for mm in range(m):
                     total += (rho[j, k] ** r * rho[l, mm] ** r
                               * rho[j, l] ** (q - r) * rho[k, mm] ** (q - r))
-    return float(c_q**4 / ic.n**2 * total)
+    return float(1.0 / ic.n**2 * total)
 
 
 def kernel_masked(model, s, t):

@@ -355,7 +355,7 @@ def test_criterion_06_contraction_condition():
         norms = []
         for n in ladder:
             ic = increment_cov(model, n, n)
-            norms.append(contraction_norm(ic, 2, 1, 1.0, 1.0))
+            norms.append(contraction_norm(ic, 2, 1, 1.0))
         if name == "dw-z2":
             # corr tends to a continuous kernel K on the unit square, so
             # trace(corr^4) ~ n^4 and the norm (1/n^2) trace(corr^4) ~ n^2
@@ -380,8 +380,8 @@ def test_criterion_06_contraction_condition():
         np.fill_diagonal(corr, 1.0)
         ic = IncrementCovariance(model=fbm, n=N, N=N, std=std, corr=corr)
         for q, r in ((2, 1), (3, 2)):
-            fast = contraction_norm(ic, q, r, 1.0, 1.0)
-            slow = contraction_norm_bruteforce(ic, q, r, 1.0, 1.0)
+            fast = contraction_norm(ic, q, r, 1.0)
+            slow = contraction_norm_bruteforce(ic, q, r, 1.0)
             if abs(fast - slow) > 1e-12 * max(1.0, abs(slow)):
                 failures.append(f"trace/bruteforce mismatch N={N} q={q} r={r}")
     _report(6, failures, time.time() - t0, 60.0, detail)

@@ -49,26 +49,26 @@ def _random_corr_instance(N, seed):
 
 def test_contraction_identity_on_brownian_grid():
     ic = increment_cov(make_model("fbm", H=0.5), 100, 100)
-    assert contraction_norm(ic, 2, 1, 1.0, 1.0) == pytest.approx(0.01, rel=1e-14)
+    assert contraction_norm(ic, 2, 1, 1.0) == pytest.approx(0.01, rel=1e-14)
     ic10 = increment_cov(make_model("fbm", H=0.5), 10, 10)
-    assert contraction_norm(ic10, 2, 1, 1.0, 1.0) == pytest.approx(0.1, rel=1e-14)
+    assert contraction_norm(ic10, 2, 1, 1.0) == pytest.approx(0.1, rel=1e-14)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("q,r", [(2, 1), (3, 1), (3, 2)])
 def test_trace_form_equals_quadruple_sum(seed, q, r):
     ic = _random_corr_instance(6, seed)
-    fast = contraction_norm(ic, q, r, 0.7, 1.0)
-    slow = contraction_norm_bruteforce(ic, q, r, 0.7, 1.0)
+    fast = contraction_norm(ic, q, r, 1.0)
+    slow = contraction_norm_bruteforce(ic, q, r, 1.0)
     assert fast == pytest.approx(slow, rel=1e-12, abs=1e-15)
 
 
 def test_contraction_argument_validation():
     ic = _random_corr_instance(4, 0)
     with pytest.raises(DomainError):
-        contraction_norm(ic, 2, 0, 1.0, 1.0)
+        contraction_norm(ic, 2, 0, 1.0)
     with pytest.raises(DomainError):
-        contraction_norm(ic, 2, 2, 1.0, 1.0)
+        contraction_norm(ic, 2, 2, 1.0)
 
 
 def test_contraction_decreases_with_resolution():
@@ -76,7 +76,7 @@ def test_contraction_decreases_with_resolution():
     norms = []
     for n in (64, 128, 256):
         ic = increment_cov(m, n, n)
-        norms.append(contraction_norm(ic, 2, 1, 1.0, 1.0))
+        norms.append(contraction_norm(ic, 2, 1, 1.0))
     assert norms[0] > norms[1] > norms[2]
 
 
@@ -87,14 +87,14 @@ def test_smooth_model_contraction_grows():
     norms = []
     for n in (64, 128):
         ic = increment_cov(m, n, n)
-        norms.append(contraction_norm(ic, 2, 1, 1.0, 1.0))
+        norms.append(contraction_norm(ic, 2, 1, 1.0))
     assert norms[1] > norms[0]
 
 
 def _tv_at(model, n, q):
     # tv_bound over the norms r = 1..q-1 of the grid with n = N
     ic = increment_cov(model, n, n)
-    norms = {r: contraction_norm(ic, q, r, 1.0, 1.0) for r in range(1, q)}
+    norms = {r: contraction_norm(ic, q, r, 1.0) for r in range(1, q)}
     return tv_bound(norms, q, sigma_q_sq(model.alpha, q).value, 1.0)
 
 
@@ -125,9 +125,9 @@ def test_contraction_report_over_ladder():
 def test_contraction_report_computes_each_norm_once(monkeypatch):
     calls = []
 
-    def counted(ic, q, r, c_q, t=1.0):
-        calls.append((ic.n, q, r, c_q))
-        return contraction_norm(ic, q, r, c_q, t)
+    def counted(ic, q, r, t=1.0):
+        calls.append((ic.n, q, r))
+        return contraction_norm(ic, q, r, t)
 
     monkeypatch.setattr(analysis, "contraction_norm", counted)
     m, ns = make_model("swanson"), (32, 64, 96)

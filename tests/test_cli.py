@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,24 @@ def test_norm_beyond_double_range_exits_without_inf(tmp_path, capsys, f):
     assert "Traceback" not in err
     assert "inf" not in out
     assert not (tmp_path / "variance.json").exists()
+
+
+@pytest.mark.parametrize("H,f", [("0.2", "hermite:100"), ("0.3", "even_power:60"),
+                                 ("0.2", "hermite:170")])
+def test_clt_statistic_beyond_double_range_exits_4_without_a_file(tmp_path, capsys, H, f):
+    # F_n^4 overflows (and for hermite:170 the exact variance itself): the
+    # run names the statistic and t, writes nothing and lets no numpy
+    # warning through, instead of writing NaN and Infinity tokens
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(["clt", "--model", "fbm", "--H", H, "--f", f, "--n", "64",
+                      "--M", "100", "--out", str(tmp_path)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "t = 1" in err
+    assert "Traceback" not in err
+    assert caught == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssgauss import covgrid
+from ssgauss import covgrid, montecarlo
 from ssgauss.covgrid import MAX_N, increment_cov
 from ssgauss.errors import DomainError
 from ssgauss.hermite import builtin_family
@@ -234,15 +234,17 @@ def test_assembly_peak_memory_is_one_output_plus_blocks(released):
     assert peak <= 8 * N * N + _block_allowance(N), peak / (8 * N * N)
 
 
-def test_exact_variance_peak_memory_is_corr_plus_one_power(released):
-    # corr and the elementwise power summed for each chaos
+def test_exact_variance_peak_memory_is_block_temporaries(released):
+    # with the grid held, f.covariance runs on one block of rows at a time:
+    # its one accumulator of _FUNCTIONAL_ENTRIES doubles, and the std of
+    # the grid, are all that is allocated; no N x N power is formed
     m = make_model("bifbm", H=0.6, K=0.5)
-    f = builtin_family("single_hermite", 2)
     N = 2048
-    exact_variance(m, f, 64, 1.0)
-    value, peak = peak_bytes(lambda: exact_variance(m, f, N, 1.0))
-    assert value > 0.0
-    assert peak <= 2 * 8 * N * N + _block_allowance(N), peak / (8 * N * N)
+    for f in (builtin_family("single_hermite", 2), builtin_family("odd_abs_power", 1)):
+        exact_variance(m, f, N, 1.0)
+        value, peak = peak_bytes(lambda: exact_variance(m, f, N, 1.0))
+        assert value > 0.0
+        assert peak <= 8 * (montecarlo._FUNCTIONAL_ENTRIES + N) + 65536, peak
 
 
 def test_switching_models_frees_the_held_grid_first(released):

@@ -166,3 +166,41 @@ def test_evaluate_bit_identical_to_table_sum(kind, k):
     value = f.evaluate(0.7)
     assert isinstance(value, float)
     assert value == f.evaluate(np.array([0.7]))[0]
+
+
+RHO = np.linspace(-1.0, 1.0, 41)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 12])
+def test_covariance_of_single_hermite_is_q_factorial_rho_to_q(q):
+    # E[He_q(X) He_q(Y)] = q! rho^q (Nourdin and Peccati 2012, ch. 2)
+    got = builtin_family("single_hermite", q).covariance(RHO)
+    assert got == pytest.approx(math.factorial(q) * RHO**q, rel=1e-15, abs=1e-300)
+
+
+def test_covariance_of_even_power_two_is_isserlis():
+    # E[(X^4 - 3)(Y^4 - 3)] = 72 rho^2 + 24 rho^4 by Isserlis' theorem
+    f = builtin_family("even_power", 2)
+    assert f.covariance(RHO) == pytest.approx(72.0 * RHO**2 + 24.0 * RHO**4, rel=1e-15)
+    assert f.covariance(0.5) == 72.0 / 4 + 24.0 / 16
+
+
+def test_covariance_leaves_its_argument_alone():
+    rho = RHO.copy()
+    builtin_family("odd_abs_power", 1).covariance(rho)
+    assert np.array_equal(rho, RHO)
+
+
+@pytest.mark.parametrize("kind,k", [("single_hermite", 2), ("single_hermite", 3),
+                                    ("single_hermite", 170), ("even_power", 1),
+                                    ("even_power", 2), ("odd_abs_power", 1)])
+def test_covariance_at_one_is_the_norm_bits(kind, k):
+    # l2_norm_sq is covariance(1.0), on an array as on a scalar.  For these
+    # families Horner's descending sum also keeps the bits of the ascending
+    # sum of q! c_q^2; from even_power:9 on, and for some odd_abs_power:p
+    # with p >= 2, the two orders differ by an ulp
+    f = builtin_family(kind, k)
+    ascending = float(sum(float(math.factorial(q)) * c * c
+                          for q, c in sorted(f.coeffs.items())))
+    assert f.covariance(1.0) == f.l2_norm_sq == ascending
+    assert f.covariance(np.ones(3)).tolist() == [ascending] * 3

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ssgauss import montecarlo
-from ssgauss.covgrid import release_grid
+from ssgauss.covgrid import increment_cov, release_grid
 from ssgauss.errors import DomainError, GateError, GridError, NumericalError
 from ssgauss.hermite import HermiteFunction, builtin_family
 from ssgauss.limitvar import sigma_q_sq
@@ -93,6 +93,35 @@ def test_exact_variance_linear_in_time():
     assert 1.0 - ss_res / ss_tot >= 0.999
 
 
+@pytest.mark.parametrize("name,kw,f", [
+    ("swanson", {}, "odd_abs_power:1"),
+    ("subfbm", {"H": 0.35}, "odd_abs_power:1"),
+    ("bifbm", {"H": 0.6, "K": 0.5}, "even_power:2"),
+])
+def test_exact_variance_against_fifty_digit_chaos_sum(name, kw, f):
+    # the same double corr and c_q, summed over every chaos and entry in
+    # 50-digit arithmetic: what is left is the rounding of the double sum
+    mp = pytest.importorskip("mpmath")
+    kind, k = f.split(":")
+    hf = builtin_family(kind, int(k))
+    m, n = make_model(name, **kw), 64
+    corr = increment_cov(m, n, n).corr
+    with mp.workdps(50):
+        weights = [(q, mp.factorial(q) * mp.mpf(c) ** 2) for q, c in hf.coeffs.items()]
+        exact = mp.fsum(w * mp.mpf(float(rho)) ** q
+                        for rho in corr.ravel() for q, w in weights) / n
+        assert abs(exact_variance(m, hf, n, 1.0) - exact) <= 1e-15 * abs(exact)
+
+
+@pytest.mark.parametrize("coeffs", [{171: 1e-160}, {2: 1e200}, {170: 1.0}])
+def test_exact_variance_beyond_double_range_is_a_numerical_error(coeffs):
+    # a weight q! c_q^2 past the double range, or a sum that overflows
+    # (170! over the 64^2 entries of fbm at H = 0.2), is no number
+    f = HermiteFunction(coeffs)
+    with pytest.raises(NumericalError, match="exceeds the double range at n = 64, t = 1"):
+        exact_variance(make_model("fbm", H=0.2), f, 64, 1.0)
+
+
 def test_kolmogorov_sf_against_scipy():
     kolmogorov = pytest.importorskip("scipy.special").kolmogorov
     for lam in (0.3, 0.7, 1.0, 1.18, 1.5, 2.5):
@@ -141,6 +170,14 @@ def test_run_experiment_takes_its_grid_from_the_one_path(name, kw):
     release_grid()
     F = functional(sample_batch(m, n, 64, M, seed).normalized, f, n, ts)
     assert [row.sample_var for row in res.times] == [float(np.var(x, ddof=1)) for x in F]
+
+
+@pytest.mark.parametrize("coeffs,named", [({2: 1e-100}, "kurtosis_ratio at t = 1 is nan"),
+                                          ({100: 1.0}, "se_var at t = 1 is inf")])
+def test_run_experiment_statistic_beyond_double_range_is_a_numerical_error(coeffs, named):
+    # F^4 of a tiny f underflows to 0 / 0, and of a large f overflows
+    with pytest.raises(NumericalError, match=named):
+        run_experiment(make_model("fbm", H=0.2), HermiteFunction(coeffs), 64, [1.0], M=100)
 
 
 def test_run_experiment_all_pairs_flag():

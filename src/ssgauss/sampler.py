@@ -12,10 +12,15 @@ built from the raw 64-bit stream.  The inverse CDF is algorithm AS 241
 (PPND16), a rational approximation with absolute error below 1e-13
 (measured ~2e-15 against an independent implementation), chosen over
 rejection samplers because it consumes exactly one uniform per normal
-and keeps streams aligned.  It is elementwise, so it runs on blocks of
-rows of each replica chunk, sized to stay in a core's L2 cache, and
-gives the bits of one call per replica; each chunk then takes one
-product with L^T.
+and keeps streams aligned.  Its central rational function runs over
+every entry and only the tail entries are gathered and overwritten.
+
+Each replica chunk is made in one pass over blocks of rows sized to stay
+in a core's L2 cache.  The chunk builds one Philox generator and re-keys
+it to (seed, i) for each replica i; a block's raw words become uniforms
+and then normals in place, and everything is elementwise, so a block
+gives the bits of one stream per replica.  The chunk then takes one
+product with L^T, written straight into the batch.
 """
 
 from __future__ import annotations
@@ -48,9 +53,9 @@ JITTER_LADDER = (0.0, 1.0e-12, 1.0e-11, 1.0e-10, 1.0e-9, 1.0e-8)
 # changes how work is partitioned
 _REPLICA_CHUNK = 512
 
-# the inverse CDF runs on blocks of rows of a chunk of about this many
-# uniforms, so that a block and the temporaries of AS 241 stay in a core's
-# L2 cache instead of spanning the whole chunk
+# a chunk is drawn in blocks of rows of about this many uniforms, so that
+# a block's raw words, its uniforms and the temporaries of AS 241 stay in
+# a core's L2 cache instead of spanning the whole chunk
 _ICDF_ENTRIES = 1 << 15
 
 _MASK64 = (1 << 64) - 1
@@ -122,56 +127,80 @@ _PPND_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
 
 
 def _poly(coeffs, r):
-    acc = np.full_like(r, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * r + c
+    # Horner in place: acc = acc * r + c from the top coefficient down
+    acc = r * coeffs[-1]
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= r
+        acc += c
     return acc
 
 
 def normal_icdf(u):
-    """Inverse standard normal CDF (AS 241, PPND16) for u in (0, 1)."""
+    """Inverse standard normal CDF (AS 241, PPND16) for u in (0, 1).
+
+    Each rational function runs over a whole contiguous array and the
+    entries of a narrower branch overwrite it: the central one over every
+    entry (its denominator stays above 1e-3 on (0, 1)), the r <= 5 tail
+    over the gathered |u - 0.5| > 0.425 entries, the r > 5 tail over the
+    rare rest.  Each entry takes the operations of its own branch alone.
+    """
     ua = np.asarray(u, dtype=float)
     scalar = ua.ndim == 0
     ua = np.atleast_1d(ua)
-    if np.any(ua <= 0.0) or np.any(ua >= 1.0):
+    if not np.all((ua > 0.0) & (ua < 1.0)):
         raise DomainError("normal_icdf needs u strictly inside (0, 1)")
     q = ua - 0.5
-    out = np.empty_like(ua)
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] ** 2
-        out[central] = q[central] * _poly(_PPND_A, r) / _poly(_PPND_B, r)
-    tail = ~central
-    if np.any(tail):
-        p = np.where(q[tail] < 0.0, ua[tail], 1.0 - ua[tail])
-        r = np.sqrt(-np.log(p))
-        res = np.empty_like(r)
-        mid = r <= 5.0
-        if np.any(mid):
-            rm = r[mid] - 1.6
-            res[mid] = _poly(_PPND_C, rm) / _poly(_PPND_D, rm)
-        if np.any(~mid):
-            rf = r[~mid] - 5.0
-            res[~mid] = _poly(_PPND_E, rf) / _poly(_PPND_F, rf)
-        out[tail] = np.sign(q[tail]) * res
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    out = _poly(_PPND_A, r)
+    out *= q
+    out /= _poly(_PPND_B, r)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        qt = q.take(tail)
+        ut = ua.take(tail)
+        r = np.sqrt(-np.log(np.where(qt < 0.0, ut, 1.0 - ut)))
+        rm = r - 1.6
+        res = _poly(_PPND_C, rm)
+        res /= _poly(_PPND_D, rm)
+        far = r > 5.0
+        if np.any(far):
+            rf = r[far] - 5.0
+            res[far] = _poly(_PPND_E, rf) / _poly(_PPND_F, rf)
+        out.put(tail, np.sign(qt) * res)
     return float(out[0]) if scalar else out
 
 
-def _replica_uniforms(seed: int, replica: int, count: int) -> np.ndarray:
-    """count open-interval uniforms from the Philox stream keyed (seed, replica)."""
-    key = np.array([seed & _MASK64, replica & _MASK64], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(count)
+def _uniform_rows(bitgen, seed: int, first: int, raw: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Row k of out: the open-interval uniforms of the Philox stream keyed
+    (seed, first + k).  The Philox bitgen is re-keyed for each row, at
+    counter 0 with an empty buffer, the state Philox(key=...) starts in;
+    raw is a uint64 scratch array of out's shape."""
+    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+    zero = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for k in range(out.shape[0]):
+        key[1] = first + k
+        bitgen.state = state
+        raw[k] = bitgen.random_raw(out.shape[1])
     # top 53 bits k, u = (k + 0.5) 2^-53, one uniform per normal.  For
     # k >= 2^52 the + 0.5 is not representable and rounds to even, and
     # k = 2^53 - 1 rounds to u = 1.0; the clamp keeps u inside (0, 1)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return np.minimum(u, _U_MAX, out=u)
+    raw >>= np.uint64(11)
+    np.add(raw, 0.5, out=out)
+    out *= 2.0**-53
+    np.minimum(out, _U_MAX, out=out)
 
 
 def _replica_normals(seed: int, replica: int, count: int) -> np.ndarray:
     """count standard normals from the Philox stream keyed (seed, replica);
     row `replica` of sample_batch is these normals times L^T."""
-    return normal_icdf(_replica_uniforms(seed, replica, count))
+    u = np.empty((1, count))
+    _uniform_rows(np.random.Philox(), seed, replica, np.empty((1, count), dtype=np.uint64), u)
+    return normal_icdf(u[0])
 
 
 @dataclass(frozen=True)
@@ -200,7 +229,11 @@ class SampleBatch:
 def _worker_count(threads: int) -> int:
     """threads capped at the CPUs this process may run on: workers beyond
     that only queue behind each other and behind the BLAS threads."""
-    return min(int(threads), len(os.sched_getaffinity(0)))
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows have no affinity call
+        usable = os.cpu_count() or 1
+    return min(int(threads), usable)
 
 
 def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
@@ -225,19 +258,22 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
     ic = increment_cov(model, n, N)
     LT = cholesky(ic).L.T.copy()
     normalized = np.empty((M, N), dtype=float)
+    step = max(1, _ICDF_ENTRIES // N)
 
     def fill(lo: int, hi: int) -> None:
-        # normal_icdf is elementwise, so calls on blocks of the chunk's
-        # uniforms give the same normals as one call per replica stream;
-        # the normals overwrite their uniforms, and the chunk still takes
-        # one product with L^T, so the block size never reaches the BLAS
+        # one pass over blocks of rows: each block's uniforms are drawn by
+        # the chunk's own generator, re-keyed per replica, and replaced by
+        # their normals.  normal_icdf is elementwise, so the block size
+        # never moves a bit; the chunk takes one product with L^T, written
+        # straight into the batch, so the block size never reaches the BLAS
+        bitgen = np.random.Philox()  # re-keyed for every replica
+        raw = np.empty((min(step, hi - lo), N), dtype=np.uint64)
         z = np.empty((hi - lo, N), dtype=float)
-        for rep in range(lo, hi):
-            z[rep - lo] = _replica_uniforms(seed, rep, N)
-        step = max(1, _ICDF_ENTRIES // N)
         for r0 in range(0, hi - lo, step):
-            z[r0:r0 + step] = normal_icdf(z[r0:r0 + step])
-        normalized[lo:hi] = z @ LT
+            block = z[r0:r0 + step]
+            _uniform_rows(bitgen, seed, lo + r0, raw[:len(block)], block)
+            block[...] = normal_icdf(block)
+        np.matmul(z, LT, out=normalized[lo:hi])
 
     chunks = [(lo, min(lo + _REPLICA_CHUNK, M)) for lo in range(0, M, _REPLICA_CHUNK)]
     workers = _worker_count(threads)

@@ -131,18 +131,67 @@ def functional_whole_array(rows, f, n: int, t_grid):
     return np.moveaxis(prefix, -1, 0)[ms] / math.sqrt(n)
 
 
+_U_MAX = np.nextafter(1.0, 0.0)
+
+
+def replica_uniforms_fresh_philox(seed: int, replica: int, count: int) -> np.ndarray:
+    """count open-interval uniforms of replica `replica`, as first written:
+    a new Philox bit generator keyed (seed, replica), its top 53 bits k
+    mapped to (k + 0.5) 2^-53 and clamped below 1."""
+    key = np.array([seed & (2**64 - 1), replica], dtype=np.uint64)
+    raw = np.random.Philox(key=key).random_raw(count)
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, _U_MAX)
+
+
+def _poly(coeffs, r):
+    acc = np.full_like(r, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * r + c
+    return acc
+
+
+def normal_icdf_masked(u):
+    """AS 241 as first written: each branch gathers its own entries, the
+    central ones too, and scatters its values back."""
+    from ssgauss.sampler import _PPND_A, _PPND_B, _PPND_C, _PPND_D, _PPND_E, _PPND_F
+
+    ua = np.atleast_1d(np.asarray(u, dtype=float))
+    q = ua - 0.5
+    out = np.empty_like(ua)
+    central = np.abs(q) <= 0.425
+    if np.any(central):
+        r = 0.180625 - q[central] ** 2
+        out[central] = q[central] * _poly(_PPND_A, r) / _poly(_PPND_B, r)
+    tail = ~central
+    if np.any(tail):
+        p = np.where(q[tail] < 0.0, ua[tail], 1.0 - ua[tail])
+        r = np.sqrt(-np.log(p))
+        res = np.empty_like(r)
+        mid = r <= 5.0
+        if np.any(mid):
+            rm = r[mid] - 1.6
+            res[mid] = _poly(_PPND_C, rm) / _poly(_PPND_D, rm)
+        if np.any(~mid):
+            rf = r[~mid] - 5.0
+            res[~mid] = _poly(_PPND_E, rf) / _poly(_PPND_F, rf)
+        out[tail] = np.sign(q[tail]) * res
+    return out
+
+
 def sample_normalized_whole_chunks(model, n: int, N: int, M: int, seed: int):
-    """The normalized rows of sample_batch with the normals of each replica
-    chunk from one inverse-CDF call on all of the chunk's uniforms."""
+    """The normalized rows of sample_batch as first written: a fresh Philox
+    per replica, the masked inverse CDF on all of a chunk's uniforms at
+    once, and the chunk's product with L^T copied into the rows."""
     from ssgauss.covgrid import increment_cov
-    from ssgauss.sampler import _REPLICA_CHUNK, _replica_uniforms, cholesky, normal_icdf
+    from ssgauss.sampler import _REPLICA_CHUNK, cholesky
 
     LT = cholesky(increment_cov(model, n, N)).L.T.copy()
     rows = np.empty((M, N), dtype=float)
     for lo in range(0, M, _REPLICA_CHUNK):
         hi = min(lo + _REPLICA_CHUNK, M)
-        u = np.stack([_replica_uniforms(seed, rep, N) for rep in range(lo, hi)])
-        rows[lo:hi] = normal_icdf(u) @ LT
+        u = np.stack([replica_uniforms_fresh_philox(seed, rep, N) for rep in range(lo, hi)])
+        rows[lo:hi] = normal_icdf_masked(u) @ LT
     return rows
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from ssgauss.models import make_model
 from ssgauss.sampler import (
     _REPLICA_CHUNK,
     _replica_normals,
-    _replica_uniforms,
+    _uniform_rows,
     cholesky,
     normal_icdf,
     read_batch,
@@ -17,7 +19,11 @@ from ssgauss.sampler import (
 )
 
 from conftest import CATALOG_CASES, peak_bytes
-from oracles import sample_normalized_whole_chunks
+from oracles import (
+    normal_icdf_masked,
+    replica_uniforms_fresh_philox,
+    sample_normalized_whole_chunks,
+)
 
 
 def _manual_ic(cov, n=2):
@@ -68,6 +74,13 @@ def test_normal_icdf_against_scipy():
         normal_icdf(0.0)
     with pytest.raises(DomainError):
         normal_icdf(1.0)
+
+
+def test_normal_icdf_refuses_nan():
+    with pytest.raises(DomainError):
+        normal_icdf(np.nan)
+    with pytest.raises(DomainError):
+        normal_icdf(np.array([0.3, np.nan]))
 
 
 def test_draw_is_deterministic_per_replica():
@@ -135,6 +148,18 @@ def test_threads_capped_at_usable_cpus(monkeypatch):
     assert b8.increments.tobytes() == b1.increments.tobytes()
 
 
+def test_worker_count_without_affinity_call(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    m = make_model("fbm", H=0.5)
+    b1 = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=1)
+    monkeypatch.delattr(sampler.os, "sched_getaffinity")
+    assert sampler._worker_count(1) == 1
+    assert sampler._worker_count(4) == min(4, os.cpu_count() or 1)
+    for threads in (1, 4):
+        bt = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=threads)
+        assert bt.normalized.tobytes() == b1.normalized.tobytes()
+
+
 def test_batch_empirical_covariance_in_band():
     m = make_model("fbm", H=0.7)
     M, N = 2000, 64
@@ -191,17 +216,25 @@ def test_binary_length_checked(tmp_path):
 
 def test_chunk_icdf_equals_per_replica_normals():
     seed, N = 20240801, 96
-    u = np.stack([_replica_uniforms(seed, rep, N) for rep in range(_REPLICA_CHUNK)])
+    u = np.stack([replica_uniforms_fresh_philox(seed, rep, N) for rep in range(_REPLICA_CHUNK)])
     rows = np.stack([_replica_normals(seed, rep, N) for rep in range(_REPLICA_CHUNK)])
-    assert np.array_equal(normal_icdf(u), rows)
+    assert normal_icdf(u).tobytes() == rows.tobytes()
+    assert rows.tobytes() == normal_icdf_masked(u).tobytes()
     # every branch of AS 241: central, r <= 5 and r > 5 tails, both signs,
-    # out to the smallest uniform and the largest double below 1
+    # out to the smallest uniform and the largest double below 1, and the
+    # branch points |u - 0.5| = 0.425 and r = 5 with their neighbours
     assert np.any(np.abs(u - 0.5) > 0.425)
-    edge = (0.5 * 2.0**-53, 1.0 - 2.0**-53, 1e-12, 1.0 - 1e-12, 0.01, 0.99)
+    r5 = np.exp(-25.0)
+    edge = (0.5 * 2.0**-53, 1.0 - 2.0**-53, 1e-12, 1.0 - 1e-12, 0.01, 0.99,
+            0.075, 0.925, np.nextafter(0.075, 0.0), np.nextafter(0.925, 1.0),
+            np.nextafter(0.075, 1.0), np.nextafter(0.925, 0.0),
+            r5, 1.0 - r5, np.nextafter(r5, 0.0), np.nextafter(r5, 1.0), 0.5)
     u[7, :len(edge)] = edge
     u[300, -len(edge):] = edge
     block = normal_icdf(u)
+    assert block.tobytes() == normal_icdf_masked(u).tobytes()
     assert np.array_equal(block, np.stack([normal_icdf(row) for row in u]))
+    assert np.array_equal(block[7, :len(edge)], [normal_icdf(x) for x in edge])
     assert np.all(np.abs(block[7, :4]) > 7.0)  # r > 5 branch
     assert np.array_equal(np.sign(block[7, :6]), [-1, 1, -1, 1, -1, 1])
 
@@ -211,10 +244,13 @@ def test_chunk_icdf_equals_per_replica_normals():
     (96, 2 * _REPLICA_CHUNK + 100, None, 2),   # three chunks on two threads
     (48, 700, 200, 2),                         # 4 rows a block
     (64, 300, 16, 1),                          # block below one row: one row a block
+    (37, _REPLICA_CHUNK + 5, None, 1),         # odd N: 885 rows a block
+    (1, _REPLICA_CHUNK + 5, None, 2),          # N = 1: a whole chunk in one block
 ])
 def test_blocked_icdf_batch_is_the_whole_chunk_bits(N, M, entries, threads, monkeypatch):
-    # the inverse CDF is elementwise and each chunk still takes one
-    # product with L^T, so the block size never moves a bit
+    # the generator is re-keyed per replica, the inverse CDF is elementwise
+    # and each chunk still takes one product with L^T, so neither the
+    # block size nor the shared generator moves a bit
     if entries is not None:
         monkeypatch.setattr(sampler, "_ICDF_ENTRIES", entries)
     monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -224,23 +260,45 @@ def test_blocked_icdf_batch_is_the_whole_chunk_bits(N, M, entries, threads, monk
     assert batch.normalized.tobytes() == want.tobytes()
 
 
-def test_top_uniform_stays_below_one(monkeypatch):
+@pytest.mark.parametrize("n,N,M,seed", [
+    (512, 512, 4000, 0),        # the batch of a `clt` op
+    (8, 40, 30, -(1 << 63)),    # the int64 edges of the seed
+    (8, 40, 30, (1 << 63) - 1),
+])
+def test_batch_is_the_fresh_generator_bits(n, N, M, seed):
+    m = make_model("swanson")
+    batch = sample_batch(m, n, N, M, seed=seed)
+    want = sample_normalized_whole_chunks(m, n, N, M, seed)
+    assert batch.normalized.tobytes() == want.tobytes()
+
+
+def test_top_uniform_stays_below_one():
     raw = np.array([2**64 - 1, 0, 2**63], dtype=np.uint64)
 
     class FakePhilox:
-        def __init__(self, key):
-            pass
+        state = None
 
         def random_raw(self, count):
             return raw[:count].copy()
 
-    monkeypatch.setattr(np.random, "Philox", FakePhilox)
-    u = _replica_uniforms(0, 0, 3)
+    u = np.empty((2, 3))
+    _uniform_rows(FakePhilox(), 0, 0, np.empty((2, 3), dtype=np.uint64), u)
     assert np.all((u > 0.0) & (u < 1.0))
-    assert u[0] == np.nextafter(1.0, 0.0)
+    assert np.all(u[:, 0] == np.nextafter(1.0, 0.0))
     unclamped = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    assert np.array_equal(u[1:], unclamped[1:])
-    assert np.all(np.isfinite(_replica_normals(0, 0, 3)))
+    assert np.array_equal(u[:, 1:], np.stack([unclamped[1:]] * 2))
+    assert np.all(np.isfinite(normal_icdf(u)))
+
+
+def test_generator_is_re_keyed_per_replica():
+    # each row starts its stream afresh, whatever the generator drew before
+    bitgen = np.random.Philox()
+    bitgen.random_raw(5)
+    u = np.empty((3, 7))
+    _uniform_rows(bitgen, -5, 9, np.empty((3, 7), dtype=np.uint64), u)
+    want = np.stack([replica_uniforms_fresh_philox(-5, rep, 7) for rep in (9, 10, 11)])
+    assert u.tobytes() == want.tobytes()
+    assert _replica_normals(-5, 10, 7).tobytes() == normal_icdf_masked(want[1]).tobytes()
 
 
 def test_unjittered_factor_is_the_same_bits_at_two_resolutions():

@@ -20,12 +20,7 @@ from .errors import DomainError, GateError, GridError, NumericalError, Singulari
 from .hermite import HermiteFunction, builtin_family
 from .limitvar import LimitVariance, gate, second_difference, sigma_q_sq, sigma_sq
 from .models import Model, list_models, make_model
-from .montecarlo import (
-    ExperimentResult,
-    exact_variance,
-    functional,
-    run_experiment,
-)
+from .montecarlo import exact_variance, functional, run_experiment
 from .sampler import SampleBatch, cholesky, normal_icdf, sample_batch
 
 __all__ = [
@@ -36,5 +31,5 @@ __all__ = [
     "HermiteFunction", "builtin_family",
     "LimitVariance", "gate", "second_difference", "sigma_q_sq", "sigma_sq",
     "SampleBatch", "cholesky", "sample_batch", "normal_icdf",
-    "ExperimentResult", "functional", "exact_variance", "run_experiment",
+    "functional", "exact_variance", "run_experiment",
 ]

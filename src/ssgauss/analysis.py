@@ -367,11 +367,15 @@ class ContractionReport:
 
 def contraction_report(model, q: int, n_values, r_values=None,
                        t: float = 1.0) -> ContractionReport:
-    """Contraction norms of He_q (c_q = 1) over an n ladder, and tv_bound."""
+    """Contraction norms of He_q (c_q = 1) over an n ladder, taken in
+    ascending order, and tv_bound.  A repeated n or r is a DomainError."""
     if q < 2:
         raise DomainError(f"contraction norms need a chaos order q >= 2; got q={q}")
     rs = tuple(int(r) for r in (r_values or range(1, q)))
-    ns = tuple(int(n) for n in n_values)
+    ns = tuple(sorted(int(n) for n in n_values))
+    for name, values in (("n", ns), ("r", rs)):
+        if len(set(values)) < len(values):
+            raise DomainError(f"contraction {name} values {list(values)} repeat a value")
     ms = {n: num_increments(n, t) for n in ns}
     if min(ms.values(), default=1) < 1:
         raise DomainError(f"floor(n*t) = {min(ms.values())} is below 1 (t={t})")

@@ -41,6 +41,10 @@ EXIT_GATE = 3
 EXIT_NUMERICAL = 4
 
 _MODEL_PARAM_FLAGS = ("H", "K", "alpha")
+# the summary.csv columns of clt, each with the key of a time row it copies
+_SUMMARY_COLUMNS = {"t": "t", "exact_var": "exact_var", "sample_var": "sample_var",
+                    "se": "se_var", "kurtosis_ratio": "kurtosis_ratio",
+                    "ks_stat": "ks_stat", "ks_p": "ks_p"}
 # parsed attributes that steer main rather than a handler, so no config value
 _NOT_CONFIG = frozenset({"command", "func", "config", "print_config"})
 
@@ -195,19 +199,18 @@ def cmd_clt(cfg: dict) -> int:
         seed=_seed_from(cfg), threads=_get(cfg, "threads", int, 1),
         all_pairs=bool(cfg.get("all_pairs")),
     )
-    _write_json(out / "experiment.json", result.to_dict())
+    _write_json(out / "experiment.json", result)
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        rows = result.summary_rows()
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    for ts in result.times:
-        print(f"t={ts.t:g}: sample_var={ts.sample_var:.6g} exact={ts.exact_var:.6g} "
-              f"kurt_ratio={ts.kurtosis_ratio:.4f} ks_p={ts.ks_p:.4g} "
-              f"{'ok' if ts.var_ok and ts.kurt_ok and ts.ks_ok else 'FAIL'}")
-    print(f"{'all verdicts pass' if result.passed else 'verdict failure'} "
+        writer = csv.writer(fh)
+        writer.writerow(_SUMMARY_COLUMNS)
+        writer.writerows([ts[key] for key in _SUMMARY_COLUMNS.values()] for ts in result["times"])
+    for ts in result["times"]:
+        print(f"t={ts['t']:g}: sample_var={ts['sample_var']:.6g} exact={ts['exact_var']:.6g} "
+              f"kurt_ratio={ts['kurtosis_ratio']:.4f} ks_p={ts['ks_p']:.4g} "
+              f"{'ok' if ts['var_ok'] and ts['kurt_ok'] and ts['ks_ok'] else 'FAIL'}")
+    print(f"{'all verdicts pass' if result['passed'] else 'verdict failure'} "
           f"-> {out / 'experiment.json'}")
-    return EXIT_OK if result.passed else EXIT_NUMERICAL
+    return EXIT_OK if result["passed"] else EXIT_NUMERICAL
 
 
 def cmd_check(cfg: dict) -> int:
@@ -245,8 +248,8 @@ def cmd_contraction(cfg: dict) -> int:
     payload = _echo(cfg, {"model_resolved": model.describe()})
     payload |= report.to_dict()
     _write_json(path, payload)
-    for n in ns:
-        for r in rs:
+    for n in report.n_values:
+        for r in report.r_values:
             tv = f"  tv<={report.tv[n]:.6g}" if n in report.tv else ""
             print(f"n={n:<6} q={q} r={r}: {report.norms[(n, r)]:.8g}{tv}")
     ok = report.non_increasing()
@@ -265,6 +268,9 @@ def cmd_report(cfg: dict) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"experiment file {path} is not a saved clt run: "
                           f"missing or malformed {exc}") from None
+    if not rows:
+        # run_experiment refuses an empty grid, so no saved run holds no times
+        raise DomainError(f"experiment file {path} is not a saved clt run: it holds no times")
     stored = saved.get("passed")
     print(f"{path}: rederived verdict = {'pass' if ok else 'fail'} "
           f"(stored: {'pass' if stored else 'fail'})")

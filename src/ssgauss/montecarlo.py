@@ -11,14 +11,17 @@ finite-n oracle through chaos orthogonality,
     g(rho) = E[f(X) f(Y)] = sum_q q! c_q^2 rho^q = f.covariance(rho),
 
 so Monte Carlo output can be held against a non-random target at every n
-rather than only against the n -> infinity limit.  The experiment
-records, per grid time: sample variance (bootstrap standard error),
-fourth-moment ratio E[F^4] / (3 E[F^2]^2), a one-sample KS test of
-F_n(t)/sqrt(exact variance) against the standard normal, and the
-covariance of consecutive path increments of F_n (which the limit says
-vanish).  KS standardization uses the exact finite-n variance, not the
-limit value, to keep slow variance convergence from contaminating the
-shape test.
+rather than only against the n -> infinity limit.  run_experiment
+returns the experiment.json object itself, {"config", "version",
+"times", "cross", "passed"}.  Each time row records the sample variance
+(bootstrap standard error), the fourth-moment ratio
+E[F^4] / (3 E[F^2]^2) and a one-sample KS test of
+F_n(t)/sqrt(exact variance) against the standard normal; each cross row
+the covariance of two path increments of F_n, which the limit says
+vanish.  Each row carries its verdicts, and passed is derive_verdicts of
+the rows, which is how report audits a saved run.  KS standardization
+uses the exact finite-n variance, not the limit value, to keep slow
+variance convergence from contaminating the shape test.
 
 The per-row passes run in blocks of rows sized to stay in a core's L2
 cache: the Hermite recurrence and prefix sums of F_n, and the draws,
@@ -36,7 +39,6 @@ NumericalError naming it and t; nothing non-finite is recorded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,9 +54,6 @@ __all__ = [
     "functional",
     "exact_variance",
     "run_experiment",
-    "ExperimentResult",
-    "TimeStats",
-    "CrossStats",
     "kolmogorov_sf",
     "ks_test_normal",
 ]
@@ -171,67 +170,6 @@ def ks_test_normal(sample: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Experiment records.
 
-@dataclass(frozen=True)
-class TimeStats:
-    t: float
-    num_terms: int
-    mean: float
-    sample_var: float
-    se_var: float
-    fourth_moment: float
-    kurtosis_ratio: float
-    se_kurtosis: float
-    ks_stat: float
-    ks_p: float
-    exact_var: float
-    predicted_var: float
-    var_ok: bool
-    kurt_ok: bool
-    ks_ok: bool
-
-
-@dataclass(frozen=True)
-class CrossStats:
-    t_lo: float
-    t_mid: float
-    t_hi: float
-    cov: float
-    se: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Reproducible record of one replicated experiment.
-
-    Verdicts are pure functions of the stored statistics and the
-    tolerances echoed in config, so they can be re-derived from the JSON.
-    """
-
-    config: dict
-    times: list[TimeStats] = field(default_factory=list)
-    cross: list[CrossStats] = field(default_factory=list)
-    passed: bool = False
-    version: str = _VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "version": self.version,
-            "times": [vars(ts) | {} for ts in self.times],
-            "cross": [vars(cs) | {} for cs in self.cross],
-            "passed": self.passed,
-        }
-
-    def summary_rows(self) -> list[dict]:
-        cols = ("t", "exact_var", "sample_var", "se", "kurtosis_ratio", "ks_stat", "ks_p")
-        return [
-            dict(zip(cols, (ts.t, ts.exact_var, ts.sample_var, ts.se_var,
-                            ts.kurtosis_ratio, ts.ks_stat, ts.ks_p)))
-            for ts in self.times
-        ]
-
-
 def _verdicts(row: dict, tol: dict) -> dict[str, bool]:
     """The verdict flags of one row of statistics: ok for a cross row,
     var_ok, kurt_ok and ks_ok for a time row."""
@@ -293,12 +231,15 @@ def _require_finite(row: dict, where: str) -> None:
 
 def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
                    M: int = DEFAULT_M, seed: int = 0, threads: int = 1,
-                   all_pairs: bool = False) -> ExperimentResult:
-    """Replicated CLT experiment over a time grid.
+                   all_pairs: bool = False) -> dict:
+    """Replicated CLT experiment over a time grid, as the experiment.json
+    object {"config", "version", "times", "cross", "passed"}.
 
-    Computes per-time variance/kurtosis/KS statistics with their verdicts
-    and the pairwise covariances of path increments of F_n (consecutive
-    pairs by default, every pair with all_pairs).
+    Each time row holds the variance/kurtosis/KS statistics of F_n(t)
+    with their verdicts, and each cross row the covariance of two path
+    increments of F_n (consecutive pairs by default, every pair with
+    all_pairs).  passed is derive_verdicts of the rows, so a saved run
+    re-derives it from its own statistics.
     """
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid or t_grid[0] <= 0.0:
@@ -315,6 +256,12 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
             f"t = {t_grid[0]:g} gives floor(n*t) = 0 at n = {n}; "
             f"the smallest allowed time is 1/n = {1.0 / n:g}"
         )
+    # two times with one count give a zero path increment, which makes
+    # every cross row that holds it vacuous
+    for i in range(1, len(terms)):
+        if terms[i] == terms[i - 1]:
+            raise GridError(f"t = {t_grid[i - 1]:g} and t = {t_grid[i]:g} both give "
+                            f"floor(n*t) = {terms[i]} at n = {n}")
     # sigma^2 before any sampling: where its series cannot be certified,
     # the run stops without drawing a batch
     limit = sigma_sq(f, model.alpha)
@@ -327,8 +274,8 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
     paths = functional(batch.normalized, f, n, grid0)
 
     tol = TOLERANCES
-    times: list[TimeStats] = []
-    cross: list[CrossStats] = []
+    times: list[dict] = []
+    cross: list[dict] = []
     # the fourth powers of a large f overflow, and those of a tiny f
     # underflow to a zero kurtosis denominator; the run then stops on the
     # first statistic that is not finite rather than record it
@@ -350,7 +297,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
                 predicted_var=limit.sigma_sq * t,
             )
             _require_finite(row, f"t = {t:g}")
-            times.append(TimeStats(**row, **_verdicts(row, tol)))
+            times.append(row | _verdicts(row, tol))
 
         G = np.diff(paths, axis=0)
         pairs = (
@@ -363,9 +310,8 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
             se = float(np.std(prod, ddof=1) / math.sqrt(M))
             row = dict(t_lo=grid0[i], t_mid=grid0[i + 1], t_hi=grid0[j + 1], cov=cov, se=se)
             _require_finite(row, f"t = {grid0[i]:g}, {grid0[i + 1]:g}, {grid0[j + 1]:g}")
-            cross.append(CrossStats(**row, **_verdicts(row, tol)))
+            cross.append(row | _verdicts(row, tol))
 
-    passed = derive_verdicts([vars(ts) for ts in times], [vars(cs) for cs in cross], tol)
     config = {
         "model": model.describe(),
         "f": f.describe(),
@@ -376,4 +322,5 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
         "tolerances": dict(tol),
         "sigma_sq": limit.sigma_sq,
     }
-    return ExperimentResult(config=config, times=times, cross=cross, passed=passed)
+    return {"config": config, "version": _VERSION, "times": times, "cross": cross,
+            "passed": derive_verdicts(times, cross, tol)}

@@ -295,36 +295,36 @@ def test_criterion_04_monte_carlo_clt(clt_runs):
                                      for t in MC_TIMES]
     worst_z, worst_p, worst_exact_z = 0.0, 1.0, 0.0
     for label, res in runs.items():
-        for i, ts in enumerate(res.times):
-            if abs(ts.sample_var - ts.exact_var) > 4.0 * ts.se_var:
-                failures.append(f"{label} t={ts.t}: variance off by "
-                                f"{abs(ts.sample_var - ts.exact_var) / ts.se_var:.1f} se")
+        for i, ts in enumerate(res["times"]):
+            if abs(ts["sample_var"] - ts["exact_var"]) > 4.0 * ts["se_var"]:
+                failures.append(f"{label} t={ts['t']}: variance off by "
+                                f"{abs(ts['sample_var'] - ts['exact_var']) / ts['se_var']:.1f} se")
             rebuilt, _ = _kurtosis_ratio(program[label][:, i])
-            if abs(rebuilt - ts.kurtosis_ratio) > 1e-12 * ts.kurtosis_ratio:
-                failures.append(f"{label} t={ts.t}: rebuilt replicas give kurtosis ratio "
-                                f"{rebuilt!r}, the run {ts.kurtosis_ratio!r}")
+            if abs(rebuilt - ts["kurtosis_ratio"]) > 1e-12 * ts["kurtosis_ratio"]:
+                failures.append(f"{label} t={ts['t']}: rebuilt replicas give kurtosis ratio "
+                                f"{rebuilt!r}, the run {ts['kurtosis_ratio']!r}")
             if label in exact_kurtosis:
                 k_exact = exact_kurtosis[label][i]
-                z_exact = abs(ts.kurtosis_ratio - k_exact) / ts.se_kurtosis
+                z_exact = abs(ts["kurtosis_ratio"] - k_exact) / ts["se_kurtosis"]
                 worst_exact_z = max(worst_exact_z, z_exact)
                 if z_exact > 5.0:
-                    failures.append(f"{label} t={ts.t}: kurtosis ratio "
-                                    f"{ts.kurtosis_ratio:.4f} vs exact {k_exact:.4f} "
+                    failures.append(f"{label} t={ts['t']}: kurtosis ratio "
+                                    f"{ts['kurtosis_ratio']:.4f} vs exact {k_exact:.4f} "
                                     f"({z_exact:.1f} se)")
             k_ref, se_ref = _kurtosis_ratio(reference[label][:, i])
-            z = abs(ts.kurtosis_ratio - k_ref) / math.hypot(ts.se_kurtosis, se_ref)
+            z = abs(ts["kurtosis_ratio"] - k_ref) / math.hypot(ts["se_kurtosis"], se_ref)
             p = float(ks_2samp(program[label][:, i], reference[label][:, i]).pvalue)
             worst_z, worst_p = max(worst_z, z), min(worst_p, p)
             if z > 5.0:
-                failures.append(f"{label} t={ts.t}: kurtosis ratio {ts.kurtosis_ratio:.4f} "
+                failures.append(f"{label} t={ts['t']}: kurtosis ratio {ts['kurtosis_ratio']:.4f} "
                                 f"vs finite-n reference {k_ref:.4f} ({z:.1f} se)")
             if p < 1e-3:
-                failures.append(f"{label} t={ts.t}: two-sample KS p = {p:.3g}")
+                failures.append(f"{label} t={ts['t']}: two-sample KS p = {p:.3g}")
     # determinism at the fixed seed
     model = make_model("fbm", H=0.5)
     f2 = builtin_family("single_hermite", 2)
     again = run_experiment(model, f2, MC_N, list(MC_TIMES), M=MC_M, seed=SEED)
-    if again.to_dict() != runs["fbm/single_hermite:2"].to_dict():
+    if again != runs["fbm/single_hermite:2"]:
         failures.append("rerun at the fixed seed is not identical")
     _report(4, failures, elapsed + (time.time() - t0), 180.0,
             f"max kurtosis z={worst_z:.2f} (exact fbm: {worst_exact_z:.2f}) "
@@ -336,10 +336,11 @@ def test_criterion_05_cross_increment_decorrelation(clt_runs):
     t0 = time.time()
     failures = []
     for label, res in runs.items():
-        for cs in res.cross:
-            if abs(cs.cov) > 4.0 * cs.se:
-                failures.append(f"{label} ({cs.t_lo},{cs.t_mid})x({cs.t_mid},{cs.t_hi}): "
-                                f"|C|={abs(cs.cov):.4g} > 4se={4 * cs.se:.4g}")
+        for cs in res["cross"]:
+            if abs(cs["cov"]) > 4.0 * cs["se"]:
+                failures.append(f"{label} ({cs['t_lo']},{cs['t_mid']})x"
+                                f"({cs['t_mid']},{cs['t_hi']}): "
+                                f"|C|={abs(cs['cov']):.4g} > 4se={4 * cs['se']:.4g}")
     _report(5, failures, time.time() - t0, 30.0)
 
 

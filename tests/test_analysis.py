@@ -122,6 +122,17 @@ def test_contraction_report_over_ladder():
     assert not hot.non_increasing()
 
 
+def test_contraction_report_sorts_n_and_refuses_repeats():
+    m = make_model("swanson")
+    rep = contraction_report(m, 2, (128, 64))
+    assert rep.n_values == (64, 128)
+    assert rep.to_dict() == contraction_report(m, 2, (64, 128)).to_dict()
+    with pytest.raises(DomainError, match="n values"):
+        contraction_report(m, 2, (64, 128, 128))
+    with pytest.raises(DomainError, match="r values"):
+        contraction_report(m, 3, (64,), r_values=(1, 2, 1))
+
+
 def test_contraction_report_computes_each_norm_once(monkeypatch):
     calls = []
 

@@ -116,6 +116,14 @@ def test_clt_time_below_one_over_n_exit_2(tmp_path, capsys):
     assert not (tmp_path / "experiment.json").exists()
 
 
+def test_clt_two_times_with_one_count_exit_2(tmp_path, capsys):
+    rc = run_cli(["clt", "--model", "swanson", "--f", "hermite:2", "--n", "64",
+                  "--M", "200", "--t-grid", "0.5,0.5,1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "both give floor(n*t) = 32" in capsys.readouterr().err
+    assert not (tmp_path / "experiment.json").exists()
+
+
 def test_check_swanson_passes(tmp_path, capsys):
     rc = run_cli(["check", "--model", "swanson", "--out", str(tmp_path)])
     assert rc == 0
@@ -144,6 +152,26 @@ def test_contraction_brownian_values(tmp_path, capsys):
     assert rc == 0
     rows = json.loads((tmp_path / "contraction.json").read_text())["norms"]
     assert [r["norm"] for r in rows] == pytest.approx([1 / 64, 1 / 128, 1 / 256])
+
+
+@pytest.mark.parametrize("ladder", [["--n", "64,128,128"], ["--n", "64,128", "--r", "1,1"]])
+def test_contraction_repeated_n_or_r_exits_2(tmp_path, capsys, ladder):
+    # a repeated n once read as a ladder that is NOT decreasing (exit 4)
+    rc = run_cli(["contraction", "--model", "swanson", "--q", "3", *ladder,
+                  "--out", str(tmp_path)])
+    assert rc == 2
+    assert "repeat a value" in capsys.readouterr().err
+    assert not (tmp_path / "contraction.json").exists()
+
+
+def test_contraction_takes_its_ladder_in_ascending_n(tmp_path, capsys):
+    rc = run_cli(["contraction", "--model", "swanson", "--q", "2", "--n", "128,64",
+                  "--out", str(tmp_path)])
+    assert rc == 0
+    rows = json.loads((tmp_path / "contraction.json").read_text())["norms"]
+    assert [r["n"] for r in rows] == [64, 128]
+    out = capsys.readouterr().out
+    assert out.index("n=64 ") < out.index("n=128 ")
 
 
 def test_contraction_keeps_norms_where_sigma_q_is_not_certified(tmp_path, capsys):
@@ -493,6 +521,8 @@ def test_out_creates_nested_directories_and_print_config_creates_none(tmp_path, 
     pytest.param(b"{}", "is not a saved clt run: missing or malformed 'times'", id="empty"),
     pytest.param(b'{"times": [{"t": 1.0}], "cross": [], "config": {"tolerances": {}}}',
                  "is not a saved clt run", id="incomplete-row"),
+    pytest.param(b'{"config": {"tolerances": {}}, "times": [], "cross": [], "passed": true}',
+                 "is not a saved clt run: it holds no times", id="no-times"),
 ])
 def test_report_input_faults_exit_2(tmp_path, capsys, content, named):
     path = tmp_path / "experiment.json"

@@ -1,10 +1,12 @@
+import csv
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
-from ssgauss import montecarlo
+from ssgauss import cli, montecarlo
 from ssgauss.covgrid import increment_cov, release_grid
 from ssgauss.errors import DomainError, GateError, GridError, NumericalError
 from ssgauss.hermite import HermiteFunction, builtin_family
@@ -141,16 +143,16 @@ def test_ks_against_scipy_reference():
 def test_run_experiment_small_brownian():
     m = make_model("fbm", H=0.5)
     res = run_experiment(m, H2, 128, [0.5, 1.0], M=400, seed=7)
-    assert res.passed
-    for ts in res.times:
-        assert abs(ts.sample_var - ts.exact_var) <= 4.0 * ts.se_var
-        assert ts.exact_var == pytest.approx(2.0 * ts.t, rel=1e-12)
-        assert ts.predicted_var == pytest.approx(2.0 * ts.t, rel=1e-12)
-    assert len(res.cross) == 1
-    assert abs(res.cross[0].cov) <= 4.0 * res.cross[0].se
+    assert res["passed"]
+    for ts in res["times"]:
+        assert abs(ts["sample_var"] - ts["exact_var"]) <= 4.0 * ts["se_var"]
+        assert ts["exact_var"] == pytest.approx(2.0 * ts["t"], rel=1e-12)
+        assert ts["predicted_var"] == pytest.approx(2.0 * ts["t"], rel=1e-12)
+    assert len(res["cross"]) == 1
+    assert abs(res["cross"][0]["cov"]) <= 4.0 * res["cross"][0]["se"]
     # reproducible end to end
     res2 = run_experiment(m, H2, 128, [0.5, 1.0], M=400, seed=7)
-    assert res.to_dict() == res2.to_dict()
+    assert res == res2
 
 
 @pytest.mark.parametrize("name,kw", [("swanson", {}), ("subfbm", {"H": 0.35}),
@@ -164,12 +166,12 @@ def test_run_experiment_takes_its_grid_from_the_one_path(name, kw):
     n, M, seed, ts = 64, 200, 11, [0.25, 0.5, 1.0]
     release_grid()
     res = run_experiment(m, f, n, ts, M=M, seed=seed)
-    for row, t in zip(res.times, ts):
+    for row, t in zip(res["times"], ts):
         release_grid()
-        assert row.exact_var == exact_variance(m, f, n, t)
+        assert row["exact_var"] == exact_variance(m, f, n, t)
     release_grid()
     F = functional(sample_batch(m, n, 64, M, seed).normalized, f, n, ts)
-    assert [row.sample_var for row in res.times] == [float(np.var(x, ddof=1)) for x in F]
+    assert [row["sample_var"] for row in res["times"]] == [float(np.var(x, ddof=1)) for x in F]
 
 
 @pytest.mark.parametrize("coeffs,named", [({2: 1e-100}, "kurtosis_ratio at t = 1 is nan"),
@@ -183,7 +185,7 @@ def test_run_experiment_statistic_beyond_double_range_is_a_numerical_error(coeff
 def test_run_experiment_all_pairs_flag():
     m = make_model("fbm", H=0.5)
     res = run_experiment(m, H2, 64, [0.25, 0.5, 1.0], M=200, seed=1, all_pairs=True)
-    assert len(res.cross) == 3  # every pair of the three increments
+    assert len(res["cross"]) == 3  # every pair of the three increments
 
 
 def test_run_experiment_gates():
@@ -297,10 +299,53 @@ def test_sigma_sq_hole_fails_before_any_sampling(monkeypatch):
         run_experiment(make_model("fbm", H=0.7), H2, 512, [0.5, 1.0], M=4000, seed=0)
 
 
-def test_experiment_summary_rows():
-    m = make_model("fbm", H=0.5)
-    res = run_experiment(m, H2, 64, [1.0], M=150, seed=3)
-    rows = res.summary_rows()
+def test_experiment_summary_rows(tmp_path):
+    args = ["clt", "--model", "fbm", "--H", "0.5", "--f", "hermite:2", "--n", "64",
+            "--t-grid", "1.0", "--M", "150", "--seed", "3", "--out", str(tmp_path)]
+    assert cli.main(args) in (0, 4)
+    with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["t", "exact_var", "sample_var", "se",
                              "kurtosis_ratio", "ks_stat", "ks_p"]
-    assert rows[0]["t"] == 1.0
+    assert float(rows[0]["t"]) == 1.0
+    # each column is the repr of its time row's value; se is se_var
+    ts = json.loads((tmp_path / "experiment.json").read_text())["times"][0]
+    assert [float(v) for v in rows[0].values()] == [
+        ts[k] for k in ("t", "exact_var", "sample_var", "se_var",
+                        "kurtosis_ratio", "ks_stat", "ks_p")]
+
+
+def test_experiment_record_format(tmp_path, capsys):
+    # no class lists the fields of a run: these lists are the format of
+    # experiment.json and summary.csv, and report re-derives the verdict
+    args = ["clt", "--model", "swanson", "--f", "hermite:2", "--n", "64",
+            "--t-grid", "0.5,1.0", "--M", "150", "--seed", "3", "--out", str(tmp_path)]
+    rc = cli.main(args)
+    saved = json.loads((tmp_path / "experiment.json").read_text())
+    assert list(saved) == ["config", "version", "times", "cross", "passed"]
+    assert [list(row) for row in saved["times"]] == [[
+        "t", "num_terms", "mean", "sample_var", "se_var", "fourth_moment",
+        "kurtosis_ratio", "se_kurtosis", "ks_stat", "ks_p", "exact_var",
+        "predicted_var", "var_ok", "kurt_ok", "ks_ok"]] * 2
+    assert [list(row) for row in saved["cross"]] == [
+        ["t_lo", "t_mid", "t_hi", "cov", "se", "ok"]]
+    header = (tmp_path / "summary.csv").read_text().splitlines()[0]
+    assert header == "t,exact_var,sample_var,se,kurtosis_ratio,ks_stat,ks_p"
+    # run_experiment returns the object the file holds
+    res = run_experiment(make_model("swanson"), H2, 64, [0.5, 1.0], M=150, seed=3)
+    assert type(res) is dict
+    assert json.loads(json.dumps(res)) == saved
+    assert rc == (0 if saved["passed"] else 4)
+    capsys.readouterr()
+    assert cli.main(["report", "--input", str(tmp_path / "experiment.json")]) == rc
+    assert "disagrees" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n,ts,named", [
+    (64, [0.5, 0.5, 1.0], "t = 0.5 and t = 0.5 both give floor(n*t) = 32 at n = 64"),
+    (3, [0.4, 0.5], "t = 0.4 and t = 0.5 both give floor(n*t) = 1 at n = 3"),
+])
+def test_run_experiment_rejects_two_times_with_one_count(n, ts, named):
+    # their path increment is 0, so every cross row holding it is vacuous
+    with pytest.raises(GridError, match=re.escape(named)):
+        run_experiment(make_model("swanson"), H2, n, ts, M=200, seed=0)

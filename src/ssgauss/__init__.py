@@ -18,7 +18,7 @@ from ._version import __version__
 from .covgrid import IncrementCovariance, increment_cov, num_increments
 from .errors import DomainError, GateError, GridError, NumericalError, SingularityError
 from .hermite import HermiteFunction, builtin_family
-from .limitvar import LimitVariance, gate, second_difference, sigma_q_sq, sigma_sq
+from .limitvar import gate, second_difference, sigma_q_sq, sigma_sq
 from .models import Model, list_models, make_model
 from .montecarlo import exact_variance, functional, run_experiment
 from .sampler import SampleBatch, cholesky, normal_icdf, sample_batch
@@ -29,7 +29,7 @@ __all__ = [
     "Model", "make_model", "list_models",
     "IncrementCovariance", "increment_cov", "num_increments",
     "HermiteFunction", "builtin_family",
-    "LimitVariance", "gate", "second_difference", "sigma_q_sq", "sigma_sq",
+    "gate", "second_difference", "sigma_q_sq", "sigma_sq",
     "SampleBatch", "cholesky", "sample_batch", "normal_icdf",
     "functional", "exact_variance", "run_experiment",
 ]

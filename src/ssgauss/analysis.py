@@ -9,6 +9,9 @@ envelope" is operationalized as: the ratio |residual| / envelope is finite
 on the audit grid and its log-log trend over the asymptotic end of the grid
 does not grow (slope <= slope_tol, default 0.05).  The fitted constant is
 reported, never compared to a target, since any true constant is generic.
+Each audit returns its record, the dict that `check` writes for it, with
+the keys target, model, grid, ratios, ratio_sup, trend_slope, verdict and
+note; run_all_checks maps each target to its record.
 
 Audited expansions, for 0 < s <= t and 0 < 2s <= t/3 <= r <= t - 2s:
 
@@ -50,12 +53,13 @@ contraction_norm computes it for He_q itself, c_q = 1.  For a single
 Hermite polynomial He_q this also yields a total-variation upper estimate
 for the distance of F_n(t) to its normal limit, using the unsymmetrized
 contraction norms (which dominate the symmetrized ones).
+contraction_report returns the contraction.json object, whose norms are
+{n, r, norm} rows, and non_increasing reads those rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,8 +69,6 @@ from .limitvar import sigma_q_sq
 from .models import Model
 
 __all__ = [
-    "BoundCheckReport",
-    "ContractionReport",
     "check_shape_derivatives",
     "check_tail_derivatives",
     "check_increment_variance",
@@ -76,6 +78,7 @@ __all__ = [
     "run_all_checks",
     "contraction_norm",
     "contraction_report",
+    "non_increasing",
     "tv_bound",
 ]
 
@@ -99,29 +102,6 @@ _SMOOTH_NOTE = (
     "interior increments of this model scale with step exponent >= 1, not "
     "alpha; residual envelopes evaluated with the stated (alpha, beta) anyway"
 )
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    """Outcome of one bounded-ratio audit.
-
-    ratio_sup is the fitted constant; trend_slope is the log-log
-    slope of the ratio against the asymptotic parameter over the top
-    decade of the grid.  verdict is pass iff the sup is finite and the
-    trend does not grow.
-    """
-
-    target: str
-    model: str
-    grid: list
-    ratios: list
-    ratio_sup: float
-    trend_slope: float
-    verdict: bool
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _trend_slope(u: np.ndarray, ratios: np.ndarray) -> float:
@@ -150,16 +130,16 @@ def _floored(residual, scale) -> np.ndarray:
     return np.where(res <= _ZERO_FLOOR * np.maximum(scale, 1.0), 0.0, res)
 
 
-def _report(target: str, model: Model, u, ratios, note: str = "") -> BoundCheckReport:
-    """The audit's floored ratios over the asymptotic parameter u, with
-    their sup, trend slope and verdict."""
+def _report(target: str, model: Model, u, ratios, note: str = "") -> dict:
+    """The audit record of the floored ratios over the asymptotic parameter
+    u: ratio_sup is the fitted constant, trend_slope the log-log slope over
+    the top decade of u, and verdict is pass iff the sup is finite and the
+    trend does not grow."""
     sup = float(np.max(ratios))
     slope = 0.0 if sup == 0.0 else _trend_slope(u, ratios)
-    return BoundCheckReport(
-        target=target, model=model.name, grid=[float(v) for v in np.ravel(u)],
-        ratios=[float(v) for v in ratios], ratio_sup=sup, trend_slope=slope,
-        verdict=math.isfinite(sup) and slope <= SLOPE_TOL, note=note,
-    )
+    return {"target": target, "model": model.name, "grid": [float(v) for v in np.ravel(u)],
+            "ratios": [float(v) for v in ratios], "ratio_sup": sup, "trend_slope": slope,
+            "verdict": math.isfinite(sup) and slope <= SLOPE_TOL, "note": note}
 
 
 def _smooth_note(model: Model) -> str:
@@ -169,7 +149,7 @@ def _smooth_note(model: Model) -> str:
 # ---------------------------------------------------------------------------
 # Derivative envelope audits.
 
-def check_shape_derivatives(model: Model) -> list[BoundCheckReport]:
+def check_shape_derivatives(model: Model) -> list[dict]:
     """Audit |psi'| <= C x^(a-1), |psi''| <= C x^-1 (x-1)^(a-1), and the
     slope identity psi'(1) = beta psi(1).
 
@@ -195,15 +175,12 @@ def check_shape_derivatives(model: Model) -> list[BoundCheckReport]:
     verdict = (resid <= SLOPE_IDENTITY_TOL) if enforced else True
     if not enforced and not note:
         note = "alpha < 1: identity informational only"
-    rep3 = BoundCheckReport(
-        target="psi-slope-identity", model=model.name, grid=[1.0],
-        ratios=[resid], ratio_sup=resid, trend_slope=0.0,
-        verdict=bool(verdict), note=note,
-    )
+    # one value, judged by its tolerance rather than by a trend
+    rep3 = _report("psi-slope-identity", model, [1.0], [resid], note) | {"verdict": bool(verdict)}
     return [rep1, rep2, rep3]
 
 
-def check_tail_derivatives(model: Model) -> list[BoundCheckReport]:
+def check_tail_derivatives(model: Model) -> list[dict]:
     """Audit the tail decay of phi' and phi'' on [2, 1e4].
 
     Envelopes switch on the increment exponent: (x-1)^-nu and (x-1)^(-nu-1)
@@ -234,7 +211,7 @@ def _near_floored(model: Model, actual, main) -> np.ndarray:
     return _floored(actual - main, scale)
 
 
-def check_increment_variance(model: Model) -> BoundCheckReport:
+def check_increment_variance(model: Model) -> dict:
     """Residual of E[(X_{1+s} - X_1)^2] - 2 lam s^a on s = 2^-k."""
     a, s = model.alpha, _S
     actual = model.r(1.0 + s, 1.0 + s) - 2.0 * model.r(1.0 + s, 1.0) + model.r(1.0, 1.0)
@@ -244,7 +221,7 @@ def check_increment_variance(model: Model) -> BoundCheckReport:
                    _near_floored(model, actual, main) / env, _smooth_note(model))
 
 
-def check_adjacent_covariance(model: Model) -> BoundCheckReport:
+def check_adjacent_covariance(model: Model) -> dict:
     """Residual of the adjacent-increment covariance at t = 1 against
     (2^a - 2) lam s^a, for 0 < 2s <= 1."""
     a, b, s = model.alpha, model.beta, _S
@@ -256,7 +233,7 @@ def check_adjacent_covariance(model: Model) -> BoundCheckReport:
                    _near_floored(model, actual, main) / env, _smooth_note(model))
 
 
-def check_separated_covariance(model: Model) -> BoundCheckReport:
+def check_separated_covariance(model: Model) -> dict:
     """Residual of the separated-increment covariance on the wedge
     0 < 2s <= 1/3 <= r <= 1 - 2s; per s the worst ratio over r is kept."""
     a, b, lam, s = model.alpha, model.beta, model.lam, _S[:, None]
@@ -273,7 +250,7 @@ def check_separated_covariance(model: Model) -> BoundCheckReport:
                    _smooth_note(model))
 
 
-def check_far_decay(model: Model) -> BoundCheckReport:
+def check_far_decay(model: Model) -> dict:
     """Decay of |E[DX_j DX_k]| for the pairs (j, k) = (3^e, 3^(e-1)) on the
     integer grid; the envelope branches on alpha as in the module docstring."""
     a, b, j = model.alpha, model.beta, _FAR_J
@@ -288,16 +265,12 @@ def check_far_decay(model: Model) -> BoundCheckReport:
                    _smooth_note(model))
 
 
-def run_all_checks(model: Model) -> dict[str, BoundCheckReport]:
-    """All audits for one model, keyed by target name."""
-    reports: list[BoundCheckReport] = []
-    reports += check_shape_derivatives(model)
-    reports += check_tail_derivatives(model)
-    reports.append(check_increment_variance(model))
-    reports.append(check_adjacent_covariance(model))
-    reports.append(check_separated_covariance(model))
-    reports.append(check_far_decay(model))
-    return {rep.target: rep for rep in reports}
+def run_all_checks(model: Model) -> dict[str, dict]:
+    """All audit records for one model, keyed by target name."""
+    reports = [*check_shape_derivatives(model), *check_tail_derivatives(model),
+               check_increment_variance(model), check_adjacent_covariance(model),
+               check_separated_covariance(model), check_far_decay(model)]
+    return {rep["target"]: rep for rep in reports}
 
 
 # ---------------------------------------------------------------------------
@@ -321,61 +294,24 @@ def contraction_norm(ic: IncrementCovariance, q: int, r: int, t: float = 1.0) ->
     return float(1.0 / ic.n**2 * np.sum(P * P.T))
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    """Contraction norms over a resolution ladder, plus the total-variation
-    estimates when the test function is a single Hermite polynomial.
-
-    norms maps (n, r) to the contraction norm; tv maps n to the bound
-    (empty where sigma_q^2 is undefined past the applicability gate, is
-    uncertified or exceeds the double range, or where the bound's
-    weights exceed the double range, from q = 83 on).
-    """
-
-    model: str
-    q: int
-    r_values: tuple[int, ...]
-    n_values: tuple[int, ...]
-    norms: dict
-    tv: dict
-
-    def non_increasing(self) -> bool:
-        """Whether every r-track decays across the n ladder, allowing a 5%
-        rise on the coarsest step."""
-        ok = True
-        for r in self.r_values:
-            track = [self.norms[(n, r)] for n in self.n_values]
-            if len(track) < 2:
-                continue
-            ok &= track[1] <= track[0] * (1.0 + _COARSE_SLACK)
-            ok &= all(track[i + 1] < track[i] for i in range(1, len(track) - 1))
-        return ok
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "q": self.q,
-            "r_values": list(self.r_values),
-            "n_values": list(self.n_values),
-            "norms": [
-                {"n": n, "r": r, "norm": self.norms[(n, r)]}
-                for n in self.n_values for r in self.r_values
-            ],
-            "tv_bound": {str(n): v for n, v in self.tv.items()},
-        }
-
-
-def contraction_report(model, q: int, n_values, r_values=None,
-                       t: float = 1.0) -> ContractionReport:
+def contraction_report(model, q: int, n_values, r_values=None, t: float = 1.0) -> dict:
     """Contraction norms of He_q (c_q = 1) over an n ladder, taken in
-    ascending order, and tv_bound.  A repeated n or r is a DomainError."""
+    ascending order, and tv_bound, as the contraction.json record
+    {"model", "q", "r_values", "n_values", "norms", "tv_bound"}.
+
+    norms holds one {"n", "r", "norm"} row per (n, r), n outer; tv_bound
+    maps n to the bound, and is empty where sigma_q^2 is undefined past
+    the applicability gate, is uncertified or exceeds the double range, or
+    where the bound's weights exceed the double range, from q = 83 on.  A
+    repeated n or r is a DomainError.
+    """
     if q < 2:
         raise DomainError(f"contraction norms need a chaos order q >= 2; got q={q}")
-    rs = tuple(int(r) for r in (r_values or range(1, q)))
-    ns = tuple(sorted(int(n) for n in n_values))
+    rs = [int(r) for r in (r_values or range(1, q))]
+    ns = sorted(int(n) for n in n_values)
     for name, values in (("n", ns), ("r", rs)):
         if len(set(values)) < len(values):
-            raise DomainError(f"contraction {name} values {list(values)} repeat a value")
+            raise DomainError(f"contraction {name} values {values} repeat a value")
     ms = {n: num_increments(n, t) for n in ns}
     if min(ms.values(), default=1) < 1:
         raise DomainError(f"floor(n*t) = {min(ms.values())} is below 1 (t={t})")
@@ -389,19 +325,30 @@ def contraction_report(model, q: int, n_values, r_values=None,
     # tv_bound reads every order r = 1..q-1, so compute them all for it,
     # each unordered pair {r, q - r} once
     orders = rs if sq is None else sorted(set(rs) | set(range(1, q)))
-    norms: dict = {}
-    tv: dict = {}
+    norms: list[dict] = []
+    tv: dict[int, float] = {}
     for n in ns:
         ic = increment_cov(model, n, ms[n])
         at_n: dict = {}
         for r in orders:
             twin = at_n.get(q - r)
             at_n[r] = contraction_norm(ic, q, r, t) if twin is None else twin
-        norms.update({(n, r): at_n[r] for r in rs})
+        norms += [{"n": n, "r": r, "norm": at_n[r]} for r in rs]
         if sq is not None:
             tv[n] = tv_bound(at_n, q, sq, t)
-    return ContractionReport(model=model.name, q=q, r_values=rs, n_values=ns,
-                             norms=norms, tv=tv)
+    return {"model": model.name, "q": q, "r_values": rs, "n_values": ns, "norms": norms,
+            "tv_bound": tv}
+
+
+def non_increasing(report: dict) -> bool:
+    """Whether every r-track of a contraction_report decays across its n
+    ladder, allowing a 5% rise on the coarsest step."""
+    for r in report["r_values"]:
+        track = [row["norm"] for row in report["norms"] if row["r"] == r]
+        if len(track) > 1 and not (track[1] <= track[0] * (1.0 + _COARSE_SLACK)
+                                   and all(b < a for a, b in zip(track[1:], track[2:]))):
+            return False
+    return True
 
 
 def tv_bound(norms: dict, q: int, sigma_q2: float, t: float = 1.0) -> float:

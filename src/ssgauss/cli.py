@@ -51,9 +51,10 @@ _NOT_CONFIG = frozenset({"command", "func", "config", "print_config"})
 
 def _parse(convert, text, flag: str):
     """convert(text), with a malformed value reported as a usage error.  A
-    config file's boolean, or its float where an integer is expected, is
-    malformed rather than truncated."""
-    if isinstance(text, bool) or (convert is int and isinstance(text, float)):
+    config file's boolean where a number is expected, anything but a
+    boolean where one is, or its float where an integer is expected, is
+    malformed rather than truncated or read as true."""
+    if isinstance(text, bool) != (convert is bool) or (convert is int and isinstance(text, float)):
         raise DomainError(f"malformed {flag} value {text!r}")
     try:
         return convert(text)
@@ -163,14 +164,13 @@ def cmd_variance(cfg: dict) -> int:
     f = _build_f(cfg)
     rel_tol = _get(cfg, "rel_tol", float, limitvar.DEFAULT_REL_TOL)
     lv = limitvar.sigma_sq(f, model.alpha, rel_tol=rel_tol)
-    payload = _echo(cfg, {"model_resolved": model.describe(), "f_resolved": f.describe()})
-    payload |= lv.describe()
-    _write_json(path, payload)
+    echo = _echo(cfg, {"model_resolved": model.describe(), "f_resolved": f.describe()})
+    _write_json(path, echo | lv)
     # the share of Var f(Z) above the chaos cut, which sigma_sq leaves out
     cut = (f"; the chaos cut leaves out {f.tail_sq / (f.l2_norm_sq + f.tail_sq):.2g} "
            f"of Var f(Z)" if f.tail_sq > 0.0 else "")
-    print(f"sigma_sq = {lv.sigma_sq:.12g}  (alpha={model.alpha}, "
-          f"chaoses {sorted(lv.per_chaos)}{cut}) -> {path}")
+    print(f"sigma_sq = {lv['sigma_sq']:.12g}  (alpha={model.alpha}, "
+          f"chaoses {list(lv['per_chaos'])}{cut}) -> {path}")
     return EXIT_OK
 
 
@@ -197,7 +197,7 @@ def cmd_clt(cfg: dict) -> int:
     result = montecarlo.run_experiment(
         model, f, _get(cfg, "n", int), t_grid, M=_get(cfg, "M", int, montecarlo.DEFAULT_M),
         seed=_seed_from(cfg), threads=_get(cfg, "threads", int, 1),
-        all_pairs=bool(cfg.get("all_pairs")),
+        all_pairs=_get(cfg, "all_pairs", bool, False),
     )
     _write_json(out / "experiment.json", result)
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
@@ -223,18 +223,13 @@ def cmd_check(cfg: dict) -> int:
             print(f"warning: {exc}; the normal limit is not guaranteed for this f "
                   f"(checks still run)")
     reports = analysis.run_all_checks(model)
-    tag = model.name.replace("-", "")
-    payload = _echo(cfg, {"model_resolved": model.describe()})
-    payload["reports"] = {k: rep.to_dict() for k, rep in reports.items()}
-    path = out / f"{tag}_checks.json"
-    _write_json(path, payload)
-    ok = True
+    path = out / f"{model.name.replace('-', '')}_checks.json"
+    _write_json(path, _echo(cfg, {"model_resolved": model.describe()}) | {"reports": reports})
     for name, rep in reports.items():
-        flag = "pass" if rep.verdict else "FAIL"
-        print(f"{name:<32} sup={rep.ratio_sup:<12.4g} slope={rep.trend_slope:+.4f} {flag}")
-        ok &= rep.verdict
+        print(f"{name:<32} sup={rep['ratio_sup']:<12.4g} slope={rep['trend_slope']:+.4f} "
+              f"{'pass' if rep['verdict'] else 'FAIL'}")
     print(f"-> {path}")
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return EXIT_OK if all(rep["verdict"] for rep in reports.values()) else EXIT_NUMERICAL
 
 
 def cmd_contraction(cfg: dict) -> int:
@@ -245,14 +240,12 @@ def cmd_contraction(cfg: dict) -> int:
     ns = _parse_list(int, _get(cfg, "n", str, "64,128,256"), "--n")
     t = _get(cfg, "t", float, 1.0)
     report = analysis.contraction_report(model, q, ns, r_values=rs, t=t)
-    payload = _echo(cfg, {"model_resolved": model.describe()})
-    payload |= report.to_dict()
-    _write_json(path, payload)
-    for n in report.n_values:
-        for r in report.r_values:
-            tv = f"  tv<={report.tv[n]:.6g}" if n in report.tv else ""
-            print(f"n={n:<6} q={q} r={r}: {report.norms[(n, r)]:.8g}{tv}")
-    ok = report.non_increasing()
+    _write_json(path, _echo(cfg, {"model_resolved": model.describe()}) | report)
+    tvs = report["tv_bound"]
+    for row in report["norms"]:
+        tv = f"  tv<={tvs[row['n']]:.6g}" if row["n"] in tvs else ""
+        print(f"n={row['n']:<6} q={q} r={row['r']}: {row['norm']:.8g}{tv}")
+    ok = analysis.non_increasing(report)
     print(f"{'non-increasing over the n ladder' if ok else 'NOT decreasing'} -> {path}")
     return EXIT_OK if ok else EXIT_NUMERICAL
 
@@ -265,12 +258,22 @@ def cmd_report(cfg: dict) -> int:
                                         saved["config"]["tolerances"])
         rows = [f"  t={ts['t']:g}: sample_var={ts['sample_var']:.6g} "
                 f"exact={ts['exact_var']:.6g} ks_p={ts['ks_p']:.4g}" for ts in saved["times"]]
+        spans = [(cs["t_lo"], cs["t_mid"], cs["t_hi"]) for cs in saved["cross"]]
+        g = [0.0, *saved["config"].get("t_grid", ())]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"experiment file {path} is not a saved clt run: "
                           f"missing or malformed {exc}") from None
     if not rows:
         # run_experiment refuses an empty grid, so no saved run holds no times
         raise DomainError(f"experiment file {path} is not a saved clt run: it holds no times")
+    # the rows of a run are its grid's, g = [0] + t_grid: one per time, and
+    # one per pair of path increments, consecutive or (--all-pairs, which
+    # the config does not record) every pair
+    consecutive = [(g[i], g[i + 1], g[i + 2]) for i in range(len(g) - 2)]
+    every = [(g[i], g[i + 1], g[j]) for i in range(len(g) - 1) for j in range(i + 2, len(g))]
+    if [ts["t"] for ts in saved["times"]] != g[1:] or spans not in (consecutive, every):
+        raise DomainError(f"experiment file {path} is not a saved clt run: its rows are "
+                          f"not those of its t_grid {g[1:]}")
     stored = saved.get("passed")
     print(f"{path}: rederived verdict = {'pass' if ok else 'fail'} "
           f"(stored: {'pass' if stored else 'fail'})")
@@ -325,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="grid resolution (required)")
     p.add_argument("--t-grid", dest="t_grid", help="comma list, default 1.0")
     p.add_argument("--M", type=int)
-    p.add_argument("--all-pairs", dest="all_pairs", action="store_true",
+    # default None, not False, so that a config file's value survives the merge
+    p.add_argument("--all-pairs", dest="all_pairs", action="store_true", default=None,
                    help="cross-covariances for every pair, not only consecutive")
     p.set_defaults(func=cmd_clt)
 

@@ -22,6 +22,10 @@ neighbouring powers, and the sum of every whole chunk is kept across
 the doublings of one call, so only a partial last chunk is summed again.
 
 At alpha = 1 every off-center term vanishes and sigma_q^2 = q! exactly.
+
+sigma_q_sq returns one chaos as a SigmaQ (value, tail_bound, m_used);
+sigma_sq returns the variance.json object itself, {"alpha", "per_chaos",
+"sigma_sq", "truncation_m", "tails"}, each map keyed by q ascending.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from .errors import DomainError, GateError, NumericalError
 from .hermite import HermiteFunction
 
-__all__ = ["gate", "second_difference", "sigma_q_sq", "sigma_sq", "LimitVariance", "SigmaQ"]
+__all__ = ["gate", "second_difference", "sigma_q_sq", "sigma_sq", "SigmaQ"]
 
 DEFAULT_REL_TOL = 1.0e-10
 DEFAULT_M_CAP = 10_000_000
@@ -138,41 +142,20 @@ def sigma_q_sq(alpha: float, q: int, rel_tol: float = DEFAULT_REL_TOL,
     return SigmaQ(value=value, tail_bound=tail, m_used=M)
 
 
-@dataclass(frozen=True)
-class LimitVariance:
-    """Aggregate limit variance with per-chaos values and tail metadata."""
-
-    alpha: float
-    per_chaos: dict[int, float]
-    sigma_sq: float
-    truncation_m: dict[int, int]
-    tail_bound: dict[int, float]
-
-    def describe(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "per_chaos": {int(q): v for q, v in sorted(self.per_chaos.items())},
-            "sigma_sq": self.sigma_sq,
-            "truncation_m": {int(q): m for q, m in sorted(self.truncation_m.items())},
-            "tails": {int(q): b for q, b in sorted(self.tail_bound.items())},
-        }
-
-
 def sigma_sq(f: HermiteFunction, alpha: float, rel_tol: float = DEFAULT_REL_TOL,
-             m_cap: int = DEFAULT_M_CAP) -> LimitVariance:
-    """sigma^2 = sum_q c_q^2 sigma_q^2 over the chaos orders present in f."""
+             m_cap: int = DEFAULT_M_CAP) -> dict:
+    """sigma^2 = sum_q c_q^2 sigma_q^2 over the chaos orders present in f,
+    as the variance.json record {"alpha", "per_chaos", "sigma_sq",
+    "truncation_m", "tails"}; each map is keyed by q ascending."""
     gate(f.rank, alpha)
-    per: dict[int, float] = {}
-    ms: dict[int, int] = {}
-    tails: dict[int, float] = {}
-    total = 0.0
-    for q, c in sorted(f.coeffs.items()):
-        res = sigma_q_sq(alpha, q, rel_tol=rel_tol, m_cap=m_cap)
-        per[q] = res.value
-        ms[q] = res.m_used
-        tails[q] = res.tail_bound
-        total += c * c * res.value
+    chaos = {int(q): sigma_q_sq(alpha, q, rel_tol=rel_tol, m_cap=m_cap) for q in sorted(f.coeffs)}
+    total = sum(f.coeffs[q] * f.coeffs[q] * res.value for q, res in chaos.items())
     if not math.isfinite(total):
         raise NumericalError(f"sigma^2 of {f.label or 'f'} exceeds the double range")
-    return LimitVariance(alpha=alpha, per_chaos=per, sigma_sq=total,
-                         truncation_m=ms, tail_bound=tails)
+    return {
+        "alpha": alpha,
+        "per_chaos": {q: res.value for q, res in chaos.items()},
+        "sigma_sq": total,
+        "truncation_m": {q: res.m_used for q, res in chaos.items()},
+        "tails": {q: res.tail_bound for q, res in chaos.items()},
+    }

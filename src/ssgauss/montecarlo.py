@@ -264,7 +264,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
                             f"floor(n*t) = {terms[i]} at n = {n}")
     # sigma^2 before any sampling: where its series cannot be certified,
     # the run stops without drawing a batch
-    limit = sigma_sq(f, model.alpha)
+    limit = sigma_sq(f, model.alpha)["sigma_sq"]
     N = terms[-1]
     batch = sample_batch(model, n, N, M, seed, threads=threads)
 
@@ -294,7 +294,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
                 sample_var=s_var, se_var=se_var, fourth_moment=float(m4),
                 kurtosis_ratio=kurt, se_kurtosis=se_kurt,
                 ks_stat=ks_stat, ks_p=ks_p, exact_var=exact,
-                predicted_var=limit.sigma_sq * t,
+                predicted_var=limit * t,
             )
             _require_finite(row, f"t = {t:g}")
             times.append(row | _verdicts(row, tol))
@@ -320,7 +320,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
         "M": int(M),
         "seed": int(seed),
         "tolerances": dict(tol),
-        "sigma_sq": limit.sigma_sq,
+        "sigma_sq": limit,
     }
     return {"config": config, "version": _VERSION, "times": times, "cross": cross,
             "passed": derive_verdicts(times, cross, tol)}

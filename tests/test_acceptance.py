@@ -140,7 +140,7 @@ def test_criterion_02_fbm_cross_check():
                 if key not in cache:
                     cache[key] = _fbm_series_oracle(H, q, 10**7 if q == 2 else 10**6)
                 oracle += c * c * cache[key]
-            rel = abs(lv.sigma_sq - oracle) / oracle
+            rel = abs(lv["sigma_sq"] - oracle) / oracle
             if rel > 1e-10:
                 failures.append(f"H={H} f={label}: rel gap {rel:.3g}")
     _report(2, failures, time.time() - t0, 5.0)
@@ -397,8 +397,8 @@ def test_criterion_07_hypothesis_audits():
     for name, kw in six_models:
         model = make_model(name, **kw)
         for rep in check_shape_derivatives(model) + check_tail_derivatives(model):
-            if not rep.verdict:
-                failures.append(f"{name}: {rep.target} slope={rep.trend_slope:+.3f}")
+            if not rep["verdict"]:
+                failures.append(f"{name}: {rep['target']} slope={rep['trend_slope']:+.3f}")
     # fractional Brownian residual exactness, computed directly
     for H in (0.3, 0.7):
         m = make_model("fbm", H=H)
@@ -459,15 +459,15 @@ def test_criterion_08_residual_audits():
         smooth = _smooth_trend_slopes(kw["alpha"]) if name == "dw-z2" else {}
         for rep in (check_increment_variance(model), check_adjacent_covariance(model),
                     check_separated_covariance(model), check_far_decay(model)):
-            if rep.target in smooth:
-                expected = smooth[rep.target]
-                if rep.verdict or abs(rep.trend_slope - expected) > SMOOTH_SLOPE_TOL:
-                    failures.append(f"{name}{kw}: {rep.target} verdict={rep.verdict} "
-                                    f"slope={rep.trend_slope:+.2f}, expected a failing "
+            if rep["target"] in smooth:
+                expected = smooth[rep["target"]]
+                if rep["verdict"] or abs(rep["trend_slope"] - expected) > SMOOTH_SLOPE_TOL:
+                    failures.append(f"{name}{kw}: {rep['target']} verdict={rep['verdict']} "
+                                    f"slope={rep['trend_slope']:+.2f}, expected a failing "
                                     f"verdict at slope {expected:+.2f}")
-            elif not rep.verdict:
-                failures.append(f"{name}{kw}: {rep.target} "
-                                f"slope={rep.trend_slope:+.2f} sup={rep.ratio_sup:.3g}")
+            elif not rep["verdict"]:
+                failures.append(f"{name}{kw}: {rep['target']} "
+                                f"slope={rep['trend_slope']:+.2f} sup={rep['ratio_sup']:.3g}")
     _report(8, failures, time.time() - t0, 60.0)
 
 

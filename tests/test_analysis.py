@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,9 +14,11 @@ from ssgauss.analysis import (
     check_tail_derivatives,
     contraction_norm,
     contraction_report,
+    non_increasing,
     run_all_checks,
     tv_bound,
 )
+from ssgauss.cli import main as cli_main
 from ssgauss.covgrid import IncrementCovariance, increment_cov
 from ssgauss.errors import DomainError
 from ssgauss.limitvar import sigma_q_sq
@@ -105,28 +108,42 @@ def test_tv_bound_brownian_wiring():
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_contraction_report_over_ladder():
+def _norm(rep, n, r):
+    # the norm of the report's (n, r) row
+    return next(row["norm"] for row in rep["norms"] if (row["n"], row["r"]) == (n, r))
+
+
+def test_contraction_report_over_ladder(tmp_path):
     rep = contraction_report(make_model("fbm", H=0.5), 2, (64, 128, 256))
-    assert rep.r_values == (1,)
-    assert [rep.norms[(n, 1)] for n in rep.n_values] == pytest.approx(
+    assert rep["r_values"] == [1]
+    assert [_norm(rep, n, 1) for n in rep["n_values"]] == pytest.approx(
         [1 / 64, 1 / 128, 1 / 256])
-    assert rep.tv[64] == pytest.approx(math.sqrt(8.0 / 64), rel=1e-12)
-    assert rep.non_increasing()
-    d = rep.to_dict()
-    assert d["norms"][0] == {"n": 64, "r": 1, "norm": pytest.approx(1 / 64)}
+    assert rep["tv_bound"][64] == pytest.approx(math.sqrt(8.0 / 64), rel=1e-12)
+    assert non_increasing(rep)
+    assert rep["norms"][0] == {"n": 64, "r": 1, "norm": pytest.approx(1 / 64)}
+    # the record is contraction.json: its keys and each row's in order,
+    # and tv_bound keyed by the int n, which json writes as a string
+    assert list(rep) == ["model", "q", "r_values", "n_values", "norms", "tv_bound"]
+    assert all(list(row) == ["n", "r", "norm"] for row in rep["norms"])
+    assert cli_main(["contraction", "--model", "fbm", "--H", "0.5", "--q", "2",
+                     "--n", "64,128,256", "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "contraction.json").read_text())
+    assert list(written) == ["config", "version", *rep]
+    del written["config"], written["version"]
+    assert written == json.loads(json.dumps(rep))
     # past the gate the norms still compute (and grow, the reason the gate
     # exists) while tv is dropped since the limit variance is undefined
     hot = contraction_report(make_model("fbm", H=0.9), 2, (16, 32))
-    assert hot.tv == {}
-    assert hot.norms[(32, 1)] > hot.norms[(16, 1)]
-    assert not hot.non_increasing()
+    assert hot["tv_bound"] == {}
+    assert _norm(hot, 32, 1) > _norm(hot, 16, 1)
+    assert not non_increasing(hot)
 
 
 def test_contraction_report_sorts_n_and_refuses_repeats():
     m = make_model("swanson")
     rep = contraction_report(m, 2, (128, 64))
-    assert rep.n_values == (64, 128)
-    assert rep.to_dict() == contraction_report(m, 2, (64, 128)).to_dict()
+    assert rep["n_values"] == [64, 128]
+    assert rep == contraction_report(m, 2, (64, 128))
     with pytest.raises(DomainError, match="n values"):
         contraction_report(m, 2, (64, 128, 128))
     with pytest.raises(DomainError, match="r values"):
@@ -147,8 +164,8 @@ def test_contraction_report_computes_each_norm_once(monkeypatch):
     # of r and q - r are equal, so the pairs {1, 3} and {2} take one each
     assert len(calls) == len(ns) * 2
     for n in ns:
-        assert rep.tv[n] == _tv_at(m, n, 4)
-        assert rep.norms[(n, 3)] == rep.norms[(n, 1)]
+        assert rep["tv_bound"][n] == _tv_at(m, n, 4)
+        assert _norm(rep, n, 3) == _norm(rep, n, 1)
     # with a partial r list, the report still computes every pair once
     calls.clear()
     rep = contraction_report(m, 4, ns, r_values=(2,))
@@ -156,7 +173,7 @@ def test_contraction_report_computes_each_norm_once(monkeypatch):
     calls.clear()
     part = contraction_report(m, 4, ns, r_values=(1, 3))
     assert len(calls) == len(ns) * 2
-    assert part.tv == contraction_report(m, 4, ns).tv
+    assert part["tv_bound"] == contraction_report(m, 4, ns)["tv_bound"]
 
 
 def test_contraction_report_sums_sigma_q_once(monkeypatch):
@@ -169,10 +186,10 @@ def test_contraction_report_sums_sigma_q_once(monkeypatch):
     monkeypatch.setattr(analysis, "sigma_q_sq", counted)
     rep = contraction_report(make_model("swanson"), 3, (32, 64, 96))
     assert calls == [(0.5, 3)]
-    assert set(rep.tv) == {32, 64, 96}
+    assert set(rep["tv_bound"]) == {32, 64, 96}
     # past the gate the one call refuses and no tv is written
     calls.clear()
-    assert contraction_report(make_model("fbm", H=0.9), 2, (16, 32)).tv == {}
+    assert contraction_report(make_model("fbm", H=0.9), 2, (16, 32))["tv_bound"] == {}
     assert calls == [(1.8, 2)]
 
 
@@ -186,8 +203,8 @@ def test_tv_bound_swanson_decreases():
 def test_derivative_envelopes_pass_for_all_models(name, kw):
     m = make_model(name, **kw)
     for rep in check_shape_derivatives(m) + check_tail_derivatives(m):
-        assert rep.verdict, f"{name}: {rep.target} slope={rep.trend_slope:.3f}"
-        assert math.isfinite(rep.ratio_sup) or rep.target == "psi-slope-identity"
+        assert rep["verdict"], f"{name}: {rep['target']} slope={rep['trend_slope']:.3f}"
+        assert math.isfinite(rep["ratio_sup"]) or rep["target"] == "psi-slope-identity"
 
 
 def test_tail_decay_exponent_branches():
@@ -196,19 +213,19 @@ def test_tail_decay_exponent_branches():
     m = make_model("dw-z1", alpha=0.4)
     assert m.nu == pytest.approx(1.6)
     for rep in check_tail_derivatives(m):
-        assert rep.verdict
+        assert rep["verdict"]
     # alpha >= 1 branch exercises the (x-1)^(a-2) envelope
     for rep in check_tail_derivatives(make_model("fbm", H=0.7)):
-        assert rep.verdict
+        assert rep["verdict"]
 
 
 def test_slope_identity_enforced_above_one():
     rep = check_shape_derivatives(make_model("subfbm", H=0.7))[2]
-    assert rep.target == "psi-slope-identity"
-    assert rep.verdict and rep.ratio_sup <= 1e-9
+    assert rep["target"] == "psi-slope-identity"
+    assert rep["verdict"] and rep["ratio_sup"] <= 1e-9
     # informational below alpha = 1, even when psi'(1) diverges
     rep_dw = check_shape_derivatives(make_model("dw-z1", alpha=0.5))[2]
-    assert rep_dw.verdict and rep_dw.ratio_sup == math.inf
+    assert rep_dw["verdict"] and rep_dw["ratio_sup"] == math.inf
 
 
 @pytest.mark.parametrize("name,kw", HONEST_RESIDUAL_CASES)
@@ -216,7 +233,7 @@ def test_residual_audits_pass_for_envelope_models(name, kw):
     m = make_model(name, **kw)
     for rep in (check_increment_variance(m), check_adjacent_covariance(m),
                 check_separated_covariance(m), check_far_decay(m)):
-        assert rep.verdict, f"{name}{kw}: {rep.target} slope={rep.trend_slope:.3f}"
+        assert rep["verdict"], f"{name}{kw}: {rep['target']} slope={rep['trend_slope']:.3f}"
 
 
 def test_fbm_residuals_vanish_identically():
@@ -224,7 +241,7 @@ def test_fbm_residuals_vanish_identically():
         m = make_model("fbm", H=H)
         for rep in (check_increment_variance(m), check_adjacent_covariance(m),
                     check_separated_covariance(m)):
-            assert rep.ratio_sup == 0.0
+            assert rep["ratio_sup"] == 0.0
 
 
 @pytest.mark.parametrize("name,kw", SMOOTH_CASES)
@@ -233,21 +250,21 @@ def test_smooth_models_fail_near_diagonal_audits(name, kw):
     # so the residual is of the order of the main term and the audited
     # ratios grow like 1/s; the far-pair decay bound still holds
     m = make_model(name, **kw)
-    assert not check_increment_variance(m).verdict
-    assert not check_adjacent_covariance(m).verdict
-    assert not check_separated_covariance(m).verdict
+    assert not check_increment_variance(m)["verdict"]
+    assert not check_adjacent_covariance(m)["verdict"]
+    assert not check_separated_covariance(m)["verdict"]
     far = check_far_decay(m)
-    assert far.verdict
-    assert far.note != ""
+    assert far["verdict"]
+    assert far["note"] != ""
 
 
 def test_far_decay_brownian_like_branches():
     # alpha < 1 branch with nu = 2 - 2H
     rep = check_far_decay(make_model("fbm", H=0.3))
-    assert rep.verdict and rep.ratio_sup < 1.0
+    assert rep["verdict"] and rep["ratio_sup"] < 1.0
     # alpha >= 1 branch
     rep = check_far_decay(make_model("subfbm", H=0.8))
-    assert rep.verdict
+    assert rep["verdict"]
 
 
 @pytest.mark.parametrize("name,kw", CATALOG_CASES + [("fbm", {"H": 0.7}),
@@ -259,15 +276,15 @@ def test_far_decay_on_the_integer_grid_matches_the_n_729_assembly(name, kw):
     m = make_model(name, **kw)
     rep = check_far_decay(m)
     want = far_decay_ratios_on_grid(m)
-    assert rep.grid == [3.0**e for e in range(1, 7)]
-    assert rep.ratios == pytest.approx(want, rel=1e-8)
+    assert rep["grid"] == [3.0**e for e in range(1, 7)]
+    assert rep["ratios"] == pytest.approx(want, rel=1e-8)
     # the trend window is the top four pairs, as none of the ratios is zero
-    slope = float(np.polyfit(np.log(rep.grid[-4:]), np.log(want[-4:]), 1)[0])
-    assert rep.trend_slope == pytest.approx(slope, abs=1e-8)
-    assert rep.verdict == (slope <= analysis.SLOPE_TOL)
+    slope = float(np.polyfit(np.log(rep["grid"][-4:]), np.log(want[-4:]), 1)[0])
+    assert rep["trend_slope"] == pytest.approx(slope, abs=1e-8)
+    assert rep["verdict"] == (slope <= analysis.SLOPE_TOL)
 
 
-def test_run_all_checks_shape():
+def test_run_all_checks_shape(tmp_path):
     reports = run_all_checks(make_model("swanson"))
     assert set(reports) == {
         "psi-deriv1-envelope", "psi-deriv2-envelope", "psi-slope-identity",
@@ -275,8 +292,12 @@ def test_run_all_checks_shape():
         "adjacent-covariance-residual", "separated-covariance-residual",
         "far-covariance-decay",
     }
-    assert all(rep.verdict for rep in reports.values())
+    assert all(rep["verdict"] for rep in reports.values())
     # ratio_sup is the fitted constant; no second key repeats it
-    assert set(reports["far-covariance-decay"].to_dict()) == {
-        "target", "model", "grid", "ratios", "ratio_sup", "trend_slope", "verdict", "note",
-    }
+    assert all(list(rep) == ["target", "model", "grid", "ratios", "ratio_sup", "trend_slope",
+                             "verdict", "note"] for rep in reports.values())
+    # the map is the reports object of the file check writes
+    assert cli_main(["check", "--model", "swanson", "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "reports" / "swanson_checks.json").read_text())
+    assert list(written) == ["config", "version", "reports"]
+    assert written["reports"] == json.loads(json.dumps(reports))

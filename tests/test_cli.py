@@ -537,6 +537,49 @@ def test_report_input_faults_exit_2(tmp_path, capsys, content, named):
     assert out == ""
 
 
+@pytest.mark.parametrize("all_pairs", [False, True])
+def test_report_refuses_rows_that_are_not_its_grids(tmp_path, capsys, all_pairs):
+    args = ["clt", "--model", "swanson", "--f", "hermite:2", "--n", "64", "--M", "200",
+            "--t-grid", "0.25,0.5,1.0", "--out", str(tmp_path)]
+    assert run_cli(args + ["--all-pairs"] * all_pairs) == 0
+    path = tmp_path / "experiment.json"
+    saved = json.loads(path.read_text())
+    assert len(saved["cross"]) == (3 if all_pairs else 2)
+    capsys.readouterr()
+    assert run_cli(["report", "--input", str(path)]) == 0
+    capsys.readouterr()
+    # a record that drops a time and its cross rows, or moves a time off
+    # its grid, once re-derived a pass
+    dropped = json.loads(path.read_text())
+    del dropped["times"][1]
+    dropped["cross"] = []
+    moved = json.loads(path.read_text())
+    moved["times"][0]["t"] = 0.3
+    for record in (dropped, moved):
+        path.write_text(json.dumps(record))
+        assert run_cli(["report", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "is not a saved clt run: its rows are not those of its t_grid" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("value,rc,cross", [(True, 0, 3), (False, 0, 2), ("yes", 2, None)])
+def test_config_file_sets_all_pairs(tmp_path, capsys, value, rc, cross):
+    # argparse's False for an absent --all-pairs once overrode the file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "swanson", "f": "hermite:2", "n": 64, "M": 200,
+                               "t_grid": "0.25,0.5,1.0", "all_pairs": value}))
+    assert run_cli(["clt", "--config", str(cfg), "--print-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pairs"] == value
+    assert run_cli(["clt", "--config", str(cfg), "--out", str(tmp_path)]) == rc
+    if cross is None:
+        err = capsys.readouterr().err
+        assert "malformed --all-pairs value 'yes'" in err and "Traceback" not in err
+        assert not (tmp_path / "experiment.json").exists()
+    else:
+        assert len(json.loads((tmp_path / "experiment.json").read_text())["cross"]) == cross
+
+
 def test_main_maps_only_the_typed_errors(monkeypatch):
     # a KeyError from a handler is a bug, not a usage error
     def broken(cfg):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -157,7 +158,7 @@ def test_every_caller_applies_the_same_gate(tmp_path, capsys, d, H, admitted):
         else:
             with pytest.raises(GateError):
                 call()
-    assert bool(contraction_report(model, d, (16,)).tv) == admitted
+    assert bool(contraction_report(model, d, (16,))["tv_bound"]) == admitted
     cli_main(["check", "--model", "fbm", "--H", str(H), "--f", f"hermite:{d}",
               "--out", str(tmp_path)])
     assert ("warning" in capsys.readouterr().out) != admitted
@@ -189,17 +190,26 @@ def test_cap_failure_raises():
         sigma_q_sq(0.9, 2, rel_tol=1e-14, m_cap=10_000)
 
 
-def test_aggregate_trivial_values():
+def test_aggregate_trivial_values(tmp_path):
     f2 = builtin_family("single_hermite", 2)
-    assert sigma_sq(f2, 1.0).sigma_sq == pytest.approx(2.0, rel=1e-15)
+    assert sigma_sq(f2, 1.0)["sigma_sq"] == pytest.approx(2.0, rel=1e-15)
     f4 = builtin_family("even_power", 2)
     lv = sigma_sq(f4, 1.0)
-    assert lv.sigma_sq == pytest.approx(96.0, rel=1e-12)
-    assert set(lv.per_chaos) == {2, 4}
-    assert lv.per_chaos[2] == pytest.approx(2.0)
-    assert lv.per_chaos[4] == pytest.approx(24.0)
-    assert set(lv.truncation_m) == {2, 4}
-    assert all(b >= 0.0 for b in lv.tail_bound.values())
+    assert lv["sigma_sq"] == pytest.approx(96.0, rel=1e-12)
+    assert set(lv["per_chaos"]) == {2, 4}
+    assert lv["per_chaos"][2] == pytest.approx(2.0)
+    assert lv["per_chaos"][4] == pytest.approx(24.0)
+    assert set(lv["truncation_m"]) == {2, 4}
+    assert all(b >= 0.0 for b in lv["tails"].values())
+    # the record is variance.json: its keys in order, each map by q ascending
+    assert list(lv) == ["alpha", "per_chaos", "sigma_sq", "truncation_m", "tails"]
+    assert all(list(lv[k]) == [2, 4] for k in ("per_chaos", "truncation_m", "tails"))
+    assert cli_main(["variance", "--model", "fbm", "--H", "0.5", "--f", "even_power:2",
+                     "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "variance.json").read_text())
+    assert list(written) == ["config", "version", *lv]
+    del written["config"], written["version"]
+    assert written == json.loads(json.dumps(lv))
 
 
 def test_fbm_cross_check_small():
@@ -207,4 +217,4 @@ def test_fbm_cross_check_small():
     H = 0.3
     f2 = builtin_family("single_hermite", 2)
     lv = sigma_sq(f2, 2.0 * H, rel_tol=1e-12)
-    assert lv.sigma_sq == pytest.approx(direct_series(0.6, 2, 10**7), rel=1e-9)
+    assert lv["sigma_sq"] == pytest.approx(direct_series(0.6, 2, 10**7), rel=1e-9)

@@ -254,8 +254,7 @@ def cmd_report(cfg: dict) -> int:
     path = Path(cfg.get("input") or "experiment.json")
     saved = _read_object(path, "experiment file")
     try:
-        ok = montecarlo.derive_verdicts(saved["times"], saved["cross"],
-                                        saved["config"]["tolerances"])
+        ok = montecarlo.derive_verdicts(saved["times"], saved["cross"])
         rows = [f"  t={ts['t']:g}: sample_var={ts['sample_var']:.6g} "
                 f"exact={ts['exact_var']:.6g} ks_p={ts['ks_p']:.4g}" for ts in saved["times"]]
         spans = [(cs["t_lo"], cs["t_mid"], cs["t_hi"]) for cs in saved["cross"]]
@@ -274,6 +273,12 @@ def cmd_report(cfg: dict) -> int:
     if [ts["t"] for ts in saved["times"]] != g[1:] or spans not in (consecutive, every):
         raise DomainError(f"experiment file {path} is not a saved clt run: its rows are "
                           f"not those of its t_grid {g[1:]}")
+    # the verdict is re-derived under the package's own gates, so a record
+    # that loosens its tolerances cannot audit green
+    if saved["config"].get("tolerances") != montecarlo.TOLERANCES:
+        raise DomainError(f"experiment file {path} was judged under tolerances "
+                          f"{saved['config'].get('tolerances')}, not this version's "
+                          f"{montecarlo.TOLERANCES}")
     stored = saved.get("passed")
     print(f"{path}: rederived verdict = {'pass' if ok else 'fail'} "
           f"(stored: {'pass' if stored else 'fail'})")

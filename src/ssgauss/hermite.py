@@ -30,6 +30,7 @@ from .errors import DomainError
 __all__ = ["HermiteFunction", "builtin_family"]
 
 ODD_ABS_Q_MAX = 12
+_FACTORIAL_MAX = 170
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,8 @@ class HermiteFunction:
 
 
 def _factorial(q: int) -> float:
-    """q! as a double; inf past 170!, the largest finite one."""
-    return float(math.factorial(q)) if q <= 170 else math.inf
+    """q! as a double; inf past _FACTORIAL_MAX!, the largest finite one."""
+    return float(math.factorial(q)) if q <= _FACTORIAL_MAX else math.inf
 
 
 def _double_factorial(k: int) -> float:
@@ -165,7 +166,10 @@ def builtin_family(kind: str, p_or_q: int) -> HermiteFunction:
     label = f"{'hermite' if kind == 'single_hermite' else kind}:{k}"
     try:
         f = builders[kind](k, label)
-        total = f.l2_norm_sq + f.tail_sq
+        # q! is inf past _FACTORIAL_MAX, so a nonzero c_q there makes the
+        # norm inf; refused before covariance's loop runs over every order
+        past = any(c != 0.0 for q, c in f.coeffs.items() if q > _FACTORIAL_MAX)
+        total = math.inf if past else f.l2_norm_sq + f.tail_sq
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):

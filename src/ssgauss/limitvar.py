@@ -8,18 +8,29 @@ whose variance rate is
     sigma_q^2 = 2^-q q! sum_{m in Z} A(m; alpha)^q,
 
 where A(m; alpha) = |m+1|^alpha + |m-1|^alpha - 2|m|^alpha is the second
-difference of |.|^alpha.  The series is summed adaptively with a certified
-tail: the exact Taylor bound |A(m)| <= alpha |alpha - 1| (m-1)^(alpha-2)
-for m >= 2 turns the qualitative decay into the computable certificate
+difference of |.|^alpha.  The series is summed to a cutoff M with a
+certified tail: the exact Taylor bound |A(m)| <= alpha |alpha - 1|
+(m-1)^(alpha-2) for m >= 2 turns the qualitative decay into the
+computable certificate
 
-    sum_{m > M} |A|^q <= (alpha |alpha-1|)^q (M-1)^(q(alpha-2)+1)
-                          / |q(alpha-2)+1|.
+    tail(M) = 2^-q q! 2 (alpha |alpha-1|)^q (M-1)^(q(alpha-2)+1)
+              / |q(alpha-2)+1|  >=  2^-q q! 2 sum_{m > M} |A|^q,
 
-The cutoff M doubles from 1024 until the certificate is met.  Terms are
-summed in chunks of 2^20 on a grid fixed at m = 1, 1 + 2^20, ...; each
-chunk raises each lattice point to alpha once and forms A from
-neighbouring powers, and the sum of every whole chunk is kept across
-the doublings of one call, so only a partial last chunk is summed again.
+which is met when tail(M) <= rel_tol |value|.  The head |m| <= 1024 is
+summed first.  If its certificate falls short, the cutoff is solved
+for, not searched: A(m) has the sign of alpha - 1 for every m >= 1,
+since |x|^alpha is convex or concave there, so the partial sums rise
+when q is even or alpha >= 1 and otherwise fall toward a limit within
+tail(1024) of the head.  Either way no later partial sum lies below
+L = head (rising) or head - tail(1024) (falling), and
+
+    M = 1 + ceil((rel_tol L |q(alpha-2)+1| / (2^-q q! 2 (alpha |alpha-1|)^q))
+                 ^(1 / (q(alpha-2)+1)))
+
+meets the certificate.  The series is summed once more, to that M; if
+L <= 0 or M would pass 10^7 terms the value is refused before that sum.
+Terms are summed in chunks of 2^20, each chunk raising each lattice point
+to alpha once and forming A from neighbouring powers.
 
 At alpha = 1 every off-center term vanishes and sigma_q^2 = q! exactly.
 
@@ -41,7 +52,7 @@ from .hermite import HermiteFunction
 __all__ = ["gate", "second_difference", "sigma_q_sq", "sigma_sq", "SigmaQ"]
 
 DEFAULT_REL_TOL = 1.0e-10
-DEFAULT_M_CAP = 10_000_000
+_M_CAP = 10_000_000
 _CHUNK = 1 << 20
 _M_START = 1024
 
@@ -67,26 +78,14 @@ def gate(d: int, alpha: float) -> None:
         )
 
 
-def _partial_sum(alpha: float, q: int, M: int, whole: dict[int, float] | None = None) -> float:
-    """sum over |m| <= M of A(m)^q, ascending m, on the fixed chunk grid
-    lo = 1, 1 + _CHUNK, ...
-
-    The sum of each whole chunk is kept in `whole` (keyed by lo) for a
-    later call at a larger M.  fsum rounds the exact sum of the parts, so
-    the result does not depend on which of them were reused.
-    """
-    whole = {} if whole is None else whole
+def _partial_sum(alpha: float, q: int, M: int) -> float:
+    """sum over |m| <= M of A(m)^q, ascending m, in chunks of _CHUNK
+    terms; each chunk raises each lattice point to alpha once."""
     parts = []
     for lo in range(1, M + 1, _CHUNK):
-        hi = min(lo + _CHUNK, M + 1)
-        part = whole.get(lo)
-        if part is None:
-            p = np.arange(lo - 1, hi + 1, dtype=float) ** alpha
-            a = p[2:] + p[:-2] - 2.0 * p[1:-1]
-            part = float(np.sum(a**q))
-            if hi == lo + _CHUNK:
-                whole[lo] = part
-        parts.append(part)
+        p = np.arange(lo - 1, min(lo + _CHUNK, M + 1) + 1, dtype=float) ** alpha
+        a = p[2:] + p[:-2] - 2.0 * p[1:-1]
+        parts.append(float(np.sum(a**q)))
     return 2.0**q + 2.0 * math.fsum(parts)  # A(0) = 2 plus both signed tails
 
 
@@ -97,12 +96,12 @@ class SigmaQ:
     m_used: int
 
 
-def sigma_q_sq(alpha: float, q: int, rel_tol: float = DEFAULT_REL_TOL,
-               m_cap: int = DEFAULT_M_CAP) -> SigmaQ:
+def sigma_q_sq(alpha: float, q: int, rel_tol: float = DEFAULT_REL_TOL) -> SigmaQ:
     """Per-chaos limit variance sigma_q^2 with a certified relative tail.
 
-    Doubles the cutoff M until the tail certificate drops below
-    rel_tol * |partial|; raises if the cap m_cap cannot satisfy it.
+    Sums the head |m| <= _M_START; if its certificate falls short, solves
+    for the cutoff M at which it holds and sums once more, to M.  Raises
+    NumericalError, before that second sum, when M would pass _M_CAP.
     """
     if q < 2:
         raise DomainError(f"chaos order q must be >= 2, got {q}")
@@ -118,22 +117,38 @@ def sigma_q_sq(alpha: float, q: int, rel_tol: float = DEFAULT_REL_TOL,
         raise NumericalError(f"sigma_q^2 exceeds the double range: q!/2^q at q={q}") from None
     decay = alpha * abs(alpha - 1.0)
 
-    M = min(_M_START, m_cap)
-    whole: dict[int, float] = {}
-    while True:
-        total = _partial_sum(alpha, q, M, whole)
-        value = prefac * total
+    def summed(M: int) -> tuple[float, float]:
+        value = prefac * _partial_sum(alpha, q, M)
         if not math.isfinite(value):
             raise NumericalError(f"sigma_q^2 exceeds the double range (alpha={alpha}, q={q})")
-        tail = prefac * 2.0 * decay**q * (M - 1.0) ** expo / abs(expo)
-        if tail <= rel_tol * abs(value):
-            break
-        if M >= m_cap:
+        return value, prefac * 2.0 * decay**q * (M - 1.0) ** expo / abs(expo)
+
+    M = _M_START
+    value, tail = summed(M)
+    if tail > rel_tol * abs(value):
+        # A(m) has the sign of alpha - 1 for m >= 1, so the partial sums
+        # rise when q is even or alpha >= 1, and otherwise fall toward a
+        # limit within the head's tail: either way none lies below low
+        low = value if q % 2 == 0 or alpha >= 1.0 else value - tail
+        # tail(M) <= rel_tol * low solved for log(M - 1), from logarithms
+        # of positive factors, so nothing overflows or turns complex
+        log_m = math.inf
+        if low > 0.0:
+            log_m = (math.log(rel_tol) + math.log(low) + math.log(abs(expo))
+                     - math.log(2.0 * prefac) - q * math.log(decay)) / expo
+        if log_m > math.log(_M_CAP - 1):
+            need = f"{math.exp(log_m):.3g}" if log_m < 700.0 else "inf"
             raise NumericalError(
-                f"tail certificate not met at m_cap={m_cap} "
+                f"tail certificate needs M = {need} terms, past the cap of {_M_CAP} "
+                f"(alpha={alpha}, q={q}, rel_tol={rel_tol}, tail at M={_M_START}: {tail:.3g})"
+            )
+        M = 1 + math.ceil(math.exp(log_m))
+        value, tail = summed(M)
+        if tail > rel_tol * abs(value):
+            raise NumericalError(
+                f"tail certificate not met at the solved cutoff M={M} "
                 f"(alpha={alpha}, q={q}, rel_tol={rel_tol}, tail={tail:.3g})"
             )
-        M = min(2 * M, m_cap)
     if value < -tail:
         raise NumericalError(
             f"sigma_q^2 computed negative beyond its tail bound: {value!r} "
@@ -142,13 +157,12 @@ def sigma_q_sq(alpha: float, q: int, rel_tol: float = DEFAULT_REL_TOL,
     return SigmaQ(value=value, tail_bound=tail, m_used=M)
 
 
-def sigma_sq(f: HermiteFunction, alpha: float, rel_tol: float = DEFAULT_REL_TOL,
-             m_cap: int = DEFAULT_M_CAP) -> dict:
+def sigma_sq(f: HermiteFunction, alpha: float, rel_tol: float = DEFAULT_REL_TOL) -> dict:
     """sigma^2 = sum_q c_q^2 sigma_q^2 over the chaos orders present in f,
     as the variance.json record {"alpha", "per_chaos", "sigma_sq",
     "truncation_m", "tails"}; each map is keyed by q ascending."""
     gate(f.rank, alpha)
-    chaos = {int(q): sigma_q_sq(alpha, q, rel_tol=rel_tol, m_cap=m_cap) for q in sorted(f.coeffs)}
+    chaos = {int(q): sigma_q_sq(alpha, q, rel_tol=rel_tol) for q in sorted(f.coeffs)}
     total = sum(f.coeffs[q] * f.coeffs[q] * res.value for q, res in chaos.items())
     if not math.isfinite(total):
         raise NumericalError(f"sigma^2 of {f.label or 'f'} exceeds the double range")

@@ -170,9 +170,10 @@ def ks_test_normal(sample: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Experiment records.
 
-def _verdicts(row: dict, tol: dict) -> dict[str, bool]:
-    """The verdict flags of one row of statistics: ok for a cross row,
-    var_ok, kurt_ok and ks_ok for a time row."""
+def _verdicts(row: dict) -> dict[str, bool]:
+    """The verdict flags of one row of statistics under TOLERANCES: ok for
+    a cross row, var_ok, kurt_ok and ks_ok for a time row."""
+    tol = TOLERANCES
     if "cov" in row:
         return {"ok": abs(row["cov"]) <= tol["cross_se_mult"] * row["se"]}
     return {
@@ -182,10 +183,10 @@ def _verdicts(row: dict, tol: dict) -> dict[str, bool]:
     }
 
 
-def derive_verdicts(times: list[dict], cross: list[dict], tol: dict) -> bool:
+def derive_verdicts(times: list[dict], cross: list[dict]) -> bool:
     """The overall verdict from the statistics alone (run_experiment sets
     passed with it, and the report command audits a saved run with it)."""
-    return all(all(_verdicts(row, tol).values()) for row in [*times, *cross])
+    return all(all(_verdicts(row).values()) for row in [*times, *cross])
 
 
 def _bootstrap_moments(values: np.ndarray, seed: int, stream: int,
@@ -273,7 +274,6 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
     grid0 = [0.0] + t_grid
     paths = functional(batch.normalized, f, n, grid0)
 
-    tol = TOLERANCES
     times: list[dict] = []
     cross: list[dict] = []
     # the fourth powers of a large f overflow, and those of a tiny f
@@ -297,7 +297,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
                 predicted_var=limit * t,
             )
             _require_finite(row, f"t = {t:g}")
-            times.append(row | _verdicts(row, tol))
+            times.append(row | _verdicts(row))
 
         G = np.diff(paths, axis=0)
         pairs = (
@@ -310,7 +310,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
             se = float(np.std(prod, ddof=1) / math.sqrt(M))
             row = dict(t_lo=grid0[i], t_mid=grid0[i + 1], t_hi=grid0[j + 1], cov=cov, se=se)
             _require_finite(row, f"t = {grid0[i]:g}, {grid0[i + 1]:g}, {grid0[j + 1]:g}")
-            cross.append(row | _verdicts(row, tol))
+            cross.append(row | _verdicts(row))
 
     config = {
         "model": model.describe(),
@@ -319,8 +319,8 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
         "t_grid": t_grid,
         "M": int(M),
         "seed": int(seed),
-        "tolerances": dict(tol),
+        "tolerances": dict(TOLERANCES),
         "sigma_sq": limit,
     }
     return {"config": config, "version": _VERSION, "times": times, "cross": cross,
-            "passed": derive_verdicts(times, cross, tol)}
+            "passed": derive_verdicts(times, cross)}

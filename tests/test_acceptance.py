@@ -133,7 +133,7 @@ def test_criterion_02_fbm_cross_check():
     cache: dict = {}
     for H in (0.2, 0.3, 0.45):
         for label, f in fs.items():
-            lv = sigma_sq(f, 2.0 * H, rel_tol=2e-11, m_cap=10**7)
+            lv = sigma_sq(f, 2.0 * H, rel_tol=2e-11)
             oracle = 0.0
             for q, c in oracle_coeffs[label].items():
                 key = (H, q)

@@ -563,6 +563,25 @@ def test_report_refuses_rows_that_are_not_its_grids(tmp_path, capsys, all_pairs)
         assert out == ""
 
 
+def test_report_refuses_a_record_with_loosened_tolerances(tmp_path, capsys):
+    args = ["clt", "--model", "swanson", "--f", "hermite:2", "--n", "64", "--M", "200",
+            "--t-grid", "0.25,0.5,1.0", "--out", str(tmp_path)]
+    assert run_cli(args) == 0
+    path = tmp_path / "experiment.json"
+    record = json.loads(path.read_text())
+    # a failing KS p-value, hidden by gates loosened in the record itself,
+    # once re-derived a pass
+    record["times"][0]["ks_p"] = 1e-5
+    record["config"]["tolerances"] = {"var_se_mult": 1e9, "kurt_se_mult": 1e9,
+                                      "ks_p_min": 0.0, "cross_se_mult": 1e9}
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert run_cli(["report", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "was judged under tolerances" in err and str(path) in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("value,rc,cross", [(True, 0, 3), (False, 0, 2), ("yes", 2, None)])
 def test_config_file_sets_all_pairs(tmp_path, capsys, value, rc, cross):
     # argparse's False for an absent --all-pairs once overrode the file

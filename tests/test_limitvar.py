@@ -62,8 +62,32 @@ def test_against_frozen_direct_summation_oracle():
 
 
 def test_live_oracle_other_exponent():
-    res = sigma_q_sq(0.7, 3, rel_tol=1e-12)
-    assert res.value == pytest.approx(direct_series(0.7, 3, 10**6), rel=1e-10)
+    # falling partial sums (odd q, alpha < 1), certified at the head and
+    # past it, and rising ones (even q): the oracle's longer sum lies
+    # between the value and the limit, so within the value's tail bound
+    for alpha, q, past_head in [(0.7, 3, True), (0.3, 3, False), (0.6, 2, True)]:
+        res = sigma_q_sq(alpha, q, rel_tol=1e-12)
+        assert (res.m_used > 1024) == past_head
+        assert abs(res.value - direct_series(alpha, q, 10**6)) <= res.tail_bound
+        assert res.tail_bound <= 1e-12 * abs(res.value)
+
+
+def test_cutoff_is_solved_not_searched(monkeypatch):
+    # a refusal sums the head alone; a value certified past it sums twice
+    calls = []
+    partial_sum = limitvar._partial_sum
+
+    def counted(alpha, q, M):
+        calls.append(M)
+        return partial_sum(alpha, q, M)
+
+    monkeypatch.setattr(limitvar, "_partial_sum", counted)
+    with pytest.raises(NumericalError, match="needs M = .* past the cap"):
+        sigma_q_sq(1.3, 2)
+    assert calls == [1024]
+    calls.clear()
+    res = sigma_q_sq(0.6, 2, rel_tol=1e-12)
+    assert calls == [1024, res.m_used] and res.m_used > 1024
 
 
 def test_truncation_is_monotone_within_tail_bound():
@@ -83,44 +107,12 @@ BOUNDARY_MS = [1, 2, 255, 256, 257, 511, 512, 513, 1000, 5 * CHUNK, 5 * CHUNK + 
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.99, 1.0, 1.01, 1.3, 1.7])
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_partial_sum_is_bit_equal_to_three_power_sum(monkeypatch, alpha, q):
-    # one power per lattice point and reused whole chunks change no bit,
-    # below, on and across chunk boundaries, with and without reuse
+    # one power per lattice point changes no bit, below, on and across
+    # chunk boundaries
     monkeypatch.setattr(limitvar, "_CHUNK", CHUNK)
-    whole: dict[int, float] = {}
     for M in BOUNDARY_MS:
         want = partial_sum_three_powers(alpha, q, M, chunk=CHUNK).hex()
         assert _partial_sum(alpha, q, M).hex() == want, M
-        assert _partial_sum(alpha, q, M, whole).hex() == want, M
-    assert sorted(whole) == list(range(1, 4097 - CHUNK + 1, CHUNK))
-
-
-def test_failing_series_sums_each_whole_chunk_once(monkeypatch):
-    # the cutoff doubles 1024 -> 2048 -> 4096 -> 8192 -> 10000 and fails there;
-    # each whole chunk is summed once, a partial last chunk once per cutoff
-    alpha, q, m_cap = 1.3, 2, 10_000
-    monkeypatch.setattr(limitvar, "_CHUNK", CHUNK)
-    monkeypatch.setattr(limitvar, "_partial_sum", lambda a, k, M, whole=None:
-                        partial_sum_three_powers(a, k, M, chunk=CHUNK))
-    with pytest.raises(NumericalError) as want:
-        sigma_q_sq(alpha, q, m_cap=m_cap)
-    monkeypatch.undo()
-
-    monkeypatch.setattr(limitvar, "_CHUNK", CHUNK)
-    starts = []
-    arange = np.arange
-
-    def counting_arange(start, *args, **kwargs):
-        starts.append(start + 1)
-        return arange(start, *args, **kwargs)
-
-    monkeypatch.setattr(limitvar.np, "arange", counting_arange)
-    with pytest.raises(NumericalError) as got:
-        sigma_q_sq(alpha, q, m_cap=m_cap)
-    monkeypatch.undo()
-    assert str(got.value) == str(want.value)
-    whole_los = list(range(1, m_cap - CHUNK + 2, CHUNK))
-    assert sorted(lo for lo in starts if lo in whole_los) == whole_los
-    assert sorted(lo for lo in starts if lo not in whole_los) == [m_cap - m_cap % CHUNK + 1]
 
 
 def test_gate_rejections():
@@ -187,7 +179,7 @@ def test_blowup_toward_gate():
 
 def test_cap_failure_raises():
     with pytest.raises(NumericalError):
-        sigma_q_sq(0.9, 2, rel_tol=1e-14, m_cap=10_000)
+        sigma_q_sq(0.9, 2, rel_tol=1e-14)
 
 
 def test_aggregate_trivial_values(tmp_path):

@@ -8,7 +8,7 @@ simulate     exact increment batch -> batch.bin (+ batch.json echo)
 clt          replicated experiment -> experiment.json, summary.csv
 check        covariance-structure audits -> reports/<model>_checks.json
 contraction  contraction norms over an n ladder -> contraction.json
-report       re-derive verdicts from a saved experiment.json
+report       judge a saved experiment.json as clt judged it
 
 Exit codes: 0 all verdicts pass; 2 usage or domain error; 3 applicability
 gate violated (alpha >= 2 - 1/d); 4 numerical failure or failing verdicts.
@@ -18,7 +18,8 @@ over file values.  The seed falls back to the SSGAUSS_SEED environment
 variable, then 0.  Every output file embeds the effective config and the
 package version.  Only simulate and clt draw random numbers, so only they
 take --seed and --threads; --threads bounds worker parallelism (capped at
-the usable CPU count) and never changes any numerical result.
+the usable CPU count) and never changes any numerical result.  The model
+flags are the parameters of the model catalog.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ EXIT_USAGE = 2
 EXIT_GATE = 3
 EXIT_NUMERICAL = 4
 
-_MODEL_PARAM_FLAGS = ("H", "K", "alpha")
 # the summary.csv columns of clt, each with the key of a time row it copies
 _SUMMARY_COLUMNS = {"t": "t", "exact_var": "exact_var", "sample_var": "sample_var",
                     "se": "se_var", "kurtosis_ratio": "kurtosis_ratio",
@@ -76,11 +76,17 @@ def _get(cfg: dict, key: str, convert, default=None):
     return _parse(convert, cfg[key], flag)
 
 
+def _model_params() -> dict[str, list[str]]:
+    """Each parameter of the model catalog, with the models that take it."""
+    rows = list_models()
+    return {p: [r["model"] for r in rows if p in r["params"]] for r in rows for p in r["params"]}
+
+
 def _build_model(cfg: dict) -> Model:
     name = cfg.get("model")
     if not name:
         raise DomainError("a --model id is required")
-    params = {k: _get(cfg, k, float) for k in _MODEL_PARAM_FLAGS if cfg.get(k) is not None}
+    params = {k: _get(cfg, k, float) for k in _model_params() if cfg.get(k) is not None}
     return make_model(name, **params)
 
 
@@ -254,36 +260,15 @@ def cmd_report(cfg: dict) -> int:
     path = Path(cfg.get("input") or "experiment.json")
     saved = _read_object(path, "experiment file")
     try:
-        ok = montecarlo.derive_verdicts(saved["times"], saved["cross"])
-        rows = [f"  t={ts['t']:g}: sample_var={ts['sample_var']:.6g} "
-                f"exact={ts['exact_var']:.6g} ks_p={ts['ks_p']:.4g}" for ts in saved["times"]]
-        spans = [(cs["t_lo"], cs["t_mid"], cs["t_hi"]) for cs in saved["cross"]]
-        g = [0.0, *saved["config"].get("t_grid", ())]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"experiment file {path} is not a saved clt run: "
-                          f"missing or malformed {exc}") from None
-    if not rows:
-        # run_experiment refuses an empty grid, so no saved run holds no times
-        raise DomainError(f"experiment file {path} is not a saved clt run: it holds no times")
-    # the rows of a run are its grid's, g = [0] + t_grid: one per time, and
-    # one per pair of path increments, consecutive or (--all-pairs, which
-    # the config does not record) every pair
-    consecutive = [(g[i], g[i + 1], g[i + 2]) for i in range(len(g) - 2)]
-    every = [(g[i], g[i + 1], g[j]) for i in range(len(g) - 1) for j in range(i + 2, len(g))]
-    if [ts["t"] for ts in saved["times"]] != g[1:] or spans not in (consecutive, every):
-        raise DomainError(f"experiment file {path} is not a saved clt run: its rows are "
-                          f"not those of its t_grid {g[1:]}")
-    # the verdict is re-derived under the package's own gates, so a record
-    # that loosens its tolerances cannot audit green
-    if saved["config"].get("tolerances") != montecarlo.TOLERANCES:
-        raise DomainError(f"experiment file {path} was judged under tolerances "
-                          f"{saved['config'].get('tolerances')}, not this version's "
-                          f"{montecarlo.TOLERANCES}")
+        ok = montecarlo.derive_verdicts(saved)
+    except DomainError as exc:
+        raise DomainError(f"experiment file {path} {exc}") from None
     stored = saved.get("passed")
     print(f"{path}: rederived verdict = {'pass' if ok else 'fail'} "
           f"(stored: {'pass' if stored else 'fail'})")
-    for row in rows:
-        print(row)
+    for ts in saved["times"]:
+        print(f"  t={ts['t']:g}: sample_var={ts['sample_var']:.6g} "
+              f"exact={ts['exact_var']:.6g} ks_p={ts['ks_p']:.4g}")
     if ok != bool(stored):
         print("warning: stored verdict disagrees with rederivation")
     return EXIT_OK if ok else EXIT_NUMERICAL
@@ -296,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ssgauss", description=__doc__.split("\n\n")[0])
     top.add_argument("--version", action="version", version=f"ssgauss {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
+    model_params = _model_params()
 
     def common(p: argparse.ArgumentParser, seeded: bool = False) -> None:
         p.add_argument("--config", help="JSON config file; flags override it")
@@ -303,9 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the effective config and exit")
         p.add_argument("--out", help="output directory (default .)")
         p.add_argument("--model", help="model id (see `ssgauss models`)")
-        p.add_argument("--H", type=float, help="Hurst-type parameter")
-        p.add_argument("--K", type=float, help="bifractional K parameter")
-        p.add_argument("--alpha", type=float, help="dw-z1/dw-z2 exponent")
+        for name, models in model_params.items():
+            p.add_argument(f"--{name}", type=float, help=f"parameter of {', '.join(models)}")
         if seeded:
             p.add_argument("--seed", type=int, help="RNG seed (fallback: SSGAUSS_SEED, then 0)")
             p.add_argument("--threads", type=int, help="worker threads (results unaffected)")

@@ -57,8 +57,6 @@ __all__ = ["IncrementCovariance", "increment_cov", "num_increments", "release_gr
 # desk-scale runs.
 MAX_N = 8192
 
-_FLUSH_EPS = 1.0e-300
-
 # Rows per assembly block are chosen so that a block of kernel values holds
 # about this many doubles (2 MB); the block temporaries then stay small
 # next to the one N x N output (~0.5 GB at MAX_N).
@@ -112,7 +110,6 @@ def _std(model: Model, times: np.ndarray) -> np.ndarray:
     hold the bits of the assembled diagonal; raises on a nonpositive one."""
     lo, hi = times[:-1], times[1:]
     diag = (model.r(hi, hi) - model.r(lo, hi)) - (model.r(hi, lo) - model.r(lo, lo))
-    diag[np.abs(diag) < _FLUSH_EPS] = 0.0
     if np.any(diag <= 0.0):
         j = int(np.argmin(diag))
         raise NumericalError(
@@ -142,7 +139,6 @@ def _grow(model: Model, held: np.ndarray | None, N: int) -> tuple[np.ndarray, np
         R = model.r(times[j0:j1 + 1, None], times[None, c0:])
         blk = (R[1:, 1:] - R[:-1, 1:]) - (R[1:, :-1] - R[:-1, :-1])
         del R
-        blk[np.abs(blk) < _FLUSH_EPS] = 0.0
         blk /= np.outer(std[j0:j1], std[c0:])
         # the rectangle of a symmetric kernel is symmetric; mirror the upper
         # triangle of the block's square on the diagonal (rows and columns

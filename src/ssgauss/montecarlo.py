@@ -18,10 +18,10 @@ returns the experiment.json object itself, {"config", "version",
 E[F^4] / (3 E[F^2]^2) and a one-sample KS test of
 F_n(t)/sqrt(exact variance) against the standard normal; each cross row
 the covariance of two path increments of F_n, which the limit says
-vanish.  Each row carries its verdicts, and passed is derive_verdicts of
-the rows, which is how report audits a saved run.  KS standardization
-uses the exact finite-n variance, not the limit value, to keep slow
-variance convergence from contaminating the shape test.
+vanish.  Each row carries its verdicts; derive_verdicts, the one reader
+of the record, re-derives passed for run_experiment and for report.  KS
+standardization uses the exact finite-n variance, not the limit value,
+to keep slow variance convergence from contaminating the shape test.
 
 The per-row passes run in blocks of rows sized to stay in a core's L2
 cache: the Hermite recurrence and prefix sums of F_n, and the draws,
@@ -69,6 +69,7 @@ TOLERANCES = {
     "ks_p_min": 1.0e-3,
     "cross_se_mult": 4.0,
 }
+_SPAN = ("t_lo", "t_mid", "t_hi")  # the keys of a cross row's three times
 
 # The Hermite recurrence and prefix sums of functional, the sum of
 # f.covariance in exact_variance, and the draws and gathers of
@@ -170,23 +171,50 @@ def ks_test_normal(sample: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Experiment records.
 
-def _verdicts(row: dict) -> dict[str, bool]:
-    """The verdict flags of one row of statistics under TOLERANCES: ok for
-    a cross row, var_ok, kurt_ok and ks_ok for a time row."""
+def _verdicts(row: dict, cross: bool) -> dict[str, bool]:
+    """The verdict flags of a time row, or with cross of a cross row, under TOLERANCES."""
     tol = TOLERANCES
-    if "cov" in row:
+    if cross:
         return {"ok": abs(row["cov"]) <= tol["cross_se_mult"] * row["se"]}
     return {
         "var_ok": abs(row["sample_var"] - row["exact_var"]) <= tol["var_se_mult"] * row["se_var"],
         "kurt_ok": abs(row["kurtosis_ratio"] - 1.0) <= tol["kurt_se_mult"] * row["se_kurtosis"],
-        "ks_ok": row["ks_p"] >= tol["ks_p_min"],
+        "ks_ok": row["ks_p"] - tol["ks_p_min"] >= 0.0,  # subtracted: a non-double raises
     }
 
 
-def derive_verdicts(times: list[dict], cross: list[dict]) -> bool:
-    """The overall verdict from the statistics alone (run_experiment sets
-    passed with it, and the report command audits a saved run with it)."""
-    return all(all(_verdicts(row).values()) for row in [*times, *cross])
+def _spans(grid0: list, all_pairs: bool) -> list[tuple[int, int, tuple]]:
+    """(i, j, times) of the pairs i < j of path increments a record holds, consecutive
+    or every pair; increment i runs from grid0[i] to grid0[i + 1], grid0[0] = 0."""
+    k = len(grid0) - 1
+    return [(i, j, (grid0[i], grid0[i + 1], grid0[j + 1])) for i in range(k)
+            for j in range(i + 1, k) if all_pairs or j == i + 1]
+
+
+def derive_verdicts(record: dict) -> bool:
+    """passed of a clt record, re-derived under TOLERANCES for run_experiment
+    and report.  DomainError, worded to follow the record's name, unless
+    run_experiment could have written it: rows those of config.t_grid, cross
+    rows of consecutive or of every pair, tolerances TOLERANCES."""
+    try:
+        times, cross, config = record["times"], record["cross"], record["config"]
+        # every row is judged, so a record that passes holds all its statistics
+        flags = [_verdicts(row, False) for row in times] + [_verdicts(row, True) for row in cross]
+        if not isinstance(config, dict):
+            raise TypeError(f"config of type {type(config).__name__}")
+        grid0 = [0.0, *map(float, config.get("t_grid", ()))]  # a time row on it is a number
+        rows = ([row["t"] for row in times], [tuple(row[key] for key in _SPAN) for row in cross])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"is not a saved clt run: missing or malformed {exc}") from None
+    if not times:  # run_experiment refuses an empty grid
+        raise DomainError("is not a saved clt run: it holds no times")
+    if rows not in [(grid0[1:], [s for *_, s in _spans(grid0, every)]) for every in (False, True)]:
+        raise DomainError(f"is not a saved clt run: its rows are not those of its "
+                          f"t_grid {grid0[1:]}")
+    if (tolerances := config.get("tolerances")) != TOLERANCES:
+        raise DomainError(f"was judged under tolerances {tolerances}, "
+                          f"not this version's {TOLERANCES}")
+    return all(all(row.values()) for row in flags)
 
 
 def _bootstrap_moments(values: np.ndarray, seed: int, stream: int,
@@ -238,9 +266,8 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
 
     Each time row holds the variance/kurtosis/KS statistics of F_n(t)
     with their verdicts, and each cross row the covariance of two path
-    increments of F_n (consecutive pairs by default, every pair with
-    all_pairs).  passed is derive_verdicts of the rows, so a saved run
-    re-derives it from its own statistics.
+    increments of F_n, for the pairs of _spans.  passed is
+    derive_verdicts of the record, which report re-derives.
     """
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid or t_grid[0] <= 0.0:
@@ -297,20 +324,16 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
                 predicted_var=limit * t,
             )
             _require_finite(row, f"t = {t:g}")
-            times.append(row | _verdicts(row))
+            times.append(row | _verdicts(row, False))
 
         G = np.diff(paths, axis=0)
-        pairs = (
-            [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-            if all_pairs else [(i, i + 1) for i in range(len(G) - 1)]
-        )
-        for i, j in pairs:
+        for i, j, span in _spans(grid0, all_pairs):
             prod = G[i] * G[j]
             cov = float(np.mean(prod) - np.mean(G[i]) * np.mean(G[j]))
             se = float(np.std(prod, ddof=1) / math.sqrt(M))
-            row = dict(t_lo=grid0[i], t_mid=grid0[i + 1], t_hi=grid0[j + 1], cov=cov, se=se)
-            _require_finite(row, f"t = {grid0[i]:g}, {grid0[i + 1]:g}, {grid0[j + 1]:g}")
-            cross.append(row | _verdicts(row))
+            row = dict(zip(_SPAN, span), cov=cov, se=se)
+            _require_finite(row, "t = " + ", ".join(f"{t:g}" for t in span))
+            cross.append(row | _verdicts(row, True))
 
     config = {
         "model": model.describe(),
@@ -322,5 +345,5 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
         "tolerances": dict(TOLERANCES),
         "sigma_sq": limit,
     }
-    return {"config": config, "version": _VERSION, "times": times, "cross": cross,
-            "passed": derive_verdicts(times, cross)}
+    record = {"config": config, "version": _VERSION, "times": times, "cross": cross}
+    return record | {"passed": derive_verdicts(record)}

@@ -276,13 +276,8 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
         np.matmul(z, LT, out=normalized[lo:hi])
 
     chunks = [(lo, min(lo + _REPLICA_CHUNK, M)) for lo in range(0, M, _REPLICA_CHUNK)]
-    workers = _worker_count(threads)
-    if workers <= 1 or len(chunks) == 1:
-        for lo, hi in chunks:
-            fill(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda c: fill(*c), chunks))
+    with ThreadPoolExecutor(max_workers=_worker_count(threads)) as pool:
+        list(pool.map(lambda c: fill(*c), chunks))
     return SampleBatch(seed=int(seed), M=int(M), n=int(n), N=int(N),
                        normalized=normalized, std=ic.std)
 

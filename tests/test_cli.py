@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ssgauss import cli
+from ssgauss import cli, models
 from ssgauss.cli import build_parser, main
 from ssgauss.sampler import read_batch
 
@@ -318,6 +318,27 @@ def test_option_sets_are_pinned():
     }
 
 
+def test_model_flags_come_from_the_catalog(monkeypatch):
+    class Toy(models.FBM):
+        name = "toy"
+        catalog = {**models.FBM.catalog, "params": {"H": "(0, 1)", "gamma": "(0, 2)"}}
+
+        def __init__(self, H, gamma):
+            super().__init__(H)
+            self.params = {"H": H, "gamma": gamma}
+
+    monkeypatch.setitem(models._MODELS, "toy", Toy)
+    parser = build_parser()
+    args = parser.parse_args(["check", "--model", "toy", "--H", "0.3", "--gamma", "1.5"])
+    assert cli._build_model(vars(args)).params == {"H": 0.3, "gamma": 1.5}
+    check = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices["check"]
+    helps = {a.dest: a.help for a in check._actions}
+    assert helps["gamma"] == "parameter of toy"
+    assert helps["H"] == "parameter of fbm, subfbm, bifbm, toy"
+    assert helps["alpha"] == "parameter of dw-z1, dw-z2"
+
+
 def test_variance_prints_the_chaos_cut_share(tmp_path, capsys):
     # tail_sq / (l2_norm_sq + tail_sq): the share of Var f(Z) above the cut
     for f, share in (("odd_abs_power:1", "4.3e-05"), ("odd_abs_power:12", "0.46")):
@@ -523,6 +544,13 @@ def test_out_creates_nested_directories_and_print_config_creates_none(tmp_path, 
                  "is not a saved clt run", id="incomplete-row"),
     pytest.param(b'{"config": {"tolerances": {}}, "times": [], "cross": [], "passed": true}',
                  "is not a saved clt run: it holds no times", id="no-times"),
+    # a config that is not an object once raised AttributeError past the parse
+    pytest.param(b'{"config": [1], "times": [], "cross": []}',
+                 "is not a saved clt run", id="config-list"),
+    pytest.param(b'{"config": "x", "times": [], "cross": []}',
+                 "is not a saved clt run", id="config-string"),
+    pytest.param(b'{"config": null, "times": [], "cross": []}',
+                 "is not a saved clt run", id="config-null"),
 ])
 def test_report_input_faults_exit_2(tmp_path, capsys, content, named):
     path = tmp_path / "experiment.json"

@@ -140,11 +140,11 @@ def test_threads_capped_at_usable_cpus(monkeypatch):
     monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0})
     assert sampler._worker_count(8) == 1
     b8 = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=8)
-    assert pools == []  # one usable CPU: no pool, chunks filled in turn
+    assert pools == [1]  # one usable CPU: one worker fills the chunks in turn
     assert b8.increments.tobytes() == b1.increments.tobytes()
     monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0, 1})
     b8 = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=8)
-    assert pools == [2]
+    assert pools == [1, 2]
     assert b8.increments.tobytes() == b1.increments.tobytes()
 
 

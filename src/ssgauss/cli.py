@@ -263,13 +263,17 @@ def cmd_report(cfg: dict) -> int:
         ok = montecarlo.derive_verdicts(saved)
     except DomainError as exc:
         raise DomainError(f"experiment file {path} {exc}") from None
+    # run_experiment writes a JSON boolean; a string "false" would read as a pass
     stored = saved.get("passed")
+    if not isinstance(stored, bool):
+        raise DomainError(f"experiment file {path} is not a saved clt run: "
+                          f"missing or malformed 'passed'")
     print(f"{path}: rederived verdict = {'pass' if ok else 'fail'} "
           f"(stored: {'pass' if stored else 'fail'})")
     for ts in saved["times"]:
         print(f"  t={ts['t']:g}: sample_var={ts['sample_var']:.6g} "
               f"exact={ts['exact_var']:.6g} ks_p={ts['ks_p']:.4g}")
-    if ok != bool(stored):
+    if ok != stored:
         print("warning: stored verdict disagrees with rederivation")
     return EXIT_OK if ok else EXIT_NUMERICAL
 

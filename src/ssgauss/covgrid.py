@@ -30,15 +30,25 @@ entries of the new columns are formed.  A request for another model
 drops the held grid before assembling its own, and release_grid() drops
 it outright.
 
-The assembly runs in row blocks of about 2^18 kernel values.  A block of
-rows j0..j1-1 evaluates R on times j0..j1 against the times from
-max(j0, N0) to N, where N0 is the size of the held block (0 for a fresh
-grid), i.e. once per unordered pair of new grid times up to the thin
-diagonal strip.  It forms the rectangle entries on and above the
-diagonal, divides them by the unit-scale std[j] std[k] as they are
-formed, and writes their transpose below the diagonal.  Peak memory is
-the one N x N array corr, plus the held block while it grows, plus block
-temporaries of a few MB.  cov = corr std[j] std[k] is not stored.
+The assembly runs in bands of rows of about 2^16 kernel values, so that
+a band and its temporaries fit in a core's 2 MiB L2 cache.  One helper,
+_band, forms every band: for rows j0..j1-1 it evaluates R on times
+j0..j1 against the times from max(j0, N0) to N, where N0 is the size of
+the held block (0 for a fresh grid), i.e. once per unordered pair of new
+grid times up to the thin diagonal strip.  It forms the rectangle
+entries and divides them by the unit-scale std[j] std[k] as they are
+formed.  Past the band's small diagonal square every kernel value has
+s <= t, which Model.r evaluates on the ordered column and row without
+its minimum, maximum and mask.  _grow mirrors the upper triangle of each
+band below the diagonal; peak memory is the one N x N array corr, plus
+the held block while it grows, plus band temporaries of a few MB.
+cov = corr std[j] std[k] is not stored.
+
+upper_bands streams the bands of a fresh grid's upper triangle, formed by
+the same helper, for a reduction over corr that needs no grid held:
+montecarlo.exact_variance sums over them.  It never touches the held
+grid, and MAX_N, the cap on dense grids, does not bound it; its memory
+is the band temporaries and the O(N) std.
 """
 
 from __future__ import annotations
@@ -51,16 +61,17 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .models import Model
 
-__all__ = ["IncrementCovariance", "increment_cov", "num_increments", "release_grid"]
+__all__ = ["IncrementCovariance", "increment_cov", "num_increments", "release_grid",
+           "upper_bands"]
 
 # Dense N x N doubles; 8192^2 is one ~0.5 GB matrix, the ceiling for
-# desk-scale runs.
+# desk-scale runs.  It caps the grids increment_cov holds, not upper_bands.
 MAX_N = 8192
 
-# Rows per assembly block are chosen so that a block of kernel values holds
-# about this many doubles (2 MB); the block temporaries then stay small
-# next to the one N x N output (~0.5 GB at MAX_N).
-_BLOCK_ENTRIES = 1 << 18
+# Rows per band are chosen so that a band of kernel values holds about this
+# many doubles (512 KB); the band and its few temporaries then fit in a
+# core's 2 MiB L2 cache.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def num_increments(n: int, t: float) -> int:
@@ -118,6 +129,30 @@ def _std(model: Model, times: np.ndarray) -> np.ndarray:
     return np.sqrt(diag)
 
 
+def _band(model: Model, times: np.ndarray, std: np.ndarray, j0: int, j1: int,
+          c0: int) -> np.ndarray:
+    """corr[j0:j1, c0:] at unit scale, for c0 >= j0: the rectangles of rows
+    j0..j1-1 against columns c0..N-1, each divided by std[j] std[k] as it
+    is formed.  Those on and above the diagonal are the grid's; those below
+    it, in the band's square of columns c0..j1-1, are not mirrored."""
+    # kernel rows j0..j1 against columns c0..N hold every kernel value the
+    # upper-triangle entries read, R[j+1, j] on the diagonal included: Model.r
+    # orders its arguments, so R is bitwise symmetric and R[j+1, j] = R[j, j+1].
+    # The columns from j1 on lie at or above every row time and take the
+    # ordered path of Model.r; the square before them takes the general one,
+    # so no time pair outside the kernel's domain is evaluated.
+    rows = times[j0:j1 + 1, None]
+    split = max(j1 - c0, 0)
+    R = np.empty((rows.size, times.size - c0))
+    if split:
+        R[:, :split] = model.r(rows, times[None, c0:c0 + split])
+    R[:, split:] = model.r(rows, times[None, c0 + split:])
+    blk = (R[1:, 1:] - R[:-1, 1:]) - (R[1:, :-1] - R[:-1, :-1])
+    del R
+    blk /= np.outer(std[j0:j1], std[c0:])
+    return blk
+
+
 def _grow(model: Model, held: np.ndarray | None, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The unit-scale std and N x N corr, corr read-only: the held leading
     block of the same model copied (none for a fresh grid) and only the
@@ -132,14 +167,7 @@ def _grow(model: Model, held: np.ndarray | None, N: int) -> tuple[np.ndarray, np
     for j0 in range(0, N, rows):
         j1 = min(j0 + rows, N)
         c0 = max(j0, N0)
-        # rows j0..j1 of R against columns c0..N hold every kernel value
-        # the new upper-triangle entries of corr rows j0..j1-1 read,
-        # R[j+1, j] on the diagonal included: Model.r orders its arguments,
-        # so R is bitwise symmetric and R[j+1, j] = R[j, j+1]
-        R = model.r(times[j0:j1 + 1, None], times[None, c0:])
-        blk = (R[1:, 1:] - R[:-1, 1:]) - (R[1:, :-1] - R[:-1, :-1])
-        del R
-        blk /= np.outer(std[j0:j1], std[c0:])
+        blk = _band(model, times, std, j0, j1, c0)
         # the rectangle of a symmetric kernel is symmetric; mirror the upper
         # triangle of the block's square on the diagonal (rows and columns
         # c0..j1-1) so the stored matrix is exactly so
@@ -152,6 +180,21 @@ def _grow(model: Model, held: np.ndarray | None, N: int) -> tuple[np.ndarray, np
     np.fill_diagonal(corr, 1.0)
     corr.flags.writeable = False
     return std, corr
+
+
+def upper_bands(model: Model, N: int):
+    """The unit-scale corr of the first N increments of model, streamed
+    without the held grid: for each band of rows j0..j1-1 of about
+    _BLOCK_ENTRIES kernel values, the block corr[j0:j1, j0:N].  Its square
+    blk[:, :j1 - j0] holds the band's diagonal, whose entries below it are
+    not the grid's; every entry above the diagonal is, bit for bit."""
+    times = np.arange(N + 1, dtype=float)
+    std = _std(model, times)
+    j0 = 0
+    while j0 < N:
+        j1 = min(j0 + max(1, _BLOCK_ENTRIES // (N + 1 - j0)), N)
+        yield _band(model, times, std, j0, j1, j0)
+        j0 = j1
 
 
 def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:

@@ -159,13 +159,30 @@ class Model:
         return float(out[0]) if scalar else out
 
     def r(self, s, t):
-        """Covariance kernel R(s, t) = E[X_s X_t] on s, t >= 0."""
+        """Covariance kernel R(s, t) = E[X_s X_t] on s, t >= 0.
+
+        A column and a row of times in order, no time of the column above
+        any of the row (either argument may be the column), skip the
+        elementwise minimum, maximum and mask: _r runs on the two operands
+        as they broadcast, so a power of one time alone is formed once per
+        row or column, and a row at time 0 is 0.  The values are those of
+        the general path, bit for bit.
+        """
         sa = np.asarray(s, dtype=float)
         ta = np.asarray(t, dtype=float)
         scalar = sa.ndim == 0 and ta.ndim == 0
         sa, ta = np.atleast_1d(sa), np.atleast_1d(ta)
         if np.any(sa < 0.0) or np.any(ta < 0.0):
             raise DomainError("kernel requires s, t >= 0")
+        for col, row in ((sa, ta), (ta, sa)):
+            if (col.ndim == row.ndim == 2 and col.shape[1] == 1 == row.shape[0]
+                    and col.size and row.size and col.max() <= row.min()):
+                pos = col[:, 0] > 0.0
+                if pos.all():
+                    return self._r(col, row)
+                out = np.zeros((col.shape[0], row.shape[1]))
+                out[pos] = self._r(col[pos], row)
+                return out
         sa, ta = np.broadcast_arrays(sa, ta)
         u = np.minimum(sa, ta)
         v = np.maximum(sa, ta)

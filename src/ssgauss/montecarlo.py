@@ -28,8 +28,11 @@ cache: the Hermite recurrence and prefix sums of F_n, and the draws,
 gathers and means of the bootstrap.  None moves a bit: the recurrence
 and prefix sums act on each row alone, each bootstrap row is still one
 pairwise mean over its own draws, and the blocks of draws continue one
-Philox stream.  The oracle sums g over blocks of rows of corr as well,
-and adds the block sums exactly, so no N x N temporary is formed.
+Philox stream.  The oracle streams corr from covgrid.upper_bands, one
+band of rows of its upper triangle at a time, and adds m g(1) for the
+unit diagonal and twice the band sums exactly: it forms and holds no
+m x m array, leaves covgrid's held grid alone and is not capped by
+covgrid.MAX_N.
 
 A statistic or oracle that leaves the double range, as the fourth
 powers of a large or a tiny f do, stops the experiment with
@@ -43,7 +46,7 @@ import math
 import numpy as np
 
 from ._version import __version__ as _VERSION
-from .covgrid import increment_cov, num_increments
+from .covgrid import num_increments, upper_bands
 from .errors import DomainError, GridError, NumericalError
 from .hermite import HermiteFunction
 from .limitvar import gate, sigma_sq
@@ -71,11 +74,11 @@ TOLERANCES = {
 }
 _SPAN = ("t_lo", "t_mid", "t_hi")  # the keys of a cross row's three times
 
-# The Hermite recurrence and prefix sums of functional, the sum of
-# f.covariance in exact_variance, and the draws and gathers of
-# _bootstrap_moments, run on blocks of rows of about these many values,
-# so that a block and its temporaries stay in a core's L2 cache instead
-# of spanning whole (M, N), (N, N) and (B, M) arrays.
+# The Hermite recurrence and prefix sums of functional, and the draws and
+# gathers of _bootstrap_moments, run on blocks of rows of about these many
+# values, so that a block and its temporaries stay in a core's L2 cache
+# instead of spanning whole (M, N) and (B, M) arrays.  exact_variance
+# takes its bands from covgrid, sized by covgrid._BLOCK_ENTRIES.
 _FUNCTIONAL_ENTRIES = 1 << 15
 _BOOTSTRAP_ENTRIES = 1 << 16
 
@@ -106,20 +109,25 @@ def functional(rows: np.ndarray, f: HermiteFunction, n: int, t_grid) -> np.ndarr
 
 def exact_variance(model: Model, f: HermiteFunction, n: int, t: float) -> float:
     """The orthogonality-based oracle for E[F_n(t)^2]: (1/n) times the sum
-    of f.covariance over the n-free corr of the first floor(n t)
-    increments, taken on blocks of rows of about _FUNCTIONAL_ENTRIES
-    values and added exactly.  NumericalError when it is not finite."""
+    of g = f.covariance over the n-free corr of the first m = floor(n t)
+    increments, m g(1) for the unit diagonal and twice the sums over the
+    bands of covgrid.upper_bands above it, added exactly (see the module
+    docstring).  NumericalError when it is not finite."""
     m = num_increments(n, t)
     if m < 1:
         return 0.0
-    corr = increment_cov(model, n, m).corr
-    step = max(1, _FUNCTIONAL_ENTRIES // m)
-    # past the double range a weight or a block sum is inf, and an inf
-    # weight times a zero correlation nan; fsum refuses overflow and inf - inf
+    # past the double range a weight or a band sum is inf, and an inf
+    # weight times a zero correlation nan; fsum refuses overflow and inf - inf.
+    # The kernel runs outside these errstate blocks, so nothing of it is hidden.
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = [float(np.sum(f.covariance(corr[lo:lo + step]))) for lo in range(0, m, step)]
+        sums = [m * f.covariance(1.0)]
+    for blk in upper_bands(model, m):
+        b = blk.shape[0]  # the band's square, which holds its diagonal
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = f.covariance(blk)
+            sums += [2.0 * float(np.sum(np.triu(g[:, :b], 1))), 2.0 * float(np.sum(g[:, b:]))]
     try:
-        total = math.fsum(blocks) / n
+        total = math.fsum(sums) / n
     except (OverflowError, ValueError):
         total = math.inf
     if not math.isfinite(total):

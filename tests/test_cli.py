@@ -565,6 +565,29 @@ def test_report_input_faults_exit_2(tmp_path, capsys, content, named):
     assert out == ""
 
 
+@pytest.mark.parametrize("passed", ['"false"', "0", "null", None],
+                         ids=["string", "zero", "null", "deleted"])
+def test_report_refuses_a_stored_passed_that_is_not_a_boolean(tmp_path, capsys, passed):
+    # a string "false" once read as a stored pass, and a 0, a null or no
+    # key at all as a stored fail
+    args = ["clt", "--model", "swanson", "--f", "hermite:2", "--n", "64", "--M", "200",
+            "--t-grid", "0.5,1.0", "--out", str(tmp_path)]
+    assert run_cli(args) == 0
+    path = tmp_path / "experiment.json"
+    saved = json.loads(path.read_text())
+    assert saved["passed"] is True
+    del saved["passed"]
+    if passed is not None:
+        saved["passed"] = json.loads(passed)
+    path.write_text(json.dumps(saved))
+    capsys.readouterr()
+    assert run_cli(["report", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and str(path) in err
+    assert "is not a saved clt run: missing or malformed 'passed'" in err
+    assert out == "" and "Traceback" not in err
+
+
 @pytest.mark.parametrize("all_pairs", [False, True])
 def test_report_refuses_rows_that_are_not_its_grids(tmp_path, capsys, all_pairs):
     args = ["clt", "--model", "swanson", "--f", "hermite:2", "--n", "64", "--M", "200",

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssgauss import covgrid, montecarlo
+from ssgauss import covgrid
 from ssgauss.covgrid import MAX_N, increment_cov
 from ssgauss.errors import DomainError
 from ssgauss.hermite import builtin_family
@@ -235,16 +235,16 @@ def test_assembly_peak_memory_is_one_output_plus_blocks(released):
 
 
 def test_exact_variance_peak_memory_is_block_temporaries(released):
-    # with the grid held, f.covariance runs on one block of rows at a time:
-    # its one accumulator of _FUNCTIONAL_ENTRIES doubles, and the std of
-    # the grid, are all that is allocated; no N x N power is formed
+    # the oracle streams corr one band of rows at a time and holds no grid:
+    # from a released state it allocates the bands' temporaries and the std
+    # of the grid, never an N x N array, and leaves nothing held
     m = make_model("bifbm", H=0.6, K=0.5)
     N = 2048
     for f in (builtin_family("single_hermite", 2), builtin_family("odd_abs_power", 1)):
-        exact_variance(m, f, N, 1.0)
         value, peak = peak_bytes(lambda: exact_variance(m, f, N, 1.0))
         assert value > 0.0
-        assert peak <= 8 * (montecarlo._FUNCTIONAL_ENTRIES + N) + 65536, peak
+        assert peak <= _block_allowance(N), peak
+        assert covgrid._held is None
 
 
 def test_switching_models_frees_the_held_grid_first(released):
@@ -282,3 +282,56 @@ def test_a_small_block_does_not_keep_the_held_grid_alive(released):
     assert small.corr.shape == (N // 2, N // 2)
     # the copy is a quarter of the grid; a view would keep all of it
     assert kept < 8 * N * N / 2, kept / (8 * N * N)
+
+
+def _oracle(m, f, n, t):
+    # (1/n) fsum of f.covariance over the whole full-grid corr of floor(n t)
+    corr = increment_cov_full_grid(m, 1, math.floor(n * t))[2]
+    return math.fsum(f.covariance(corr).ravel()) / n
+
+
+@pytest.mark.parametrize("name,kw", CATALOG_CASES)
+def test_streamed_exact_variance_against_the_full_grid_sum(name, kw, monkeypatch):
+    # the streamed bands add the same g(corr[j, k]) in another order: the
+    # corr above the diagonal is the grid's, bit for bit, and the grid is
+    # exactly symmetric with a unit diagonal; what is left is the rounding
+    # of each band's pairwise sum, held to 4 ulps of the value
+    m = make_model(name, **kw)
+    fs = [builtin_family("single_hermite", 2), builtin_family("odd_abs_power", 1),
+          builtin_family("even_power", 2)]
+    for entries in (None, 1, 3000):
+        if entries is not None:
+            monkeypatch.setattr(covgrid, "_BLOCK_ENTRIES", entries)
+        for n, t in ((7, 1.0), (64, 0.37), (300, 1.0), (1000, 0.37)):
+            for f in fs:
+                want = _oracle(m, f, n, t)
+                got = exact_variance(m, f, n, t)
+                assert abs(got - want) <= 4 * EPS * abs(want), (entries, n, t, f.label)
+
+
+def test_exact_variance_leaves_the_held_grid_alone(released, monkeypatch):
+    a, b = make_model("swanson"), make_model("bifbm", H=0.6, K=0.5)
+    f = builtin_family("single_hermite", 2)
+    increment_cov(a, 64, 256)
+    held = covgrid._held
+    assert exact_variance(b, f, 512, 1.0) == pytest.approx(_oracle(b, f, 512, 1.0), rel=1e-15)
+    assert covgrid._held is held
+
+    def no_kernel(*args):
+        raise AssertionError("evaluated the kernel for a held grid")
+
+    monkeypatch.setattr(a, "r", no_kernel)
+    ic = increment_cov(a, 64, 256)
+    assert ic.corr.tobytes() == increment_cov_full_grid(a, 1, 256)[2].tobytes()
+
+
+def test_exact_variance_is_not_capped_by_the_dense_grid(released, monkeypatch):
+    # MAX_N caps the grids increment_cov holds; the streamed oracle holds none
+    monkeypatch.setattr(covgrid, "MAX_N", 64)
+    m = make_model("subfbm", H=0.35)
+    f = builtin_family("single_hermite", 2)
+    n, t = 128, 100 / 128
+    want = _oracle(m, f, n, t)
+    assert abs(exact_variance(m, f, n, t) - want) <= 4 * EPS * abs(want)
+    with pytest.raises(DomainError, match="exceeds the dense-matrix cap 64"):
+        increment_cov(m, n, 100)

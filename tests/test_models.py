@@ -176,6 +176,60 @@ def test_kernel_fast_path_equals_masked_path(name, kw):
     assert m.r(pos[5], pos[50]) == kernel_masked(m, pos[5], pos[50])[0]
 
 
+def _r_shapes(m, monkeypatch):
+    """The operand shapes of every _r call m makes from now on."""
+    shapes, raw = [], m._r
+
+    def spy(u, v):
+        shapes.append((u.shape, v.shape))
+        return raw(u, v)
+
+    monkeypatch.setattr(m, "_r", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("name,kw", CATALOG_CASES)
+def test_kernel_ordered_column_and_row_take_the_broadcast_path(name, kw, monkeypatch):
+    # a column at or below a row runs _r on the two operands as they
+    # broadcast; each must give the bits of the general path on the
+    # explicitly broadcast arrays, in either argument order
+    m = make_model(name, **kw)
+    shapes = _r_shapes(m, monkeypatch)
+    grid = np.arange(41, dtype=float) / 7.0
+    pairs = {
+        "time 0": (grid[:9, None], grid[None, 12:]),
+        "seam": (grid[3:20, None], grid[None, 19:]),
+        "all zero": (np.zeros((3, 1)), np.array([[0.0, 0.0, 0.5]])),
+    }
+    for label, (col, row) in pairs.items():
+        for s, t in ((col, row), (row, col)):
+            shapes.clear()
+            got = m.r(s, t)
+            assert shapes and all(u[1] == 1 and v[0] == 1 for u, v in shapes), label
+            shapes.clear()
+            want = m.r(*np.broadcast_arrays(s, t))
+            assert all(u == v for u, v in shapes), label  # the general path
+            assert got.tobytes() == want.tobytes(), label
+    # a row at time 0 is 0, and _r never sees it
+    col, row = pairs["time 0"]
+    shapes.clear()
+    assert not m.r(col, row)[0].any()
+    assert shapes == [((col.size - 1, 1), row.shape)]
+
+
+@pytest.mark.parametrize("name,kw", CATALOG_CASES)
+def test_kernel_unordered_column_and_row_take_the_general_path(name, kw, monkeypatch):
+    m = make_model(name, **kw)
+    shapes = _r_shapes(m, monkeypatch)
+    grid = np.arange(1, 41, dtype=float) / 7.0
+    # the column reaches one step past the row's first time
+    for s, t in ((grid[:21, None], grid[None, 19:]), (grid[None, 19:], grid[:21, None])):
+        shapes.clear()
+        got = m.r(s, t)
+        assert shapes == [(got.shape, got.shape)]
+        assert got.tobytes() == kernel_masked(m, s, t).tobytes()
+
+
 @pytest.mark.parametrize("name,kw", CATALOG_CASES)
 def test_kernel_gram_positive_semidefinite(name, kw):
     m = make_model(name, **kw)

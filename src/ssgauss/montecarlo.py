@@ -31,8 +31,7 @@ pairwise mean over its own draws, and the blocks of draws continue one
 Philox stream.  The oracle streams corr from covgrid.upper_bands, one
 band of rows of its upper triangle at a time, and adds m g(1) for the
 unit diagonal and twice the band sums exactly: it forms and holds no
-m x m array, leaves covgrid's held grid alone and is not capped by
-covgrid.MAX_N.
+m x m array and is not capped by covgrid.MAX_N.
 
 A statistic or oracle that leaves the double range, as the fourth
 powers of a large or a tiny f do, stops the experiment with

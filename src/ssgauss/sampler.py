@@ -298,7 +298,8 @@ def write_batch(batch: SampleBatch, path) -> None:
 def read_batch(path) -> tuple[dict, np.ndarray]:
     """Read a batch dump; returns (header dict, increments array).
 
-    Raises DomainError when the file size disagrees with the header.
+    Raises DomainError when the header holds no batch write_batch writes
+    (n < 2, N < 1 or M < 1) or the file size disagrees with it.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -308,6 +309,9 @@ def read_batch(path) -> tuple[dict, np.ndarray]:
             f"shorter than its {_HEADER.size}-byte header"
         )
     n, N, M, seed = _HEADER.unpack_from(raw)
+    if n < 2 or N < 1 or M < 1:
+        raise DomainError(f"batch file {path} has header (n={n}, N={N}, M={M}); "
+                          f"a batch needs n >= 2, N >= 1 and M >= 1")
     expected = _HEADER.size + 8 * M * N
     if len(raw) != expected:
         raise DomainError(

@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from ssgauss.models import FBM, SubFBM, make_model
+from ssgauss.models import make_model
 
 # canonical parameter choices used across the suite; alpha < 1.5 throughout
 CATALOG_CASES = [
@@ -24,13 +24,6 @@ def peak_bytes(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-class SubFBMNamedFBM(FBM):
-    """subfbm's kernel under fbm's class name, so describe() matches fbm's."""
-
-    _psi = SubFBM._psi
-    _r = SubFBM._r
 
 
 @pytest.fixture(scope="session")

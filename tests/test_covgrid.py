@@ -9,19 +9,13 @@ from ssgauss import covgrid
 from ssgauss.covgrid import MAX_N, increment_cov
 from ssgauss.errors import DomainError
 from ssgauss.hermite import builtin_family
-from ssgauss.models import FBM, make_model
+from ssgauss.models import make_model
 from ssgauss.montecarlo import exact_variance
 
-from conftest import CATALOG_CASES, SubFBMNamedFBM, peak_bytes
+from conftest import CATALOG_CASES, peak_bytes
 from oracles import increment_cov_full_grid, kernel_mp
 
 EPS = np.finfo(float).eps
-
-
-@pytest.fixture
-def released():
-    """Drop the held grid, so the test's first request assembles afresh."""
-    covgrid.release_grid()
 
 
 def test_brownian_increments_are_independent():
@@ -121,7 +115,6 @@ def test_blocked_assembly_bit_identical_to_full_grid(name, kw, monkeypatch):
         if entries is not None:
             monkeypatch.setattr(covgrid, "_BLOCK_ENTRIES", entries)
         for n, N in sizes:
-            covgrid.release_grid()
             ic = increment_cov(m, n, N)
             cov, std_unit, corr = increment_cov_full_grid(m, 1, N)
             # std at resolution n is the unit-scale std times n^(-beta)
@@ -168,51 +161,41 @@ def test_unit_scale_std_against_50_digit_rectangles(name, kw):
             assert gap <= (rho + eps) * S + 2 * eps * abs(rect), (name, j)
 
 
-def test_a_held_grid_is_served_at_any_resolution_without_a_kernel_call(released,
-                                                                       monkeypatch):
-    m = make_model("swanson")
-    std_unit = increment_cov_full_grid(m, 1, 256)[1]
-    increment_cov(m, 64, 256)
-
-    def no_kernel(*args):
-        raise AssertionError("evaluated the kernel for a held grid")
-
-    monkeypatch.setattr(m, "r", no_kernel)
-    for n, N in ((64, 256), (1000, 128), (2, 7)):
-        ic = increment_cov(m, n, N)
-        assert ic.std.tobytes() == (std_unit[:N] * float(n) ** (-m.beta)).tobytes()
+def test_a_grid_does_not_depend_on_earlier_calls():
+    # cold, after another model's grid and after a larger grid of the same
+    # model, a call returns the same bits; std is the unit-scale std times
+    # n^(-beta)
+    other = make_model("subfbm", H=0.35)
+    for m in (make_model("swanson"), make_model("bifbm", H=0.6, K=0.5)):
+        std_unit = increment_cov_full_grid(m, 1, 1000)[1]
+        for n, N in ((64, 256), (1000, 128), (2, 7), (1000, 1000)):
+            cold = increment_cov(m, n, N)
+            increment_cov(other, n, N)
+            after_other = increment_cov(m, n, N)
+            increment_cov(m, n, 1000)
+            after_larger = increment_cov(m, n, N)
+            for ic in (after_other, after_larger):
+                assert ic.corr.tobytes() == cold.corr.tobytes(), (m.name, n, N)
+                assert ic.std.tobytes() == cold.std.tobytes(), (m.name, n, N)
+            want = std_unit[:N] * float(n) ** (-m.beta)
+            assert cold.std.tobytes() == want.tobytes(), (m.name, n, N)
 
 
 @pytest.mark.parametrize("name,kw", CATALOG_CASES)
-def test_grown_grid_is_bit_equal_to_a_fresh_assembly(name, kw, released):
-    # 1000 is no multiple of the row-block size, so blocks straddle the
-    # held size; the resolution of a request never reaches corr
+def test_a_grid_is_the_leading_block_of_a_larger_one(name, kw):
+    # the two grids cut their bands at different rows, and the resolution
+    # of a request never reaches corr
     m = make_model(name, **kw)
-    for N in (256, 1000, 2048):
-        grown = increment_cov(m, N, N).corr
     lead = increment_cov(m, 64, 256).corr
-    covgrid.release_grid()
-    fresh = increment_cov(m, 2048, 2048).corr
-    assert grown.tobytes() == fresh.tobytes()
-    assert lead.tobytes() == fresh[:256, :256].tobytes()
+    assert lead.tobytes() == increment_cov(m, 2048, 2048).corr[:256, :256].tobytes()
 
 
-def test_returned_corr_is_read_only(released):
+def test_returned_corr_is_read_only():
     m = make_model("swanson")
-    # the held grid itself, a view of its leading block and a copy of one
     for N in (32, 24, 16):
         corr = increment_cov(m, 64, N).corr
         with pytest.raises(ValueError):
             corr[0, 1] = 0.0
-
-
-def test_held_grid_is_keyed_on_the_model_class(released):
-    fbm, other = FBM(0.3), SubFBMNamedFBM(0.3)
-    assert other.describe() == fbm.describe()
-    increment_cov(fbm, 16, 8)
-    got = increment_cov(other, 16, 8).corr
-    assert got.tobytes() == increment_cov_full_grid(other, 1, 8)[2].tobytes()
-    assert got.tobytes() != increment_cov_full_grid(fbm, 1, 8)[2].tobytes()
 
 
 def _block_allowance(N):
@@ -223,7 +206,7 @@ def _block_allowance(N):
     return 12 * 8 * (covgrid._BLOCK_ENTRIES + N + 1)
 
 
-def test_assembly_peak_memory_is_one_output_plus_blocks(released):
+def test_assembly_peak_memory_is_one_output_plus_blocks():
     # corr is the one 8 N^2-byte array; a full-grid assembly peaks at about
     # 8 x 8 N^2 with its kernel grid and mirrored temporaries
     m = make_model("bifbm", H=0.6, K=0.5)
@@ -234,54 +217,30 @@ def test_assembly_peak_memory_is_one_output_plus_blocks(released):
     assert peak <= 8 * N * N + _block_allowance(N), peak / (8 * N * N)
 
 
-def test_exact_variance_peak_memory_is_block_temporaries(released):
-    # the oracle streams corr one band of rows at a time and holds no grid:
-    # from a released state it allocates the bands' temporaries and the std
-    # of the grid, never an N x N array, and leaves nothing held
+def test_exact_variance_peak_memory_is_block_temporaries():
+    # the oracle streams corr one band of rows at a time: it allocates the
+    # bands' temporaries and the std of the grid, never an N x N array
     m = make_model("bifbm", H=0.6, K=0.5)
     N = 2048
     for f in (builtin_family("single_hermite", 2), builtin_family("odd_abs_power", 1)):
         value, peak = peak_bytes(lambda: exact_variance(m, f, N, 1.0))
         assert value > 0.0
         assert peak <= _block_allowance(N), peak
-        assert covgrid._held is None
 
 
-def test_switching_models_frees_the_held_grid_first(released):
-    # the swanson grid is held when bifbm is requested; traced memory may
-    # rise above that level only by block temporaries, not by a second grid
+def test_no_grid_outlives_its_caller():
+    m = make_model("bifbm", H=0.6, K=0.5)
     N = 2048
-    increment_cov(make_model("bifbm", H=0.6, K=0.5), 64, 64)
     tracemalloc.start()
     try:
-        increment_cov(make_model("swanson"), N, N)
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        ic = increment_cov(make_model("bifbm", H=0.6, K=0.5), N, N)
-        rise = tracemalloc.get_traced_memory()[1] - held
+        start = tracemalloc.get_traced_memory()[0]
+        ic = increment_cov(m, N, N)
+        assert ic.corr.shape == (N, N)
+        del ic
+        left = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert ic.corr.shape == (N, N)
-    assert held >= 8 * N * N
-    assert rise <= _block_allowance(N), rise / (8 * N * N)
-
-
-def test_a_small_block_does_not_keep_the_held_grid_alive(released):
-    # a block of at most half the held increments is a copy, so once
-    # another model's grid replaces the held one, only the block stays
-    N = 2048
-    m = make_model("swanson")
-    tracemalloc.start()
-    try:
-        increment_cov(m, N, N)
-        small = increment_cov(m, 64, N // 2)
-        increment_cov(make_model("bifbm", H=0.6, K=0.5), 64, 64)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert small.corr.shape == (N // 2, N // 2)
-    # the copy is a quarter of the grid; a view would keep all of it
-    assert kept < 8 * N * N / 2, kept / (8 * N * N)
+    assert left <= _block_allowance(N), left
 
 
 def _oracle(m, f, n, t):
@@ -309,24 +268,8 @@ def test_streamed_exact_variance_against_the_full_grid_sum(name, kw, monkeypatch
                 assert abs(got - want) <= 4 * EPS * abs(want), (entries, n, t, f.label)
 
 
-def test_exact_variance_leaves_the_held_grid_alone(released, monkeypatch):
-    a, b = make_model("swanson"), make_model("bifbm", H=0.6, K=0.5)
-    f = builtin_family("single_hermite", 2)
-    increment_cov(a, 64, 256)
-    held = covgrid._held
-    assert exact_variance(b, f, 512, 1.0) == pytest.approx(_oracle(b, f, 512, 1.0), rel=1e-15)
-    assert covgrid._held is held
-
-    def no_kernel(*args):
-        raise AssertionError("evaluated the kernel for a held grid")
-
-    monkeypatch.setattr(a, "r", no_kernel)
-    ic = increment_cov(a, 64, 256)
-    assert ic.corr.tobytes() == increment_cov_full_grid(a, 1, 256)[2].tobytes()
-
-
-def test_exact_variance_is_not_capped_by_the_dense_grid(released, monkeypatch):
-    # MAX_N caps the grids increment_cov holds; the streamed oracle holds none
+def test_exact_variance_is_not_capped_by_the_dense_grid(monkeypatch):
+    # MAX_N caps the grids increment_cov returns; the streamed oracle forms none
     monkeypatch.setattr(covgrid, "MAX_N", 64)
     m = make_model("subfbm", H=0.35)
     f = builtin_family("single_hermite", 2)

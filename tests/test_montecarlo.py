@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ssgauss import cli, montecarlo
-from ssgauss.covgrid import increment_cov, release_grid
+from ssgauss.covgrid import increment_cov
 from ssgauss.errors import DomainError, GateError, GridError, NumericalError
 from ssgauss.hermite import HermiteFunction, builtin_family
 from ssgauss.limitvar import sigma_q_sq
@@ -160,16 +160,13 @@ def test_run_experiment_small_brownian():
 def test_run_experiment_takes_its_grid_from_the_one_path(name, kw):
     # run_experiment builds no grid of its own: its oracle and its sample
     # variances are, bit for bit, those of exact_variance and sample_batch
-    # called alone, whatever grid was held before each call
+    # called alone
     m = make_model(name, **kw)
     f = builtin_family("even_power", 2)
     n, M, seed, ts = 64, 200, 11, [0.25, 0.5, 1.0]
-    release_grid()
     res = run_experiment(m, f, n, ts, M=M, seed=seed)
     for row, t in zip(res["times"], ts):
-        release_grid()
         assert row["exact_var"] == exact_variance(m, f, n, t)
-    release_grid()
     F = functional(sample_batch(m, n, 64, M, seed).normalized, f, n, ts)
     assert [row["sample_var"] for row in res["times"]] == [float(np.var(x, ddof=1)) for x in F]
 

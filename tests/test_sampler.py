@@ -1,4 +1,6 @@
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -212,6 +214,17 @@ def test_binary_length_checked(tmp_path):
         path.write_bytes(bad)
         with pytest.raises(DomainError, match=f"holds {size} bytes"):
             read_batch(path)
+
+
+@pytest.mark.parametrize("n,N,M,body", [(4, -2, -3, 48), (4, -1, -1, 8), (4, 16, 0, 0),
+                                        (1, 16, 4, 8 * 4 * 16), (4, 0, 4, 0)])
+def test_binary_header_outside_any_batch_is_refused(tmp_path, n, N, M, body):
+    # negative M and N whose product matches the body, an empty batch and a
+    # resolution below 2 are no batch write_batch writes
+    path = tmp_path / "batch.bin"
+    path.write_bytes(struct.pack("<4q", n, N, M, 0) + b"\0" * body)
+    with pytest.raises(DomainError, match=re.escape(f"batch file {path} has header")):
+        read_batch(path)
 
 
 def test_chunk_icdf_equals_per_replica_normals():

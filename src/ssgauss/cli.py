@@ -190,7 +190,7 @@ def cmd_simulate(cfg: dict) -> int:
     sampler.write_batch(batch, out / "batch.bin")
     meta = _echo(cfg, {"model_resolved": model.describe(),
                        "n": n, "N": N, "M": batch.M, "seed": batch.seed})
-    _write_json(out / "batch.json", meta)
+    _write_json(out / "batch.json", meta | {"diagnostics": {"jitter": batch.jitter}})
     print(f"wrote {batch.M} x {N} increments -> {out / 'batch.bin'}")
     return EXIT_OK
 

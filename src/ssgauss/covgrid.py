@@ -29,10 +29,10 @@ diagonal strip.  It forms the rectangle entries and divides them by the
 unit-scale std[j] std[k] as they are formed.  Past the band's small
 diagonal square every kernel value has s <= t, which Model.r evaluates
 on the ordered column and row without its minimum, maximum and mask.
-increment_cov writes each band and its transpose, mirroring the upper
-triangle of the band's square below the diagonal; peak memory is the
-one N x N array corr plus band temporaries of a few MB.
-cov = corr std[j] std[k] is not stored.
+The square is mirrored and given its unit diagonal, so a band is rows
+j0..j1-1 of corr from column j0 on, and increment_cov writes each band
+and its transpose; peak memory is the one N x N array corr plus band
+temporaries of a few MB.  cov = corr std[j] std[k] is not stored.
 
 upper_bands streams the same bands, for a reduction over corr that needs
 no N x N array: montecarlo.exact_variance sums over them.  MAX_N, the
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, require_integers
 from .models import Model
 
 __all__ = ["IncrementCovariance", "increment_cov", "num_increments", "upper_bands"]
@@ -110,8 +110,9 @@ def _bands(model: Model, times: np.ndarray, std: np.ndarray):
     """The unit-scale corr[j0:j1, j0:N] for each band of rows j0..j1-1 of
     about _BLOCK_ENTRIES kernel values, in order: the rectangles of the
     rows against columns j0..N-1, each divided by std[j] std[k] as it is
-    formed.  Those on and above the diagonal are the grid's, bit for bit;
-    those below it, in the band's square blk[:, :j1 - j0], are not."""
+    formed, with the band's square blk[:, :j1 - j0] mirrored from above
+    its diagonal and a diagonal of 1.  Every entry is the grid's corr,
+    bit for bit."""
     N = std.size
     j0 = 0
     while j0 < N:
@@ -130,6 +131,11 @@ def _bands(model: Model, times: np.ndarray, std: np.ndarray):
         blk = (R[1:, 1:] - R[:-1, 1:]) - (R[1:, :-1] - R[:-1, :-1])
         del R
         blk /= np.outer(std[j0:j1], std[j0:])
+        # the rectangle of a symmetric kernel is symmetric: the band's square
+        # takes its lower triangle from its upper one, and its diagonal is 1
+        sq = blk[:, :j1 - j0]
+        np.copyto(sq, sq.T, where=np.tri(j1 - j0, k=-1, dtype=bool))
+        np.fill_diagonal(sq, 1.0)
         yield blk
         j0 = j1
 
@@ -144,6 +150,7 @@ def upper_bands(model: Model, N: int):
 def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:
     """The exact increment correlation and norms at resolution n, corr
     read-only (see the module docstring)."""
+    require_integers(n=n, N=N)
     if n < 2:
         raise DomainError(f"grid resolution n must be >= 2, got {n}")
     if N < 1:
@@ -156,15 +163,10 @@ def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:
     corr = np.empty((N, N), dtype=float)
     j0 = 0
     for blk in _bands(model, times, std_unit):
-        b = blk.shape[0]
-        corr[j0:j0 + b, j0:] = blk
-        corr[j0 + b:, j0:j0 + b] = blk[:, b:].T
-        # the rectangle of a symmetric kernel is symmetric; the band's square
-        # takes its lower triangle from its upper one, so the stored matrix
-        # is exactly so
-        np.copyto(corr[j0:j0 + b, j0:j0 + b], blk[:, :b].T, where=np.tri(b, k=-1, dtype=bool))
-        j0 += b
-    np.fill_diagonal(corr, 1.0)
+        j1 = j0 + blk.shape[0]
+        corr[j0:j1, j0:] = blk
+        corr[j0:, j0:j1] = blk.T
+        j0 = j1
     corr.flags.writeable = False
     # self-similarity: the increments on {j/n} are n^(-beta) times those
     # on the integers

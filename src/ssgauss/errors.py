@@ -5,9 +5,20 @@ domain/usage problems exit 2, applicability-gate violations exit 3,
 numerical failures exit 4.
 """
 
+import numbers
+
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
+
+
+def require_integers(**values) -> None:
+    """DomainError naming the first of values that is not an integer: a
+    count or seed given as 2.5 would otherwise be truncated or leak a
+    TypeError.  numpy integers pass."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 class SingularityError(DomainError):

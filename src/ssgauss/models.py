@@ -149,8 +149,8 @@ class Model:
         xa = np.asarray(x, dtype=float)
         scalar = xa.ndim == 0
         xa = np.atleast_1d(xa)
-        if np.any(xa < 1.0):
-            raise DomainError(f"{label} requires x >= 1")
+        if not np.all((xa >= 1.0) & np.isfinite(xa)):
+            raise DomainError(f"{label} requires finite x >= 1")
         with np.errstate(divide="ignore", invalid="ignore"):
             out = evaluate(xa, order)
         if not np.all(np.isfinite(out[xa == 1.0])):
@@ -161,28 +161,27 @@ class Model:
     def r(self, s, t):
         """Covariance kernel R(s, t) = E[X_s X_t] on s, t >= 0.
 
-        A column and a row of times in order, no time of the column above
-        any of the row (either argument may be the column), skip the
-        elementwise minimum, maximum and mask: _r runs on the two operands
-        as they broadcast, so a power of one time alone is formed once per
-        row or column, and a row at time 0 is 0.  The values are those of
-        the general path, bit for bit.
+        A column of times s and a row of times t in order, no time of the
+        column above any of the row, skip the elementwise minimum, maximum
+        and mask: _r runs on the two operands as they broadcast, so a power
+        of one time alone is formed once per row or column, and a row at
+        time 0 is 0.  The values are those of the general path, bit for
+        bit.  A non-finite time is a DomainError.
         """
         sa = np.asarray(s, dtype=float)
         ta = np.asarray(t, dtype=float)
         scalar = sa.ndim == 0 and ta.ndim == 0
         sa, ta = np.atleast_1d(sa), np.atleast_1d(ta)
-        if np.any(sa < 0.0) or np.any(ta < 0.0):
-            raise DomainError("kernel requires s, t >= 0")
-        for col, row in ((sa, ta), (ta, sa)):
-            if (col.ndim == row.ndim == 2 and col.shape[1] == 1 == row.shape[0]
-                    and col.size and row.size and col.max() <= row.min()):
-                pos = col[:, 0] > 0.0
-                if pos.all():
-                    return self._r(col, row)
-                out = np.zeros((col.shape[0], row.shape[1]))
-                out[pos] = self._r(col[pos], row)
-                return out
+        if not all(np.all((a >= 0.0) & np.isfinite(a)) for a in (sa, ta)):
+            raise DomainError("kernel requires finite s, t >= 0")
+        if (sa.ndim == ta.ndim == 2 and sa.shape[1] == 1 == ta.shape[0]
+                and sa.size and ta.size and sa.max() <= ta.min()):
+            pos = sa[:, 0] > 0.0
+            if pos.all():
+                return self._r(sa, ta)
+            out = np.zeros((sa.shape[0], ta.shape[1]))
+            out[pos] = self._r(sa[pos], ta)
+            return out
         sa, ta = np.broadcast_arrays(sa, ta)
         u = np.minimum(sa, ta)
         v = np.maximum(sa, ta)

@@ -29,9 +29,9 @@ gathers and means of the bootstrap.  None moves a bit: the recurrence
 and prefix sums act on each row alone, each bootstrap row is still one
 pairwise mean over its own draws, and the blocks of draws continue one
 Philox stream.  The oracle streams corr from covgrid.upper_bands, one
-band of rows of its upper triangle at a time, and adds m g(1) for the
-unit diagonal and twice the band sums exactly: it forms and holds no
-m x m array and is not capped by covgrid.MAX_N.
+band of rows from the diagonal on at a time, and adds the sum over each
+band's square once and over the rest of the band twice, exactly: it
+forms and holds no m x m array and is not capped by covgrid.MAX_N.
 
 A statistic or oracle that leaves the double range, as the fourth
 powers of a large or a tiny f do, stops the experiment with
@@ -46,7 +46,7 @@ import numpy as np
 
 from ._version import __version__ as _VERSION
 from .covgrid import num_increments, upper_bands
-from .errors import DomainError, GridError, NumericalError
+from .errors import DomainError, GridError, NumericalError, require_integers
 from .hermite import HermiteFunction
 from .limitvar import gate, sigma_sq
 from .models import Model
@@ -109,22 +109,21 @@ def functional(rows: np.ndarray, f: HermiteFunction, n: int, t_grid) -> np.ndarr
 def exact_variance(model: Model, f: HermiteFunction, n: int, t: float) -> float:
     """The orthogonality-based oracle for E[F_n(t)^2]: (1/n) times the sum
     of g = f.covariance over the n-free corr of the first m = floor(n t)
-    increments, m g(1) for the unit diagonal and twice the sums over the
-    bands of covgrid.upper_bands above it, added exactly (see the module
+    increments: of each band of covgrid.upper_bands, the sum over its
+    square once and over the rest twice, added exactly (see the module
     docstring).  NumericalError when it is not finite."""
     m = num_increments(n, t)
     if m < 1:
         return 0.0
     # past the double range a weight or a band sum is inf, and an inf
     # weight times a zero correlation nan; fsum refuses overflow and inf - inf.
-    # The kernel runs outside these errstate blocks, so nothing of it is hidden.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = [m * f.covariance(1.0)]
+    # The kernel runs outside this errstate block, so nothing of it is hidden.
+    sums = []
     for blk in upper_bands(model, m):
         b = blk.shape[0]  # the band's square, which holds its diagonal
         with np.errstate(over="ignore", invalid="ignore"):
             g = f.covariance(blk)
-            sums += [2.0 * float(np.sum(np.triu(g[:, :b], 1))), 2.0 * float(np.sum(g[:, b:]))]
+            sums += [float(np.sum(g[:, :b])), 2.0 * float(np.sum(g[:, b:]))]
     try:
         total = math.fsum(sums) / n
     except (OverflowError, ValueError):
@@ -279,6 +278,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid or t_grid[0] <= 0.0:
         raise DomainError("t_grid must contain positive times")
+    require_integers(n=n, M=M)
     if n < 2:
         raise DomainError(f"grid resolution n must be >= 2, got {n}")
     if M < MIN_REPLICAS:

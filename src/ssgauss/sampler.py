@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covgrid import MAX_N, IncrementCovariance, increment_cov
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, require_integers
 from .models import Model
 
 __all__ = [
@@ -209,8 +209,10 @@ class SampleBatch:
 
     Row i is replica i: normalized[i, j] = DX_j / std[j], with unit
     variance.  Only normalized and std are stored; the increments are
-    formed on each access.  Content is a pure function of (model, n, N,
-    M, seed); the threads argument of sample_batch never changes it.
+    formed on each access.  jitter is the eps, in cov units, of the
+    Cholesky factor that drew the rows.  Content is a pure function of
+    (model, n, N, M, seed); the threads argument of sample_batch never
+    changes it.
     """
 
     seed: int
@@ -219,6 +221,7 @@ class SampleBatch:
     N: int
     normalized: np.ndarray
     std: np.ndarray
+    jitter: float
 
     @property
     def increments(self) -> np.ndarray:
@@ -245,6 +248,8 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
     threads is capped at the usable CPU count; it never changes the
     result.
     """
+    require_integers(M=M, seed=seed)
+    seed = int(seed)  # the Philox key masks it as a Python int
     if not -(1 << 63) <= seed < 1 << 63:
         raise DomainError(f"seed {seed} is outside [-2^63, 2^63), the range "
                           f"a batch file stores")
@@ -256,7 +261,9 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
         raise DomainError(f"a batch of M={M} rows of N={N} increments exceeds "
                           f"the cap of MAX_N^2 = {MAX_N**2} entries")
     ic = increment_cov(model, n, N)
-    LT = cholesky(ic).L.T.copy()
+    factor = cholesky(ic)
+    LT, jitter = factor.L.T.copy(), factor.jitter
+    del factor  # L itself is not held while the batch is drawn
     normalized = np.empty((M, N), dtype=float)
     step = max(1, _ICDF_ENTRIES // N)
 
@@ -278,8 +285,8 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
     chunks = [(lo, min(lo + _REPLICA_CHUNK, M)) for lo in range(0, M, _REPLICA_CHUNK)]
     with ThreadPoolExecutor(max_workers=_worker_count(threads)) as pool:
         list(pool.map(lambda c: fill(*c), chunks))
-    return SampleBatch(seed=int(seed), M=int(M), n=int(n), N=int(N),
-                       normalized=normalized, std=ic.std)
+    return SampleBatch(seed=seed, M=int(M), n=int(n), N=int(N),
+                       normalized=normalized, std=ic.std, jitter=jitter)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 from ssgauss import cli, models
 from ssgauss.cli import build_parser, main
-from ssgauss.sampler import read_batch
+from ssgauss.covgrid import increment_cov
+from ssgauss.sampler import cholesky, read_batch
 
 
 def run_cli(args):
@@ -360,6 +361,20 @@ def test_simulate_threads_deterministic(tmp_path):
     header, data = read_batch(d1 / "batch.bin")
     assert header == {"n": 64, "N": 64, "M": 300, "seed": 5}
     assert data.shape == (300, 64)
+
+
+def test_simulate_records_the_cholesky_jitter(tmp_path):
+    # batch.json records the jitter, in cov units, of the factor that drew
+    # the batch; dw-z2's grid needs one, swanson's does not
+    for name, flags in (("dw-z2", ["--alpha", "0.5"]), ("swanson", [])):
+        out = tmp_path / name
+        assert run_cli(["simulate", "--model", name, *flags, "--n", "64", "--N", "64",
+                        "--M", "4", "--out", str(out)]) == 0
+        meta = json.loads((out / "batch.json").read_text())
+        model = models.make_model(name, **({"alpha": 0.5} if flags else {}))
+        want = cholesky(increment_cov(model, 64, 64)).jitter
+        assert meta["diagnostics"] == {"jitter": want}, name
+        assert (want > 0.0) == (name == "dw-z2"), name
 
 
 def test_variance_bifbm_k1_is_fbm(tmp_path):

@@ -102,6 +102,30 @@ def test_input_validation():
         increment_cov(m, 4, 0)
     with pytest.raises(DomainError):
         increment_cov(m, 4, MAX_N + 1)
+    # a size that is not an integer is refused by name, not truncated
+    with pytest.raises(DomainError, match="n must be an integer, got 2.5"):
+        increment_cov(m, 2.5, 4)
+    with pytest.raises(DomainError, match="N must be an integer, got 4.5"):
+        increment_cov(m, 8, 4.5)
+    assert increment_cov(m, np.int64(8), np.int32(4)).N == 4
+
+
+@pytest.mark.parametrize("name,kw", CATALOG_CASES)
+def test_every_band_is_rows_of_corr(name, kw, monkeypatch):
+    # a band is rows j0..j1-1 of the unit-scale corr from column j0 on, its
+    # square included: mirrored below its diagonal, with a diagonal of 1
+    m = make_model(name, **kw)
+    for entries in (None, 1, 3000):
+        if entries is not None:
+            monkeypatch.setattr(covgrid, "_BLOCK_ENTRIES", entries)
+        for N in (7, 257):
+            corr = increment_cov(m, 64, N).corr
+            j0 = 0
+            for blk in covgrid.upper_bands(m, N):
+                j1 = j0 + blk.shape[0]
+                assert blk.tobytes() == corr[j0:j1, j0:].tobytes(), (entries, N, j0)
+                j0 = j1
+            assert j0 == N
 
 
 @pytest.mark.parametrize("name,kw", CATALOG_CASES)

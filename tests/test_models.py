@@ -192,7 +192,7 @@ def _r_shapes(m, monkeypatch):
 def test_kernel_ordered_column_and_row_take_the_broadcast_path(name, kw, monkeypatch):
     # a column at or below a row runs _r on the two operands as they
     # broadcast; each must give the bits of the general path on the
-    # explicitly broadcast arrays, in either argument order
+    # explicitly broadcast arrays
     m = make_model(name, **kw)
     shapes = _r_shapes(m, monkeypatch)
     grid = np.arange(41, dtype=float) / 7.0
@@ -202,14 +202,13 @@ def test_kernel_ordered_column_and_row_take_the_broadcast_path(name, kw, monkeyp
         "all zero": (np.zeros((3, 1)), np.array([[0.0, 0.0, 0.5]])),
     }
     for label, (col, row) in pairs.items():
-        for s, t in ((col, row), (row, col)):
-            shapes.clear()
-            got = m.r(s, t)
-            assert shapes and all(u[1] == 1 and v[0] == 1 for u, v in shapes), label
-            shapes.clear()
-            want = m.r(*np.broadcast_arrays(s, t))
-            assert all(u == v for u, v in shapes), label  # the general path
-            assert got.tobytes() == want.tobytes(), label
+        shapes.clear()
+        got = m.r(col, row)
+        assert shapes and all(u[1] == 1 and v[0] == 1 for u, v in shapes), label
+        shapes.clear()
+        want = m.r(*np.broadcast_arrays(col, row))
+        assert all(u == v for u, v in shapes), label  # the general path
+        assert got.tobytes() == want.tobytes(), label
     # a row at time 0 is 0, and _r never sees it
     col, row = pairs["time 0"]
     shapes.clear()
@@ -222,8 +221,11 @@ def test_kernel_unordered_column_and_row_take_the_general_path(name, kw, monkeyp
     m = make_model(name, **kw)
     shapes = _r_shapes(m, monkeypatch)
     grid = np.arange(1, 41, dtype=float) / 7.0
-    # the column reaches one step past the row's first time
-    for s, t in ((grid[:21, None], grid[None, 19:]), (grid[None, 19:], grid[:21, None])):
+    # the column reaches one step past the row's first time; the last pair
+    # is ordered at its seam but given row first, which is not the
+    # column-at-or-below-row orientation of the broadcast path
+    for s, t in ((grid[:21, None], grid[None, 19:]), (grid[None, 19:], grid[:21, None]),
+                 (grid[None, 18:], grid[2:19, None])):
         shapes.clear()
         got = m.r(s, t)
         assert shapes == [(got.shape, got.shape)]
@@ -250,6 +252,17 @@ def test_domain_errors():
         m.r(-0.1, 1.0)
     with pytest.raises(DomainError):
         m.phi(2.0, order=3)
+    # a non-finite time or x is refused, not taken as zero or returned as nan
+    fbm = make_model("fbm", H=0.3)
+    for s, t in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+                 (np.array([[0.5], [math.nan]]), np.array([[1.0, 2.0]]))):
+        with pytest.raises(DomainError, match="finite"):
+            fbm.r(s, t)
+    for x in (math.nan, math.inf, np.array([2.0, math.nan])):
+        with pytest.raises(DomainError, match="finite"):
+            fbm.phi(x)
+        with pytest.raises(DomainError, match="finite"):
+            fbm.psi(x)
 
 
 # (model, params, orders of phi singular at 1, orders of psi singular at 1):

@@ -196,6 +196,11 @@ def test_run_experiment_gates():
         run_experiment(make_model("fbm", H=0.5), H2, 64, [1.0], M=50, seed=0)
     with pytest.raises(DomainError):
         run_experiment(make_model("fbm", H=0.5), H2, 64, [], M=200, seed=0)
+    # a size that is not an integer is refused by name, not truncated
+    with pytest.raises(DomainError, match="n must be an integer, got 64.5"):
+        run_experiment(make_model("swanson"), H2, 64.5, [1.0], M=200, seed=0)
+    with pytest.raises(DomainError, match="M must be an integer, got 150.5"):
+        run_experiment(make_model("swanson"), H2, 64, [1.0], M=150.5, seed=0)
 
 
 def test_run_experiment_rejects_time_below_one_over_n():

@@ -191,6 +191,16 @@ def test_batch_beyond_the_cap_is_refused_before_any_work(monkeypatch):
 def test_batch_rejects_empty():
     with pytest.raises(DomainError):
         sample_batch(make_model("fbm", H=0.5), 8, 8, 0, seed=1)
+    # a replica count or seed that is not an integer is refused by name
+    with pytest.raises(DomainError, match="M must be an integer, got 3.5"):
+        sample_batch(make_model("fbm", H=0.5), 8, 8, 3.5, seed=1)
+    with pytest.raises(DomainError, match="seed must be an integer, got 0.5"):
+        sample_batch(make_model("fbm", H=0.5), 8, 8, 3, seed=0.5)
+    # numpy integers are integers, and draw the bits of their Python values
+    want = sample_batch(make_model("fbm", H=0.5), 8, 8, 3, seed=1).normalized
+    got = sample_batch(make_model("fbm", H=0.5), np.int64(8), np.int64(8), np.int64(3),
+                       seed=np.int64(1)).normalized
+    assert got.tobytes() == want.tobytes()
 
 
 def test_binary_round_trip(tmp_path):

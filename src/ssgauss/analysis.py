@@ -64,7 +64,7 @@ import math
 import numpy as np
 
 from .covgrid import IncrementCovariance, increment_cov, num_increments
-from .errors import DomainError, GateError, NumericalError, SingularityError
+from .errors import DomainError, GateError, NumericalError, SingularityError, require_integers
 from .limitvar import sigma_q_sq
 from .models import Model
 
@@ -305,10 +305,14 @@ def contraction_report(model, q: int, n_values, r_values=None, t: float = 1.0) -
     where the bound's weights exceed the double range, from q = 83 on.  A
     repeated n or r is a DomainError.
     """
+    require_integers(q=q)
     if q < 2:
         raise DomainError(f"contraction norms need a chaos order q >= 2; got q={q}")
-    rs = [int(r) for r in (r_values or range(1, q))]
-    ns = sorted(int(n) for n in n_values)
+    rs, ns = list(r_values or range(1, q)), list(n_values)
+    for name, values in (("n", ns), ("r", rs)):
+        for value in values:
+            require_integers(**{name: value})
+    rs, ns = [int(r) for r in rs], sorted(int(n) for n in ns)
     for name, values in (("n", ns), ("r", rs)):
         if len(set(values)) < len(values):
             raise DomainError(f"contraction {name} values {values} repeat a value")

@@ -22,27 +22,47 @@ grid it returns; nothing is kept between calls.
 
 The assembly runs in bands of rows of about 2^16 kernel values, so that
 a band and its temporaries fit in a core's 2 MiB L2 cache; the rows per
-band grow as the upper triangle narrows.  One generator, _bands, forms
-every band: for rows j0..j1-1 it evaluates R on times j0..j1 against the
-times j0 to N, i.e. once per unordered pair of grid times up to the thin
-diagonal strip.  It forms the rectangle entries and divides them by the
-unit-scale std[j] std[k] as they are formed.  Past the band's small
-diagonal square every kernel value has s <= t, which Model.r evaluates
-on the ordered column and row without its minimum, maximum and mask.
-The square is mirrored and given its unit diagonal, so a band is rows
-j0..j1-1 of corr from column j0 on, and increment_cov writes each band
-and its transpose; peak memory is the one N x N array corr plus band
-temporaries of a few MB.  cov = corr std[j] std[k] is not stored.
+band grow as the upper triangle narrows.  _schedule owns that schedule, and
+_band forms one band: for rows j0..j1-1 it evaluates R on times j0..j1
+against the times j0 to N, i.e. once per unordered pair of grid times up
+to the thin diagonal strip.  It forms the rectangle entries and divides
+them by the unit-scale std[j] std[k] as they are formed.  Every kernel
+value a band reads has s <= t, which Model.r evaluates on the ordered
+column and row without its minimum, maximum and mask; only the tiles of
+_TILE x _TILE on the band square's diagonal take the general path.  The
+square is mirrored and given its unit diagonal, so a band is rows
+j0..j1-1 of corr from column j0 on.  cov = corr std[j] std[k] is not
+stored.
 
-upper_bands streams the same bands, for a reduction over corr that needs
-no N x N array: montecarlo.exact_variance sums over them.  MAX_N, the
-cap on dense grids, does not bound it; its memory is the band
-temporaries and the O(N) std.
+The bands are independent, so a pass maps them over W workers, W =
+_worker_count(threads): the usable CPUs for threads=None, which is the
+default of increment_cov, map_bands and montecarlo.exact_variance.  W
+bands are in flight at once, each formed whole by one worker under the
+caller's numpy error state; one worker, or a grid of one band, runs the
+same map inline.  No worker count moves a bit: a band does not depend on
+which thread forms it, increment_cov writes each band and its transpose
+into slices of corr that no other band writes, and exact_variance adds
+its band sums with math.fsum, which rounds their exact sum once in any
+order.  Peak memory is the one N x N array corr plus the temporaries of
+W bands, a few MB each.  Those temporaries are freed and allocated again
+for every band, so before its first pass covgrid asks glibc to keep
+freed memory below 4 MB in its heaps (see _MALLOPT) rather than fault
+it in afresh for each band; this holds for the whole process.
+
+map_bands runs such a pass over the bands of a corr that is never held
+whole, and upper_bands streams them one at a time: a reduction over corr
+then needs no N x N array, and MAX_N, the cap on dense grids, does not
+bound it; its memory is the band temporaries and the O(N) std.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +70,32 @@ import numpy as np
 from .errors import DomainError, NumericalError, require_integers
 from .models import Model
 
-__all__ = ["IncrementCovariance", "increment_cov", "num_increments", "upper_bands"]
+__all__ = ["IncrementCovariance", "increment_cov", "map_bands", "num_increments",
+           "upper_bands"]
 
 # Dense N x N doubles; 8192^2 is one ~0.5 GB matrix, the ceiling for
-# desk-scale runs.  It caps the grids increment_cov returns, not upper_bands.
+# desk-scale runs.  It caps the grids increment_cov returns, not map_bands
+# or upper_bands.
 MAX_N = 8192
 
 # Rows per band are chosen so that a band of kernel values holds about this
 # many doubles (512 KB); the band and its few temporaries then fit in a
 # core's 2 MiB L2 cache.
 _BLOCK_ENTRIES = 1 << 16
+
+# A band allocates and frees a few MB of temporaries.  Left to its dynamic
+# thresholds, glibc hands the freed top of a heap back to the kernel once it
+# passes about 1 MB, so every band faults its pages in afresh: 280,000 minor
+# faults and half a second of system time for exact_variance at n = 256..4096
+# on three models (2-core box).  Before the first pass glibc is asked to serve
+# allocations below 4 MB from its heaps (M_MMAP_THRESHOLD) and to keep 16 MB
+# of freed memory at the top of each heap (M_TOP_PAD); larger arrays are
+# still mapped and returned whole.
+_MALLOPT = ((-3, 4 << 20), (-2, 16 << 20))
+
+# A band's square takes the ordered path of Model.r but for the tiles of
+# this many rows and columns on its diagonal, which take the general path.
+_TILE = 64
 
 
 def num_increments(n: int, t: float) -> int:
@@ -94,7 +130,7 @@ class IncrementCovariance:
 
 def _std(model: Model, times: np.ndarray) -> np.ndarray:
     """Square roots of the diagonal rectangles on consecutive times, with
-    the operands in the order _bands subtracts them, so they hold the bits
+    the operands in the order _band subtracts them, so they hold the bits
     of the assembled diagonal; raises on a nonpositive one."""
     lo, hi = times[:-1], times[1:]
     diag = (model.r(hi, hi) - model.r(lo, hi)) - (model.r(hi, lo) - model.r(lo, lo))
@@ -106,50 +142,126 @@ def _std(model: Model, times: np.ndarray) -> np.ndarray:
     return np.sqrt(diag)
 
 
-def _bands(model: Model, times: np.ndarray, std: np.ndarray):
-    """The unit-scale corr[j0:j1, j0:N] for each band of rows j0..j1-1 of
-    about _BLOCK_ENTRIES kernel values, in order: the rectangles of the
-    rows against columns j0..N-1, each divided by std[j] std[k] as it is
-    formed, with the band's square blk[:, :j1 - j0] mirrored from above
-    its diagonal and a diagonal of 1.  Every entry is the grid's corr,
-    bit for bit."""
-    N = std.size
-    j0 = 0
+def _worker_count(threads: int | None) -> int:
+    """The workers of a pass: threads, or every usable CPU for None, capped
+    at the CPUs this process may run on; workers beyond that only queue
+    behind each other and behind the BLAS threads.  DomainError unless
+    threads is None or an integer >= 1."""
+    if threads is not None:
+        require_integers(threads=threads)
+        if threads < 1:
+            raise DomainError(f"thread count must be >= 1, got {threads}")
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows have no affinity call
+        usable = os.cpu_count() or 1
+    return usable if threads is None else min(int(threads), usable)
+
+
+def _schedule(N: int) -> list[tuple[int, int]]:
+    """(j0, j1) of each band of rows j0..j1-1 of the first N increments, in
+    order: about _BLOCK_ENTRIES kernel values each, the rows growing as the
+    upper triangle narrows."""
+    spans, j0 = [], 0
     while j0 < N:
         j1 = min(j0 + max(1, _BLOCK_ENTRIES // (N + 1 - j0)), N)
-        # kernel rows j0..j1 against columns j0..N hold every kernel value
-        # the upper-triangle entries read, R[j+1, j] on the diagonal
-        # included: Model.r orders its arguments, so R is bitwise symmetric
-        # and R[j+1, j] = R[j, j+1].  The columns from j1 on lie at or above
-        # every row time and take the ordered path of Model.r; the square
-        # before them takes the general one, so no time pair outside the
-        # kernel's domain is evaluated.
-        rows = times[j0:j1 + 1, None]
-        R = np.empty((rows.size, N + 1 - j0))
-        R[:, :j1 - j0] = model.r(rows, times[None, j0:j1])
-        R[:, j1 - j0:] = model.r(rows, times[None, j1:])
-        blk = (R[1:, 1:] - R[:-1, 1:]) - (R[1:, :-1] - R[:-1, :-1])
-        del R
-        blk /= np.outer(std[j0:j1], std[j0:])
-        # the rectangle of a symmetric kernel is symmetric: the band's square
-        # takes its lower triangle from its upper one, and its diagonal is 1
-        sq = blk[:, :j1 - j0]
-        np.copyto(sq, sq.T, where=np.tri(j1 - j0, k=-1, dtype=bool))
-        np.fill_diagonal(sq, 1.0)
-        yield blk
+        spans.append((j0, j1))
         j0 = j1
+    return spans
+
+
+def _band(model: Model, times: np.ndarray, std: np.ndarray, j0: int, j1: int) -> np.ndarray:
+    """The unit-scale corr[j0:j1, j0:N]: the rectangles of rows j0..j1-1
+    against columns j0..N-1, each divided by std[j] std[k] as it is formed,
+    with the band's square blk[:, :j1 - j0] mirrored from above its
+    diagonal and a diagonal of 1.  Every entry is the grid's corr, bit for
+    bit."""
+    N, b = std.size, j1 - j0
+    # kernel rows j0..j1 against columns j0..N hold every kernel value the
+    # band's entries read.  The columns from j1 on lie at or above every row
+    # time and take the ordered path of Model.r.  Of the square before them
+    # the upper part does too, a tile of columns at a time against the rows
+    # before the tile; each tile on the diagonal takes the general path.
+    # Model.r orders its arguments, so R is bitwise symmetric: the square's
+    # strict lower part is its upper part mirrored, and no time pair outside
+    # the kernel's domain is evaluated.
+    t = times[j0:j1 + 1]
+    R = np.empty((b + 1, N + 1 - j0))
+    R[:, b:] = model.r(t[:, None], times[None, j1:])
+    for a in range(0, b, _TILE):
+        c = min(a + _TILE, b)
+        if a:
+            R[:a, a:c] = model.r(t[:a, None], t[None, a:c])
+        R[a:c, a:c] = model.r(t[a:c, None], t[None, a:c])
+    sq = R[:, :b + 1]
+    np.copyto(sq, sq.T, where=np.tri(b + 1, k=-1, dtype=bool))
+    blk = (R[1:, 1:] - R[:-1, 1:]) - (R[1:, :-1] - R[:-1, :-1])
+    del R, sq
+    blk /= np.outer(std[j0:j1], std[j0:])
+    # the rectangle of a symmetric kernel is symmetric: the band's square
+    # takes its lower triangle from its upper one, and its diagonal is 1
+    sq = blk[:, :b]
+    np.copyto(sq, sq.T, where=np.tri(b, k=-1, dtype=bool))
+    np.fill_diagonal(sq, 1.0)
+    return blk
+
+
+@functools.cache
+def _keep_band_memory() -> None:
+    """Set glibc's _MALLOPT, once; where there is no glibc, nothing."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # a libc without mallopt
+        return
+    for param, value in _MALLOPT:
+        mallopt(param, value)
+
+
+def _map_bands(model: Model, times: np.ndarray, std: np.ndarray, fn, threads) -> list:
+    """[fn(j0, blk)] for each band blk of rows j0..j1-1, in order, the
+    bands formed and fn run on _worker_count(threads) workers, at most one
+    per band.  Each worker enters the caller's numpy error state, which is
+    thread-local; one worker, or one band, runs the same map inline."""
+    _keep_band_memory()
+    spans = _schedule(std.size)
+    err = np.geterr()
+
+    def run(span):
+        with np.errstate(**err):
+            return fn(span[0], _band(model, times, std, *span))
+
+    workers = min(_worker_count(threads), len(spans))
+    if workers <= 1:
+        return list(map(run, spans))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, spans))
+
+
+def map_bands(model: Model, N: int, fn, threads: int | None = None) -> list:
+    """[fn(j0, blk)] for each band blk of the unit-scale corr of the first
+    N increments of model, rows j0..j1-1 from column j0 on, in order, on
+    _worker_count(threads) workers; no N x N array is held."""
+    require_integers(N=N)
+    times = np.arange(N + 1, dtype=float)
+    return _map_bands(model, times, _std(model, times), fn, threads)
 
 
 def upper_bands(model: Model, N: int):
     """The unit-scale corr of the first N increments of model, streamed
-    band by band as _bands forms it (see there): no N x N array is held."""
+    band by band as map_bands forms them: no N x N array is held."""
+    require_integers(N=N)
     times = np.arange(N + 1, dtype=float)
-    yield from _bands(model, times, _std(model, times))
+    std = _std(model, times)
+    return (_band(model, times, std, *span) for span in _schedule(N))
 
 
-def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:
+def increment_cov(model: Model, n: int, N: int, threads: int | None = None
+                  ) -> IncrementCovariance:
     """The exact increment correlation and norms at resolution n, corr
-    read-only (see the module docstring)."""
+    read-only, its bands formed on _worker_count(threads) workers (see the
+    module docstring)."""
     require_integers(n=n, N=N)
     if n < 2:
         raise DomainError(f"grid resolution n must be >= 2, got {n}")
@@ -157,16 +269,19 @@ def increment_cov(model: Model, n: int, N: int) -> IncrementCovariance:
         raise DomainError(f"increment count N must be >= 1, got {N}")
     if N > MAX_N:
         raise DomainError(f"N={N} exceeds the dense-matrix cap {MAX_N}")
+    workers = _worker_count(threads)
 
     times = np.arange(N + 1, dtype=float)
     std_unit = _std(model, times)
     corr = np.empty((N, N), dtype=float)
-    j0 = 0
-    for blk in _bands(model, times, std_unit):
+
+    def write(j0, blk):
+        # a band and its transpose; no two bands write the same entry
         j1 = j0 + blk.shape[0]
         corr[j0:j1, j0:] = blk
         corr[j0:, j0:j1] = blk.T
-        j0 = j1
+
+    _map_bands(model, times, std_unit, write, workers)
     corr.flags.writeable = False
     # self-similarity: the increments on {j/n} are n^(-beta) times those
     # on the integers

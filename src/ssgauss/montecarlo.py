@@ -28,10 +28,14 @@ cache: the Hermite recurrence and prefix sums of F_n, and the draws,
 gathers and means of the bootstrap.  None moves a bit: the recurrence
 and prefix sums act on each row alone, each bootstrap row is still one
 pairwise mean over its own draws, and the blocks of draws continue one
-Philox stream.  The oracle streams corr from covgrid.upper_bands, one
-band of rows from the diagonal on at a time, and adds the sum over each
-band's square once and over the rest of the band twice, exactly: it
-forms and holds no m x m array and is not capped by covgrid.MAX_N.
+Philox stream.  The oracle maps covgrid.map_bands over the bands of
+corr, rows from the diagonal on, W bands in flight on W workers
+(covgrid._worker_count of its threads, every usable CPU by default, the
+run's own threads under run_experiment), and adds the sum over each
+band's square once and over the rest of the band twice with math.fsum.
+fsum is exact, so neither the order nor the worker count of the bands
+moves a bit; the oracle forms and holds no m x m array and is not capped
+by covgrid.MAX_N.
 
 A statistic or oracle that leaves the double range, as the fourth
 powers of a large or a tiny f do, stops the experiment with
@@ -45,7 +49,7 @@ import math
 import numpy as np
 
 from ._version import __version__ as _VERSION
-from .covgrid import num_increments, upper_bands
+from .covgrid import _worker_count, map_bands, num_increments
 from .errors import DomainError, GridError, NumericalError, require_integers
 from .hermite import HermiteFunction
 from .limitvar import gate, sigma_sq
@@ -106,24 +110,32 @@ def functional(rows: np.ndarray, f: HermiteFunction, n: int, t_grid) -> np.ndarr
     return np.moveaxis(prefix, -1, 0)[ms] / math.sqrt(n)
 
 
-def exact_variance(model: Model, f: HermiteFunction, n: int, t: float) -> float:
+def exact_variance(model: Model, f: HermiteFunction, n: int, t: float,
+                   threads: int | None = None) -> float:
     """The orthogonality-based oracle for E[F_n(t)^2]: (1/n) times the sum
     of g = f.covariance over the n-free corr of the first m = floor(n t)
-    increments: of each band of covgrid.upper_bands, the sum over its
-    square once and over the rest twice, added exactly (see the module
-    docstring).  NumericalError when it is not finite."""
+    increments: of each band of covgrid.map_bands, formed on
+    _worker_count(threads) workers, the sum over its square once and over
+    the rest twice, added exactly (see the module docstring).
+    NumericalError when it is not finite."""
+    require_integers(n=n)
+    workers = _worker_count(threads)
     m = num_increments(n, t)
     if m < 1:
         return 0.0
-    # past the double range a weight or a band sum is inf, and an inf
-    # weight times a zero correlation nan; fsum refuses overflow and inf - inf.
-    # The kernel runs outside this errstate block, so nothing of it is hidden.
-    sums = []
-    for blk in upper_bands(model, m):
+
+    def band_sums(j0, blk):
         b = blk.shape[0]  # the band's square, which holds its diagonal
+        # past the double range a weight or a band sum is inf, and an inf
+        # weight times a zero correlation nan; fsum refuses overflow and
+        # inf - inf.  The kernel runs outside this errstate block, so
+        # nothing of it is hidden.
         with np.errstate(over="ignore", invalid="ignore"):
             g = f.covariance(blk)
-            sums += [float(np.sum(g[:, :b])), 2.0 * float(np.sum(g[:, b:]))]
+            return float(np.sum(g[:, :b])), 2.0 * float(np.sum(g[:, b:]))
+
+    # fsum rounds the exact sum once, whatever the order of its terms
+    sums = [s for pair in map_bands(model, m, band_sums, workers) for s in pair]
     try:
         total = math.fsum(sums) / n
     except (OverflowError, ValueError):
@@ -265,7 +277,7 @@ def _require_finite(row: dict, where: str) -> None:
 
 
 def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
-                   M: int = DEFAULT_M, seed: int = 0, threads: int = 1,
+                   M: int = DEFAULT_M, seed: int = 0, threads: int | None = 1,
                    all_pairs: bool = False) -> dict:
     """Replicated CLT experiment over a time grid, as the experiment.json
     object {"config", "version", "times", "cross", "passed"}.
@@ -273,12 +285,15 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
     Each time row holds the variance/kurtosis/KS statistics of F_n(t)
     with their verdicts, and each cross row the covariance of two path
     increments of F_n, for the pairs of _spans.  passed is
-    derive_verdicts of the record, which report re-derives.
+    derive_verdicts of the record, which report re-derives.  threads
+    bounds the sampler's workers and the band passes of its grid and of
+    exact_variance; it never moves a bit.
     """
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid or t_grid[0] <= 0.0:
         raise DomainError("t_grid must contain positive times")
     require_integers(n=n, M=M)
+    workers = _worker_count(threads)
     if n < 2:
         raise DomainError(f"grid resolution n must be >= 2, got {n}")
     if M < MIN_REPLICAS:
@@ -301,7 +316,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
     # the run stops without drawing a batch
     limit = sigma_sq(f, model.alpha)["sigma_sq"]
     N = terms[-1]
-    batch = sample_batch(model, n, N, M, seed, threads=threads)
+    batch = sample_batch(model, n, N, M, seed, threads=workers)
 
     # F_n over the grid with time 0 in front, so that consecutive rows
     # give the path increments
@@ -316,7 +331,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, t in enumerate(t_grid):
             F = paths[i + 1]
-            exact = exact_variance(model, f, n, t)
+            exact = exact_variance(model, f, n, t, threads=workers)
             s_var = float(np.var(F, ddof=1))
             m2 = np.mean(F**2)
             m4 = np.mean(F**4)

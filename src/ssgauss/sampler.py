@@ -25,14 +25,13 @@ product with L^T, written straight into the batch.
 
 from __future__ import annotations
 
-import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covgrid import MAX_N, IncrementCovariance, increment_cov
+from .covgrid import MAX_N, IncrementCovariance, _worker_count, increment_cov
 from .errors import DomainError, NumericalError, require_integers
 from .models import Model
 
@@ -229,24 +228,15 @@ class SampleBatch:
         return self.normalized * self.std
 
 
-def _worker_count(threads: int) -> int:
-    """threads capped at the CPUs this process may run on: workers beyond
-    that only queue behind each other and behind the BLAS threads."""
-    if hasattr(os, "sched_getaffinity"):
-        usable = len(os.sched_getaffinity(0))
-    else:  # macOS and Windows have no affinity call
-        usable = os.cpu_count() or 1
-    return min(int(threads), usable)
-
-
 def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
-                 threads: int = 1) -> SampleBatch:
+                 threads: int | None = 1) -> SampleBatch:
     """M independent increment rows of the model at resolution n.
 
     The batch stores one array of at most MAX_N^2 entries, the size of the
     largest dense grid.  The seed must fit the int64 of the batch header.
-    threads is capped at the usable CPU count; it never changes the
-    result.
+    threads, None for every usable CPU, bounds the chunk pool and the band
+    pass that assembles the grid; it is capped at the usable CPU count
+    and never changes the result.
     """
     require_integers(M=M, seed=seed)
     seed = int(seed)  # the Philox key masks it as a Python int
@@ -255,12 +245,11 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
                           f"a batch file stores")
     if M < 1:
         raise DomainError(f"replica count M must be >= 1, got {M}")
-    if threads < 1:
-        raise DomainError(f"thread count must be >= 1, got {threads}")
+    workers = _worker_count(threads)
     if M * N > MAX_N**2:
         raise DomainError(f"a batch of M={M} rows of N={N} increments exceeds "
                           f"the cap of MAX_N^2 = {MAX_N**2} entries")
-    ic = increment_cov(model, n, N)
+    ic = increment_cov(model, n, N, threads=workers)
     factor = cholesky(ic)
     LT, jitter = factor.L.T.copy(), factor.jitter
     del factor  # L itself is not held while the batch is drawn
@@ -283,7 +272,7 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
         np.matmul(z, LT, out=normalized[lo:hi])
 
     chunks = [(lo, min(lo + _REPLICA_CHUNK, M)) for lo in range(0, M, _REPLICA_CHUNK)]
-    with ThreadPoolExecutor(max_workers=_worker_count(threads)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(lambda c: fill(*c), chunks))
     return SampleBatch(seed=seed, M=int(M), n=int(n), N=int(N),
                        normalized=normalized, std=ic.std, jitter=jitter)

@@ -150,6 +150,18 @@ def test_contraction_report_sorts_n_and_refuses_repeats():
         contraction_report(m, 3, (64,), r_values=(1, 2, 1))
 
 
+def test_contraction_report_refuses_sizes_that_are_not_integers():
+    # an order or size given as 8.5 or 1.5 is refused by name, not truncated
+    m = make_model("swanson")
+    with pytest.raises(DomainError, match="n must be an integer, got 8.5"):
+        contraction_report(m, 2, [8.5, 16])
+    with pytest.raises(DomainError, match="r must be an integer, got 1.5"):
+        contraction_report(m, 3, [16], r_values=[1.5])
+    with pytest.raises(DomainError, match="q must be an integer, got 2.5"):
+        contraction_report(m, 2.5, [16])
+    assert contraction_report(m, np.int64(2), [np.int32(16)])["n_values"] == [16]
+
+
 def test_contraction_report_computes_each_norm_once(monkeypatch):
     calls = []
 

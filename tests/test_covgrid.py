@@ -1,16 +1,20 @@
 import dataclasses
 import math
+import os
+import platform
+import resource
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ssgauss import covgrid
+from ssgauss import cli, covgrid
 from ssgauss.covgrid import MAX_N, increment_cov
 from ssgauss.errors import DomainError
 from ssgauss.hermite import builtin_family
 from ssgauss.models import make_model
-from ssgauss.montecarlo import exact_variance
+from ssgauss.montecarlo import exact_variance, run_experiment
 
 from conftest import CATALOG_CASES, peak_bytes
 from oracles import increment_cov_full_grid, kernel_mp
@@ -108,6 +112,16 @@ def test_input_validation():
     with pytest.raises(DomainError, match="N must be an integer, got 4.5"):
         increment_cov(m, 8, 4.5)
     assert increment_cov(m, np.int64(8), np.int32(4)).N == 4
+    # a thread count is None or an integer >= 1
+    with pytest.raises(DomainError, match="thread count must be >= 1, got 0"):
+        increment_cov(m, 8, 4, threads=0)
+    with pytest.raises(DomainError, match="threads must be an integer, got 1.5"):
+        increment_cov(m, 8, 4, threads=1.5)
+
+
+def test_streamed_bands_refuse_a_size_that_is_not_an_integer():
+    with pytest.raises(DomainError, match="N must be an integer, got 3.5"):
+        covgrid.upper_bands(make_model("swanson"), 3.5)
 
 
 @pytest.mark.parametrize("name,kw", CATALOG_CASES)
@@ -222,6 +236,75 @@ def test_returned_corr_is_read_only():
             corr[0, 1] = 0.0
 
 
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("name,kw", [("bifbm", {"H": 0.6, "K": 0.5}), ("swanson", {})])
+def test_band_passes_give_the_same_bits_on_any_worker_count(name, kw, monkeypatch):
+    # each band is formed whole by one worker, increment_cov writes disjoint
+    # slices of corr and exact_variance adds the band sums with fsum, which
+    # rounds the exact sum once: no worker count moves a bit.  N = 64 is one
+    # band, 1024 many, and 777 ends on a band cut short by N.
+    # Eight workers on a short switch interval interleave the writes of
+    # many bands into the one corr.
+    m = make_model(name, **kw)
+    fs = [builtin_family("single_hermite", 2), builtin_family("odd_abs_power", 1)]
+    want = {}
+    interval = sys.getswitchinterval()
+    try:
+        for workers in (1, 2, 8):
+            _usable_cpus(monkeypatch, workers)
+            sys.setswitchinterval(1e-5 if workers > 2 else interval)
+            for N in (64, 1024, 777):
+                ic = increment_cov(m, 256, N)
+                got = (ic.corr.tobytes(), ic.std.tobytes(),
+                       *[float.hex(exact_variance(m, f, N, 1.0)) for f in fs])
+                assert got == want.setdefault(N, got), (workers, N)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_band_pools_follow_the_thread_count(monkeypatch, tmp_path):
+    # threads=1 and a grid of one band form their bands inline; simulate
+    # --threads 2 assembles on two workers
+    pools = []
+
+    class Recorder(covgrid.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(covgrid, "ThreadPoolExecutor", Recorder)
+    _usable_cpus(monkeypatch, 2)
+    m, f = make_model("swanson"), builtin_family("single_hermite", 2)
+    assert len(covgrid._schedule(512)) > 1
+    run_experiment(m, f, 512, [0.5, 1.0], M=100, seed=0, threads=1)
+    assert pools == []
+    assert len(covgrid._schedule(64)) == 1
+    increment_cov(m, 64, 64)
+    exact_variance(m, f, 64, 1.0)
+    assert pools == []
+    exact_variance(m, f, 512, 1.0)
+    assert pools == [2]
+    assert cli.main(["simulate", "--model", "swanson", "--n", "512", "--M", "2",
+                     "--threads", "2", "--out", str(tmp_path)]) == 0
+    assert pools == [2, 2]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc settings")
+def test_a_warm_band_pass_faults_in_no_pages():
+    # freed band temporaries stay in the heaps for the next band; left to
+    # glibc's defaults, a pass at N = 2048 faults in about 15,000 pages
+    m, f = make_model("bifbm", H=0.6, K=0.5), builtin_family("single_hermite", 2)
+    for threads in (1, 2):
+        exact_variance(m, f, 2048, 1.0, threads=threads)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        exact_variance(m, f, 2048, 1.0, threads=threads)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 512, (threads, faults)
+
+
 def _block_allowance(N):
     # a kernel block is rows + 1 by at most N + 1 values, at most
     # _BLOCK_ENTRIES + N + 1 doubles; Model.r holds its ordered operands and
@@ -230,26 +313,32 @@ def _block_allowance(N):
     return 12 * 8 * (covgrid._BLOCK_ENTRIES + N + 1)
 
 
-def test_assembly_peak_memory_is_one_output_plus_blocks():
+def test_assembly_peak_memory_is_one_output_plus_blocks(monkeypatch):
     # corr is the one 8 N^2-byte array; a full-grid assembly peaks at about
-    # 8 x 8 N^2 with its kernel grid and mirrored temporaries
+    # 8 x 8 N^2 with its kernel grid and mirrored temporaries.  Two CPUs put
+    # two bands in flight by default; one thread forms one at a time.
+    _usable_cpus(monkeypatch, 2)
     m = make_model("bifbm", H=0.6, K=0.5)
     N = 2048
     increment_cov(m, 64, 64)
-    ic, peak = peak_bytes(lambda: increment_cov(m, N, N))
-    assert ic.corr.shape == (N, N)
-    assert peak <= 8 * N * N + _block_allowance(N), peak / (8 * N * N)
+    for threads in (None, 1):
+        ic, peak = peak_bytes(lambda: increment_cov(m, N, N, threads=threads))
+        assert ic.corr.shape == (N, N)
+        assert peak <= 8 * N * N + _block_allowance(N), (threads, peak / (8 * N * N))
 
 
-def test_exact_variance_peak_memory_is_block_temporaries():
-    # the oracle streams corr one band of rows at a time: it allocates the
-    # bands' temporaries and the std of the grid, never an N x N array
+def test_exact_variance_peak_memory_is_block_temporaries(monkeypatch):
+    # the oracle streams corr one band of rows at a time on each worker: it
+    # allocates the bands' temporaries and the std of the grid, never an
+    # N x N array.  Two CPUs put two bands in flight by default.
+    _usable_cpus(monkeypatch, 2)
     m = make_model("bifbm", H=0.6, K=0.5)
     N = 2048
     for f in (builtin_family("single_hermite", 2), builtin_family("odd_abs_power", 1)):
-        value, peak = peak_bytes(lambda: exact_variance(m, f, N, 1.0))
-        assert value > 0.0
-        assert peak <= _block_allowance(N), peak
+        for threads in (None, 1):
+            value, peak = peak_bytes(lambda: exact_variance(m, f, N, 1.0, threads=threads))
+            assert value > 0.0
+            assert peak <= _block_allowance(N), (threads, peak)
 
 
 def test_no_grid_outlives_its_caller():

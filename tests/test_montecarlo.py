@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
-from ssgauss import cli, montecarlo
+from ssgauss import cli, covgrid, montecarlo
 from ssgauss.covgrid import increment_cov
 from ssgauss.errors import DomainError, GateError, GridError, NumericalError
 from ssgauss.hermite import HermiteFunction, builtin_family
@@ -116,12 +117,33 @@ def test_exact_variance_against_fifty_digit_chaos_sum(name, kw, f):
 
 
 @pytest.mark.parametrize("coeffs", [{171: 1e-160}, {2: 1e200}, {170: 1.0}])
-def test_exact_variance_beyond_double_range_is_a_numerical_error(coeffs):
+def test_exact_variance_beyond_double_range_is_a_numerical_error(coeffs, monkeypatch):
     # a weight q! c_q^2 past the double range, or a sum that overflows
-    # (170! over the 64^2 entries of fbm at H = 0.2), is no number
+    # (170! over the 64^2 entries of fbm at H = 0.2), is no number; on two
+    # workers, over bands of a few rows, too, where each worker enters its
+    # own error state and no RuntimeWarning escapes
     f = HermiteFunction(coeffs)
     with pytest.raises(NumericalError, match="exceeds the double range at n = 64, t = 1"):
         exact_variance(make_model("fbm", H=0.2), f, 64, 1.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(covgrid, "_BLOCK_ENTRIES", 256)
+    assert len(covgrid._schedule(64)) > 2
+    with pytest.raises(NumericalError, match="exceeds the double range at n = 64, t = 1"):
+        exact_variance(make_model("fbm", H=0.2), f, 64, 1.0, threads=2)
+
+
+def test_exact_variance_refuses_sizes_that_are_not_integers():
+    # 64.5 would sum over 64 increments and divide by 64.5
+    m = make_model("swanson")
+    with pytest.raises(DomainError, match="n must be an integer, got 64.5"):
+        exact_variance(m, H2, 64.5, 1.0)
+    # a thread count is None or an integer >= 1, also where no band is formed
+    for t in (1.0, 0.001):
+        with pytest.raises(DomainError, match="thread count must be >= 1, got 0"):
+            exact_variance(m, H2, 64, t, threads=0)
+        with pytest.raises(DomainError, match="threads must be an integer, got 1.5"):
+            exact_variance(m, H2, 64, t, threads=1.5)
+    assert exact_variance(m, H2, np.int64(64), 1.0) == exact_variance(m, H2, 64, 1.0)
 
 
 def test_kolmogorov_sf_against_scipy():
@@ -201,6 +223,8 @@ def test_run_experiment_gates():
         run_experiment(make_model("swanson"), H2, 64.5, [1.0], M=200, seed=0)
     with pytest.raises(DomainError, match="M must be an integer, got 150.5"):
         run_experiment(make_model("swanson"), H2, 64, [1.0], M=150.5, seed=0)
+    with pytest.raises(DomainError, match="thread count must be >= 1, got 0"):
+        run_experiment(make_model("swanson"), H2, 64, [1.0], M=200, seed=0, threads=0)
 
 
 def test_run_experiment_rejects_time_below_one_over_n():

@@ -1,11 +1,12 @@
 import os
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
-from ssgauss import sampler
+from ssgauss import covgrid, sampler
 from ssgauss.covgrid import MAX_N, IncrementCovariance, increment_cov
 from ssgauss.errors import DomainError, NumericalError
 from ssgauss.models import make_model
@@ -139,12 +140,12 @@ def test_threads_capped_at_usable_cpus(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(sampler, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0})
-    assert sampler._worker_count(8) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert covgrid._worker_count(8) == 1
     b8 = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=8)
     assert pools == [1]  # one usable CPU: one worker fills the chunks in turn
     assert b8.increments.tobytes() == b1.increments.tobytes()
-    monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     b8 = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=8)
     assert pools == [1, 2]
     assert b8.increments.tobytes() == b1.increments.tobytes()
@@ -154,9 +155,9 @@ def test_worker_count_without_affinity_call(monkeypatch):
     # macOS and Windows have no os.sched_getaffinity
     m = make_model("fbm", H=0.5)
     b1 = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=1)
-    monkeypatch.delattr(sampler.os, "sched_getaffinity")
-    assert sampler._worker_count(1) == 1
-    assert sampler._worker_count(4) == min(4, os.cpu_count() or 1)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert covgrid._worker_count(1) == 1
+    assert covgrid._worker_count(4) == min(4, os.cpu_count() or 1)
     for threads in (1, 4):
         bt = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=threads)
         assert bt.normalized.tobytes() == b1.normalized.tobytes()
@@ -276,7 +277,7 @@ def test_blocked_icdf_batch_is_the_whole_chunk_bits(N, M, entries, threads, monk
     # block size nor the shared generator moves a bit
     if entries is not None:
         monkeypatch.setattr(sampler, "_ICDF_ENTRIES", entries)
-    monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     m = make_model("swanson")
     batch = sample_batch(m, 64, N, M, seed=20240801, threads=threads)
     want = sample_normalized_whole_chunks(m, 64, N, M, 20240801)
@@ -378,17 +379,34 @@ def test_cholesky_never_forms_cov(monkeypatch):
         assert (cholesky(ic).jitter > 0.0) == (name == "dw-z2")
 
 
-def test_batch_peak_memory_is_one_array_plus_chunk_temporaries():
+def test_batch_peak_memory_is_one_array_plus_chunk_temporaries(monkeypatch):
     # a batch stores normalized alone; the rest is the factor and its
     # transpose, a chunk of normals with its product, and the inverse-CDF
-    # temporaries of one block (AS 241 keeps about a dozen block arrays)
+    # temporaries of one block (AS 241 keeps about a dozen block arrays).
+    # The peak is reached at the L^T copy, so it cannot see a factor held
+    # through the draw: the factor's L must be gone when the first normals
+    # are drawn.
     m = make_model("swanson")
     N, M = 256, 16 * _REPLICA_CHUNK
-    sample_batch(m, 64, N, 1, seed=1)  # hold the grid
+    sample_batch(m, 64, N, 1, seed=1)  # a first call: one-time allocations stay out of the peak
+    factors, held = [], []
+
+    def traced_cholesky(ic):
+        factor = cholesky(ic)
+        factors.append(weakref.ref(factor.L))
+        return factor
+
+    def traced_icdf(u):
+        held.append(factors[-1]() is not None)
+        return normal_icdf(u)
+
+    monkeypatch.setattr(sampler, "cholesky", traced_cholesky)
+    monkeypatch.setattr(sampler, "normal_icdf", traced_icdf)
     batch, peak = peak_bytes(lambda: sample_batch(m, 64, N, M, seed=1))
     allowance = 8 * (2 * N * N + 2 * _REPLICA_CHUNK * N + 16 * sampler._ICDF_ENTRIES)
     assert peak <= 8 * M * N + allowance, peak / (8 * M * N)
     assert batch.normalized.nbytes == 8 * M * N
+    assert held and not any(held)
 
 
 @pytest.mark.parametrize("seed", [1 << 63, -(1 << 63) - 1, (1 << 64) + 3])

@@ -281,6 +281,7 @@ def contraction_norm(ic: IncrementCovariance, q: int, r: int, t: float = 1.0) ->
     elementwise, over indices below floor(n t): the norm of He_q, c_q = 1.
     corr is symmetric, so the norm is the same for r and q - r; both are
     formed with the smaller order as r, and give the same bits."""
+    require_integers(q=q, r=r)
     if not 1 <= r <= q - 1:
         raise DomainError(f"contraction order r must be in [1, q-1]; got r={r}, q={q}")
     r = min(r, q - r)

@@ -17,9 +17,10 @@ Configuration may come from a JSON file (--config); explicit flags win
 over file values.  The seed falls back to the SSGAUSS_SEED environment
 variable, then 0.  Every output file embeds the effective config and the
 package version.  Only simulate and clt draw random numbers, so only they
-take --seed and --threads; --threads bounds every pool of the command,
-the sampler's and the band passes of covgrid and of the oracle (capped at
-the usable CPU count), and never changes any numerical result.
+take --seed and --threads; --threads bounds the workers of the sampler's
+replica chunks and of the band passes of covgrid and of the oracle
+(capped at the usable CPU count) and never changes any numerical result;
+--threads 1 starts no thread.
 contraction forms its grids on every usable CPU.  The model flags are
 the parameters of the model catalog.
 """

@@ -34,25 +34,24 @@ square is mirrored and given its unit diagonal, so a band is rows
 j0..j1-1 of corr from column j0 on.  cov = corr std[j] std[k] is not
 stored.
 
-The bands are independent, so a pass maps them over W workers, W =
-_worker_count(threads): the usable CPUs for threads=None, which is the
-default of increment_cov, map_bands and montecarlo.exact_variance.  W
-bands are in flight at once, each formed whole by one worker under the
-caller's numpy error state; one worker, or a grid of one band, runs the
-same map inline.  No worker count moves a bit: a band does not depend on
-which thread forms it, increment_cov writes each band and its transpose
-into slices of corr that no other band writes, and exact_variance adds
-its band sums with math.fsum, which rounds their exact sum once in any
+The bands are independent, so map_bands, the one band pass, which
+increment_cov and montecarlo.exact_variance both call, maps them over W
+workers, W = _worker_count(threads): the usable CPUs for threads=None,
+the default of all three.  The map is _pmap, which the sampler's replica
+chunks use too: each worker forms whole bands under the caller's numpy
+error state, and one worker, or one band, runs the map inline with no
+thread.  No worker count moves a bit: a band does not depend on which
+thread forms it, increment_cov writes each band and its transpose into
+slices of corr that no other band writes, and exact_variance adds its
+band sums with math.fsum, which rounds their exact sum once in any
 order.  Peak memory is the one N x N array corr plus the temporaries of
 W bands, a few MB each.  Those temporaries are freed and allocated again
 for every band, so before its first pass covgrid asks glibc to keep
 freed memory below 4 MB in its heaps (see _MALLOPT) rather than fault
-it in afresh for each band; this holds for the whole process.
-
-map_bands runs such a pass over the bands of a corr that is never held
-whole, and upper_bands streams them one at a time: a reduction over corr
-then needs no N x N array, and MAX_N, the cap on dense grids, does not
-bound it; its memory is the band temporaries and the O(N) std.
+it in afresh for each band; this holds for the whole process.  A
+reduction over the bands, as the oracle is, needs no N x N array, and
+MAX_N, the cap on dense grids, does not bound it; its memory is the
+band temporaries and the O(N) std.
 """
 
 from __future__ import annotations
@@ -70,12 +69,11 @@ import numpy as np
 from .errors import DomainError, NumericalError, require_integers
 from .models import Model
 
-__all__ = ["IncrementCovariance", "increment_cov", "map_bands", "num_increments",
-           "upper_bands"]
+__all__ = ["IncrementCovariance", "increment_cov", "map_bands", "num_increments"]
 
 # Dense N x N doubles; 8192^2 is one ~0.5 GB matrix, the ceiling for
-# desk-scale runs.  It caps the grids increment_cov returns, not map_bands
-# or upper_bands.
+# desk-scale runs.  It caps the grids increment_cov returns, not the bands
+# map_bands passes to a reduction.
 MAX_N = 8192
 
 # Rows per band are chosen so that a band of kernel values holds about this
@@ -98,8 +96,15 @@ _MALLOPT = ((-3, 4 << 20), (-2, 16 << 20))
 _TILE = 64
 
 
+def _require_resolution(n: int) -> None:
+    """DomainError unless the grid resolution n is at least 2."""
+    if n < 2:
+        raise DomainError(f"grid resolution n must be >= 2, got {n}")
+
+
 def num_increments(n: int, t: float) -> int:
     """floor(n t), the number of grid increments DX_j with j < n t."""
+    _require_resolution(n)
     if not math.isfinite(n * t):
         raise DomainError(f"time t={t} gives a non-finite n*t at n={n}")
     return math.floor(n * t)
@@ -219,24 +224,22 @@ def _keep_band_memory() -> None:
         mallopt(param, value)
 
 
-def _map_bands(model: Model, times: np.ndarray, std: np.ndarray, fn, threads) -> list:
-    """[fn(j0, blk)] for each band blk of rows j0..j1-1, in order, the
-    bands formed and fn run on _worker_count(threads) workers, at most one
-    per band.  Each worker enters the caller's numpy error state, which is
-    thread-local; one worker, or one band, runs the same map inline."""
-    _keep_band_memory()
-    spans = _schedule(std.size)
+def _pmap(fn, items, threads) -> list:
+    """[fn(item) for item in items], in order, on at most
+    _worker_count(threads) workers, one per item.  Each worker enters the
+    caller's numpy error state, which is thread-local; one worker, or one
+    item, runs the same map inline and starts no thread."""
+    workers = min(_worker_count(threads), len(items))
+    if workers <= 1:
+        return list(map(fn, items))
     err = np.geterr()
 
-    def run(span):
+    def run(item):
         with np.errstate(**err):
-            return fn(span[0], _band(model, times, std, *span))
+            return fn(item)
 
-    workers = min(_worker_count(threads), len(spans))
-    if workers <= 1:
-        return list(map(run, spans))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, spans))
+        return list(pool.map(run, items))
 
 
 def map_bands(model: Model, N: int, fn, threads: int | None = None) -> list:
@@ -245,34 +248,24 @@ def map_bands(model: Model, N: int, fn, threads: int | None = None) -> list:
     _worker_count(threads) workers; no N x N array is held."""
     require_integers(N=N)
     times = np.arange(N + 1, dtype=float)
-    return _map_bands(model, times, _std(model, times), fn, threads)
-
-
-def upper_bands(model: Model, N: int):
-    """The unit-scale corr of the first N increments of model, streamed
-    band by band as map_bands forms them: no N x N array is held."""
-    require_integers(N=N)
-    times = np.arange(N + 1, dtype=float)
     std = _std(model, times)
-    return (_band(model, times, std, *span) for span in _schedule(N))
+    _keep_band_memory()
+    return _pmap(lambda span: fn(span[0], _band(model, times, std, *span)),
+                 _schedule(N), threads)
 
 
 def increment_cov(model: Model, n: int, N: int, threads: int | None = None
                   ) -> IncrementCovariance:
     """The exact increment correlation and norms at resolution n, corr
-    read-only, its bands formed on _worker_count(threads) workers (see the
-    module docstring)."""
+    read-only, its bands formed by map_bands on _worker_count(threads)
+    workers (see the module docstring)."""
     require_integers(n=n, N=N)
-    if n < 2:
-        raise DomainError(f"grid resolution n must be >= 2, got {n}")
+    _require_resolution(n)
     if N < 1:
         raise DomainError(f"increment count N must be >= 1, got {N}")
     if N > MAX_N:
         raise DomainError(f"N={N} exceeds the dense-matrix cap {MAX_N}")
     workers = _worker_count(threads)
-
-    times = np.arange(N + 1, dtype=float)
-    std_unit = _std(model, times)
     corr = np.empty((N, N), dtype=float)
 
     def write(j0, blk):
@@ -281,9 +274,9 @@ def increment_cov(model: Model, n: int, N: int, threads: int | None = None
         corr[j0:j1, j0:] = blk
         corr[j0:, j0:j1] = blk.T
 
-    _map_bands(model, times, std_unit, write, workers)
+    map_bands(model, N, write, workers)
     corr.flags.writeable = False
     # self-similarity: the increments on {j/n} are n^(-beta) times those
     # on the integers
-    std = std_unit * float(n) ** (-model.beta)
+    std = _std(model, np.arange(N + 1, dtype=float)) * float(n) ** (-model.beta)
     return IncrementCovariance(model=model, n=int(n), N=int(N), std=std, corr=corr)

@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from ._version import __version__ as _VERSION
-from .covgrid import _worker_count, map_bands, num_increments
+from .covgrid import _require_resolution, _worker_count, map_bands, num_increments
 from .errors import DomainError, GridError, NumericalError, require_integers
 from .hermite import HermiteFunction
 from .limitvar import gate, sigma_sq
@@ -294,8 +294,7 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
         raise DomainError("t_grid must contain positive times")
     require_integers(n=n, M=M)
     workers = _worker_count(threads)
-    if n < 2:
-        raise DomainError(f"grid resolution n must be >= 2, got {n}")
+    _require_resolution(n)
     if M < MIN_REPLICAS:
         raise DomainError(f"M={M} below the minimum replication {MIN_REPLICAS}")
     gate(f.rank, model.alpha)

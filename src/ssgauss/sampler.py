@@ -20,18 +20,19 @@ in a core's L2 cache.  The chunk builds one Philox generator and re-keys
 it to (seed, i) for each replica i; a block's raw words become uniforms
 and then normals in place, and everything is elementwise, so a block
 gives the bits of one stream per replica.  The chunk then takes one
-product with L^T, written straight into the batch.
+product with L^T, written straight into the batch.  The chunks are
+mapped over the workers by covgrid._pmap, the package's one pool; one
+worker, or one chunk, fills them in turn on the calling thread.
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covgrid import MAX_N, IncrementCovariance, _worker_count, increment_cov
+from .covgrid import MAX_N, IncrementCovariance, _pmap, _worker_count, increment_cov
 from .errors import DomainError, NumericalError, require_integers
 from .models import Model
 
@@ -234,9 +235,9 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
 
     The batch stores one array of at most MAX_N^2 entries, the size of the
     largest dense grid.  The seed must fit the int64 of the batch header.
-    threads, None for every usable CPU, bounds the chunk pool and the band
-    pass that assembles the grid; it is capped at the usable CPU count
-    and never changes the result.
+    threads, None for every usable CPU, bounds the workers that fill the
+    replica chunks and those of the band pass that assembles the grid; it
+    is capped at the usable CPU count and never changes the result.
     """
     require_integers(M=M, seed=seed)
     seed = int(seed)  # the Philox key masks it as a Python int
@@ -272,8 +273,7 @@ def sample_batch(model: Model, n: int, N: int, M: int, seed: int,
         np.matmul(z, LT, out=normalized[lo:hi])
 
     chunks = [(lo, min(lo + _REPLICA_CHUNK, M)) for lo in range(0, M, _REPLICA_CHUNK)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda c: fill(*c), chunks))
+    _pmap(lambda c: fill(*c), chunks, workers)
     return SampleBatch(seed=seed, M=int(M), n=int(n), N=int(N),
                        normalized=normalized, std=ic.std, jitter=jitter)
 

@@ -1,7 +1,9 @@
+import os
 import tracemalloc
 
 import pytest
 
+from ssgauss import covgrid
 from ssgauss.models import make_model
 
 # canonical parameter choices used across the suite; alpha < 1.5 throughout
@@ -24,6 +26,30 @@ def peak_bytes(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class CPUs:
+    """usable(k) lets this process run on k CPUs; pools lists the worker
+    count of each pool covgrid starts, in order."""
+
+    def __init__(self, monkeypatch):
+        self._monkeypatch = monkeypatch
+        self.pools = pools = []
+
+        class Recorder(covgrid.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(covgrid, "ThreadPoolExecutor", Recorder)
+
+    def usable(self, count):
+        self._monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    return CPUs(monkeypatch)
 
 
 @pytest.fixture(scope="session")

@@ -74,6 +74,16 @@ def test_contraction_argument_validation():
         contraction_norm(ic, 2, 2, 1.0)
 
 
+def test_contraction_orders_must_be_integers():
+    # r = 1.5 was truncated to the norm of (q, r) = (2, 1)
+    ic = _random_corr_instance(4, 0)
+    with pytest.raises(DomainError, match="r must be an integer, got 1.5"):
+        contraction_norm(ic, 3, 1.5)
+    with pytest.raises(DomainError, match="q must be an integer, got 3.0"):
+        contraction_norm(ic, 3.0, 1)
+    assert contraction_norm(ic, np.int64(3), np.int32(1)) == contraction_norm(ic, 3, 1)
+
+
 def test_contraction_decreases_with_resolution():
     m = make_model("swanson")
     norms = []

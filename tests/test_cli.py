@@ -1,5 +1,6 @@
 import argparse
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -349,6 +350,25 @@ def test_variance_prints_the_chaos_cut_share(tmp_path, capsys):
     assert run_cli(["variance", "--model", "fbm", "--H", "0.3", "--f", "even_power:2",
                     "--out", str(tmp_path)]) == 0
     assert "chaos cut" not in capsys.readouterr().out
+
+
+def test_clt_on_one_thread_starts_no_pool(cpus, tmp_path, monkeypatch):
+    # covgrid's pool is the package's only one; at --threads 1 the band
+    # passes and the three replica chunks all run on the calling thread
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    cpus.usable(2)
+    assert run_cli(["clt", "--model", "swanson", "--f", "hermite:2", "--n", "512",
+                    "--t-grid", "0.5,1.0", "--M", "1200", "--threads", "1",
+                    "--out", str(tmp_path)]) == 0
+    assert cpus.pools == []
+    assert started == []
 
 
 def test_simulate_threads_deterministic(tmp_path):

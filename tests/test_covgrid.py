@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 import platform
 import resource
 import sys
@@ -121,7 +120,7 @@ def test_input_validation():
 
 def test_streamed_bands_refuse_a_size_that_is_not_an_integer():
     with pytest.raises(DomainError, match="N must be an integer, got 3.5"):
-        covgrid.upper_bands(make_model("swanson"), 3.5)
+        covgrid.map_bands(make_model("swanson"), 3.5, lambda j0, blk: blk, threads=1)
 
 
 @pytest.mark.parametrize("name,kw", CATALOG_CASES)
@@ -135,7 +134,7 @@ def test_every_band_is_rows_of_corr(name, kw, monkeypatch):
         for N in (7, 257):
             corr = increment_cov(m, 64, N).corr
             j0 = 0
-            for blk in covgrid.upper_bands(m, N):
+            for blk in covgrid.map_bands(m, N, lambda j0, blk: blk, threads=1):
                 j1 = j0 + blk.shape[0]
                 assert blk.tobytes() == corr[j0:j1, j0:].tobytes(), (entries, N, j0)
                 j0 = j1
@@ -236,12 +235,8 @@ def test_returned_corr_is_read_only():
             corr[0, 1] = 0.0
 
 
-def _usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 @pytest.mark.parametrize("name,kw", [("bifbm", {"H": 0.6, "K": 0.5}), ("swanson", {})])
-def test_band_passes_give_the_same_bits_on_any_worker_count(name, kw, monkeypatch):
+def test_band_passes_give_the_same_bits_on_any_worker_count(name, kw, cpus):
     # each band is formed whole by one worker, increment_cov writes disjoint
     # slices of corr and exact_variance adds the band sums with fsum, which
     # rounds the exact sum once: no worker count moves a bit.  N = 64 is one
@@ -254,7 +249,7 @@ def test_band_passes_give_the_same_bits_on_any_worker_count(name, kw, monkeypatc
     interval = sys.getswitchinterval()
     try:
         for workers in (1, 2, 8):
-            _usable_cpus(monkeypatch, workers)
+            cpus.usable(workers)
             sys.setswitchinterval(1e-5 if workers > 2 else interval)
             for N in (64, 1024, 777):
                 ic = increment_cov(m, 256, N)
@@ -265,31 +260,23 @@ def test_band_passes_give_the_same_bits_on_any_worker_count(name, kw, monkeypatc
         sys.setswitchinterval(interval)
 
 
-def test_band_pools_follow_the_thread_count(monkeypatch, tmp_path):
+def test_band_pools_follow_the_thread_count(cpus, tmp_path):
     # threads=1 and a grid of one band form their bands inline; simulate
     # --threads 2 assembles on two workers
-    pools = []
-
-    class Recorder(covgrid.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(covgrid, "ThreadPoolExecutor", Recorder)
-    _usable_cpus(monkeypatch, 2)
+    cpus.usable(2)
     m, f = make_model("swanson"), builtin_family("single_hermite", 2)
     assert len(covgrid._schedule(512)) > 1
     run_experiment(m, f, 512, [0.5, 1.0], M=100, seed=0, threads=1)
-    assert pools == []
+    assert cpus.pools == []
     assert len(covgrid._schedule(64)) == 1
     increment_cov(m, 64, 64)
     exact_variance(m, f, 64, 1.0)
-    assert pools == []
+    assert cpus.pools == []
     exact_variance(m, f, 512, 1.0)
-    assert pools == [2]
+    assert cpus.pools == [2]
     assert cli.main(["simulate", "--model", "swanson", "--n", "512", "--M", "2",
                      "--threads", "2", "--out", str(tmp_path)]) == 0
-    assert pools == [2, 2]
+    assert cpus.pools == [2, 2]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc settings")
@@ -313,11 +300,11 @@ def _block_allowance(N):
     return 12 * 8 * (covgrid._BLOCK_ENTRIES + N + 1)
 
 
-def test_assembly_peak_memory_is_one_output_plus_blocks(monkeypatch):
+def test_assembly_peak_memory_is_one_output_plus_blocks(cpus):
     # corr is the one 8 N^2-byte array; a full-grid assembly peaks at about
     # 8 x 8 N^2 with its kernel grid and mirrored temporaries.  Two CPUs put
     # two bands in flight by default; one thread forms one at a time.
-    _usable_cpus(monkeypatch, 2)
+    cpus.usable(2)
     m = make_model("bifbm", H=0.6, K=0.5)
     N = 2048
     increment_cov(m, 64, 64)
@@ -327,11 +314,11 @@ def test_assembly_peak_memory_is_one_output_plus_blocks(monkeypatch):
         assert peak <= 8 * N * N + _block_allowance(N), (threads, peak / (8 * N * N))
 
 
-def test_exact_variance_peak_memory_is_block_temporaries(monkeypatch):
+def test_exact_variance_peak_memory_is_block_temporaries(cpus):
     # the oracle streams corr one band of rows at a time on each worker: it
     # allocates the bands' temporaries and the std of the grid, never an
     # N x N array.  Two CPUs put two bands in flight by default.
-    _usable_cpus(monkeypatch, 2)
+    cpus.usable(2)
     m = make_model("bifbm", H=0.6, K=0.5)
     N = 2048
     for f in (builtin_family("single_hermite", 2), builtin_family("odd_abs_power", 1)):

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import os
 import re
 
 import numpy as np
@@ -117,7 +116,7 @@ def test_exact_variance_against_fifty_digit_chaos_sum(name, kw, f):
 
 
 @pytest.mark.parametrize("coeffs", [{171: 1e-160}, {2: 1e200}, {170: 1.0}])
-def test_exact_variance_beyond_double_range_is_a_numerical_error(coeffs, monkeypatch):
+def test_exact_variance_beyond_double_range_is_a_numerical_error(coeffs, monkeypatch, cpus):
     # a weight q! c_q^2 past the double range, or a sum that overflows
     # (170! over the 64^2 entries of fbm at H = 0.2), is no number; on two
     # workers, over bands of a few rows, too, where each worker enters its
@@ -125,7 +124,7 @@ def test_exact_variance_beyond_double_range_is_a_numerical_error(coeffs, monkeyp
     f = HermiteFunction(coeffs)
     with pytest.raises(NumericalError, match="exceeds the double range at n = 64, t = 1"):
         exact_variance(make_model("fbm", H=0.2), f, 64, 1.0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cpus.usable(2)
     monkeypatch.setattr(covgrid, "_BLOCK_ENTRIES", 256)
     assert len(covgrid._schedule(64)) > 2
     with pytest.raises(NumericalError, match="exceeds the double range at n = 64, t = 1"):
@@ -144,6 +143,17 @@ def test_exact_variance_refuses_sizes_that_are_not_integers():
         with pytest.raises(DomainError, match="threads must be an integer, got 1.5"):
             exact_variance(m, H2, 64, t, threads=1.5)
     assert exact_variance(m, H2, np.int64(64), 1.0) == exact_variance(m, H2, 64, 1.0)
+
+
+@pytest.mark.parametrize("n", [-5, 0, 1])
+def test_resolution_below_two_is_refused(n):
+    # exact_variance gave -2.23 at n = -5, t = -1 and a value at n = 1;
+    # functional's 1/sqrt(n) raised a bare math error or divided by zero
+    for call in (lambda: exact_variance(make_model("swanson"), H2, n, -1.0),
+                 lambda: exact_variance(make_model("swanson"), H2, n, 1.0),
+                 lambda: functional(np.zeros(4), H2, n, [1.0])):
+        with pytest.raises(DomainError, match=f"grid resolution n must be >= 2, got {n}"):
+            call()
 
 
 def test_kolmogorov_sf_against_scipy():

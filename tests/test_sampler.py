@@ -129,25 +129,17 @@ def test_batch_rows_are_replica_normals_times_factor():
         assert np.max(np.abs(batch.increments[i] - want)) <= 1e-12 * scale
 
 
-def test_threads_capped_at_usable_cpus(monkeypatch):
+def test_threads_capped_at_usable_cpus(cpus):
     m = make_model("fbm", H=0.5)
     b1 = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=1)
-    pools = []
-
-    class Recorder(sampler.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(sampler, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cpus.usable(1)
     assert covgrid._worker_count(8) == 1
     b8 = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=8)
-    assert pools == [1]  # one usable CPU: one worker fills the chunks in turn
+    assert cpus.pools == []  # one usable CPU: the chunks are filled inline, in turn
     assert b8.increments.tobytes() == b1.increments.tobytes()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cpus.usable(2)
     b8 = sample_batch(m, 16, 16, 3 * _REPLICA_CHUNK, seed=3, threads=8)
-    assert pools == [1, 2]
+    assert cpus.pools == [2]
     assert b8.increments.tobytes() == b1.increments.tobytes()
 
 
@@ -271,13 +263,13 @@ def test_chunk_icdf_equals_per_replica_normals():
     (37, _REPLICA_CHUNK + 5, None, 1),         # odd N: 885 rows a block
     (1, _REPLICA_CHUNK + 5, None, 2),          # N = 1: a whole chunk in one block
 ])
-def test_blocked_icdf_batch_is_the_whole_chunk_bits(N, M, entries, threads, monkeypatch):
+def test_blocked_icdf_batch_is_the_whole_chunk_bits(N, M, entries, threads, monkeypatch, cpus):
     # the generator is re-keyed per replica, the inverse CDF is elementwise
     # and each chunk still takes one product with L^T, so neither the
     # block size nor the shared generator moves a bit
     if entries is not None:
         monkeypatch.setattr(sampler, "_ICDF_ENTRIES", entries)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cpus.usable(2)
     m = make_model("swanson")
     batch = sample_batch(m, 64, N, M, seed=20240801, threads=threads)
     want = sample_normalized_whole_chunks(m, 64, N, M, 20240801)

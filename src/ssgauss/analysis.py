@@ -26,10 +26,10 @@ n^(-2b) k^(2b-a) (j-k)^(a-2)).
 
 Every audit runs at unit scale: self-similarity, R(c s, c t) =
 c^(2b) R(s, t), scales a residual and its envelope alike, so the residual
-audits take t = 1 and the far-pair audit takes n = 1, each covariance the
-kernel rectangle (R(j+1,k+1) - R(j,k+1)) - (R(j+1,k) - R(j,k)) on the
-integer grid.  One floor serves every audit: |residual| <= 5e-14 max(scale,
-1) counts as zero, the scale being the residual itself, |actual| + |main| +
+audits take t = 1 and the far-pair audit takes n = 1, each covariance
+covgrid.rectangle of its increments; R alone is read only for the floor
+scales.  One floor serves every audit: |residual| <= 5e-14 max(scale, 1)
+counts as zero, the scale being the residual itself, |actual| + |main| +
 R(1, 1) near the diagonal, or |R(j+1, k+1)| for a far pair.
 
 The residual grids run s = 2^-k for k = 3..16.  The two smooth catalog
@@ -63,7 +63,7 @@ import math
 
 import numpy as np
 
-from .covgrid import IncrementCovariance, increment_cov, num_increments
+from .covgrid import IncrementCovariance, increment_cov, num_increments, rectangle
 from .errors import DomainError, GateError, NumericalError, SingularityError, require_integers
 from .limitvar import sigma_q_sq
 from .models import Model
@@ -214,7 +214,7 @@ def _near_floored(model: Model, actual, main) -> np.ndarray:
 def check_increment_variance(model: Model) -> dict:
     """Residual of E[(X_{1+s} - X_1)^2] - 2 lam s^a on s = 2^-k."""
     a, s = model.alpha, _S
-    actual = model.r(1.0 + s, 1.0 + s) - 2.0 * model.r(1.0 + s, 1.0) + model.r(1.0, 1.0)
+    actual = rectangle(model, 1.0, 1.0 + s, 1.0, 1.0 + s)
     main = 2.0 * model.lam * s**a
     env = s if a < 1.0 else s**2
     return _report("increment-variance-residual", model, 1.0 / s,
@@ -225,8 +225,7 @@ def check_adjacent_covariance(model: Model) -> dict:
     """Residual of the adjacent-increment covariance at t = 1 against
     (2^a - 2) lam s^a, for 0 < 2s <= 1."""
     a, b, s = model.alpha, model.beta, _S
-    actual = (model.r(1.0 + s, 1.0) - model.r(1.0 + s, 1.0 - s)
-              - model.r(1.0, 1.0) + model.r(1.0, 1.0 - s))
+    actual = rectangle(model, 1.0, 1.0 + s, 1.0 - s, 1.0)
     main = (2.0**a - 2.0) * model.lam * s**a
     env = s**2 * (1.0 - s) ** (2 * b - 2.0) + s ** (a + 1.0) * (1.0 - s) ** (2 * b - a - 1.0)
     return _report("adjacent-covariance-residual", model, 1.0 / s,
@@ -238,8 +237,7 @@ def check_separated_covariance(model: Model) -> dict:
     0 < 2s <= 1/3 <= r <= 1 - 2s; per s the worst ratio over r is kept."""
     a, b, lam, s = model.alpha, model.beta, model.lam, _S[:, None]
     r = np.linspace(1.0 / 3.0, 1.0 - 2.0 * _S, _R_COUNT, axis=1)
-    actual = (model.r(1.0, r) - model.r(1.0, r - s)
-              - model.r(1.0 - s, r) + model.r(1.0 - s, r - s))
+    actual = rectangle(model, 1.0 - s, 1.0, r - s, r)
     main = lam * (r - s) ** (2 * b - a) * (
         (1.0 - r - s) ** a + (1.0 - r + s) ** a - 2.0 * (1.0 - r) ** a
     )
@@ -255,13 +253,13 @@ def check_far_decay(model: Model) -> dict:
     integer grid; the envelope branches on alpha as in the module docstring."""
     a, b, j = model.alpha, model.beta, _FAR_J
     k = j / 3.0
-    corner = model.r(j + 1.0, k + 1.0)
-    cov = (corner - model.r(j, k + 1.0)) - (model.r(j + 1.0, k) - model.r(j, k))
+    cov = rectangle(model, j, j + 1.0, k, k + 1.0)
     if a < 1.0:
         env = k ** (2.0 * b + model.nu - 2.0) * (j - k) ** (-model.nu)
     else:
         env = k ** (2.0 * b - a) * (j - k) ** (a - 2.0)
-    return _report("far-covariance-decay", model, j, _floored(cov, np.abs(corner)) / env,
+    return _report("far-covariance-decay", model, j,
+                   _floored(cov, np.abs(model.r(j + 1.0, k + 1.0))) / env,
                    _smooth_note(model))
 
 

@@ -6,11 +6,12 @@ is assembled through the rectangle identity
     cov[j, k] = R((j+1)/n, (k+1)/n) - R(j/n, (k+1)/n)
               - R((j+1)/n, k/n)     + R(j/n, k/n)
 
-with R(0, .) = 0.  Differences are grouped so that nearest-magnitude
-kernel values are subtracted first, which is what limits cancellation for
-far-apart index pairs.  Matrices are dense; exactness is the point here,
-and the increments are non-stationary for every model except fbm, so
-circulant or FFT shortcuts do not apply.
+with R(0, .) = 0.  rectangle forms it for any four times, grouped so that
+nearest-magnitude kernel values are subtracted first, which is what limits
+cancellation for far-apart index pairs; _std and the audits of analysis
+call it, and _band forms its entries in the same grouping.  Matrices are
+dense; exactness is the point here, and the increments are non-stationary
+for every model except fbm, so circulant or FFT shortcuts do not apply.
 
 Self-similarity, R(cs, ct) = c^(2 beta) R(s, t), makes the correlation
 corr[j, k] = cov[j, k] / (std[j] std[k]) independent of n, and the N x N
@@ -29,10 +30,10 @@ to the thin diagonal strip.  It forms the rectangle entries and divides
 them by the unit-scale std[j] std[k] as they are formed.  Every kernel
 value a band reads has s <= t, which Model.r evaluates on the ordered
 column and row without its minimum, maximum and mask; only the tiles of
-_TILE x _TILE on the band square's diagonal take the general path.  The
-square is mirrored and given its unit diagonal, so a band is rows
-j0..j1-1 of corr from column j0 on.  cov = corr std[j] std[k] is not
-stored.
+_TILE x _TILE on the band square's diagonal take the general path, and
+outside them no kernel value below that diagonal is evaluated.  The
+band's square of corr is mirrored and given its unit diagonal, so a band
+is rows j0..j1-1 of corr from column j0 on; cov is not stored.
 
 The bands are independent, so map_bands, the one band pass, which
 increment_cov and montecarlo.exact_variance both call, maps them over W
@@ -69,7 +70,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, require_integers
 from .models import Model
 
-__all__ = ["IncrementCovariance", "increment_cov", "map_bands", "num_increments"]
+__all__ = ["IncrementCovariance", "increment_cov", "map_bands", "num_increments", "rectangle"]
 
 # Dense N x N doubles; 8192^2 is one ~0.5 GB matrix, the ceiling for
 # desk-scale runs.  It caps the grids increment_cov returns, not the bands
@@ -97,7 +98,8 @@ _TILE = 64
 
 
 def _require_resolution(n: int) -> None:
-    """DomainError unless the grid resolution n is at least 2."""
+    """DomainError unless the grid resolution n is an integer >= 2."""
+    require_integers(n=n)
     if n < 2:
         raise DomainError(f"grid resolution n must be >= 2, got {n}")
 
@@ -133,12 +135,17 @@ class IncrementCovariance:
         return cov
 
 
+def rectangle(model: Model, s0, s1, t0, t1):
+    """E[(X_s1 - X_s0)(X_t1 - X_t0)], broadcast over the times, in the
+    grouping of every grid entry: (R(s1, t1) - R(s0, t1)) - (R(s1, t0) - R(s0, t0))."""
+    return (model.r(s1, t1) - model.r(s0, t1)) - (model.r(s1, t0) - model.r(s0, t0))
+
+
 def _std(model: Model, times: np.ndarray) -> np.ndarray:
-    """Square roots of the diagonal rectangles on consecutive times, with
-    the operands in the order _band subtracts them, so they hold the bits
-    of the assembled diagonal; raises on a nonpositive one."""
+    """Square roots of the diagonal rectangles on consecutive times, which
+    hold the bits of the assembled diagonal; raises on a nonpositive one."""
     lo, hi = times[:-1], times[1:]
-    diag = (model.r(hi, hi) - model.r(lo, hi)) - (model.r(hi, lo) - model.r(lo, lo))
+    diag = rectangle(model, lo, hi, lo, hi)
     if np.any(diag <= 0.0):
         j = int(np.argmin(diag))
         raise NumericalError(
@@ -176,32 +183,27 @@ def _schedule(N: int) -> list[tuple[int, int]]:
 
 
 def _band(model: Model, times: np.ndarray, std: np.ndarray, j0: int, j1: int) -> np.ndarray:
-    """The unit-scale corr[j0:j1, j0:N]: the rectangles of rows j0..j1-1
-    against columns j0..N-1, each divided by std[j] std[k] as it is formed,
-    with the band's square blk[:, :j1 - j0] mirrored from above its
-    diagonal and a diagonal of 1.  Every entry is the grid's corr, bit for
-    bit."""
+    """The unit-scale corr[j0:j1, j0:N], bit for bit: the rectangles of rows
+    j0..j1-1 against columns j0..N-1, each divided by std[j] std[k] as it is
+    formed, with the band's square blk[:, :j1 - j0] mirrored from above its
+    diagonal and a diagonal of 1."""
     N, b = std.size, j1 - j0
-    # kernel rows j0..j1 against columns j0..N hold every kernel value the
-    # band's entries read.  The columns from j1 on lie at or above every row
-    # time and take the ordered path of Model.r.  Of the square before them
-    # the upper part does too, a tile of columns at a time against the rows
-    # before the tile; each tile on the diagonal takes the general path.
-    # Model.r orders its arguments, so R is bitwise symmetric: the square's
-    # strict lower part is its upper part mirrored, and no time pair outside
-    # the kernel's domain is evaluated.
+    # kernel rows j0..j1 against columns j0..N.  The columns from j1 on lie
+    # at or above every row time and take the ordered path of Model.r, and
+    # so does the square's upper part, a tile of columns at a time against
+    # the rows before it; each tile on the diagonal takes the general path.
+    # A rectangle above the diagonal reads R only on or above it, so the
+    # zeros below reach only the entries the mirror and fill_diagonal set.
     t = times[j0:j1 + 1]
-    R = np.empty((b + 1, N + 1 - j0))
+    R = np.zeros((b + 1, N + 1 - j0))
     R[:, b:] = model.r(t[:, None], times[None, j1:])
     for a in range(0, b, _TILE):
         c = min(a + _TILE, b)
         if a:
             R[:a, a:c] = model.r(t[:a, None], t[None, a:c])
         R[a:c, a:c] = model.r(t[a:c, None], t[None, a:c])
-    sq = R[:, :b + 1]
-    np.copyto(sq, sq.T, where=np.tri(b + 1, k=-1, dtype=bool))
     blk = (R[1:, 1:] - R[:-1, 1:]) - (R[1:, :-1] - R[:-1, :-1])
-    del R, sq
+    del R
     blk /= np.outer(std[j0:j1], std[j0:])
     # the rectangle of a symmetric kernel is symmetric: the band's square
     # takes its lower triangle from its upper one, and its diagonal is 1
@@ -259,8 +261,8 @@ def increment_cov(model: Model, n: int, N: int, threads: int | None = None
     """The exact increment correlation and norms at resolution n, corr
     read-only, its bands formed by map_bands on _worker_count(threads)
     workers (see the module docstring)."""
-    require_integers(n=n, N=N)
     _require_resolution(n)
+    require_integers(N=N)
     if N < 1:
         raise DomainError(f"increment count N must be >= 1, got {N}")
     if N > MAX_N:

@@ -118,9 +118,8 @@ def exact_variance(model: Model, f: HermiteFunction, n: int, t: float,
     _worker_count(threads) workers, the sum over its square once and over
     the rest twice, added exactly (see the module docstring).
     NumericalError when it is not finite."""
-    require_integers(n=n)
-    workers = _worker_count(threads)
     m = num_increments(n, t)
+    workers = _worker_count(threads)
     if m < 1:
         return 0.0
 
@@ -292,9 +291,9 @@ def run_experiment(model: Model, f: HermiteFunction, n: int, t_grid,
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid or t_grid[0] <= 0.0:
         raise DomainError("t_grid must contain positive times")
-    require_integers(n=n, M=M)
-    workers = _worker_count(threads)
     _require_resolution(n)
+    require_integers(M=M)
+    workers = _worker_count(threads)
     if M < MIN_REPLICAS:
         raise DomainError(f"M={M} below the minimum replication {MIN_REPLICAS}")
     gate(f.rank, model.alpha)

@@ -4,8 +4,9 @@ Sampling is exact: a Cholesky factor L of the increment correlation
 turns i.i.d. standard normals z into rows L z with the law of the
 normalized increments DX_j / std[j], which do not depend on n.  Randomness
 is counter-based and splittable: replica i draws its normals from a
-Philox stream keyed by (seed, i), so any degree of parallelism, and any
-chunking of the replica range, reproduces identical batches bit for bit.
+Philox stream keyed by (seed, i), so no thread count moves a bit; a row
+in a short last chunk can move in its last place with the batch size, as
+the BLAS takes another product for one to a few rows.
 
 Normals come from the inverse CDF applied to open-interval uniforms
 built from the raw 64-bit stream.  The inverse CDF is algorithm AS 241

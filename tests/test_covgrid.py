@@ -16,7 +16,7 @@ from ssgauss.models import make_model
 from ssgauss.montecarlo import exact_variance, run_experiment
 
 from conftest import CATALOG_CASES, peak_bytes
-from oracles import increment_cov_full_grid, kernel_mp
+from oracles import increment_cov_full_grid, kernel_masked, kernel_mp
 
 EPS = np.finfo(float).eps
 
@@ -148,7 +148,8 @@ def test_blocked_assembly_bit_identical_to_full_grid(name, kw, monkeypatch):
     m = make_model(name, **kw)
     sizes = [(2, 1), (7, 7), (255, 255), (256, 256), (257, 257), (600, 600),
              (64, 257), (1000, 600), (16, 7)]
-    for entries in (None, 1, 3000):
+    # 10**9 makes one band whose square is the whole grid, many tiles wide
+    for entries in (None, 1, 3000, 10**9):
         if entries is not None:
             monkeypatch.setattr(covgrid, "_BLOCK_ENTRIES", entries)
         for n, N in sizes:
@@ -164,6 +165,19 @@ def test_blocked_assembly_bit_identical_to_full_grid(name, kw, monkeypatch):
             derived = dataclasses.replace(ic, std=std_unit).cov
             assert np.array_equal(derived == 0.0, cov == 0.0), (entries, n, N)
             assert np.all(np.abs(derived - cov) <= 2 * EPS * np.abs(cov)), (entries, n, N)
+
+
+@pytest.mark.parametrize("name,kw", CATALOG_CASES)
+def test_rectangle_is_the_grid_rectangle(name, kw):
+    # on and above the diagonal, the rectangles of the integer times 0..40
+    # from the masked kernel, grouped as the grid groups them
+    m = make_model(name, **kw)
+    t = np.arange(41, dtype=float)
+    R = kernel_masked(m, t[:, None], t[None, :])
+    want = (R[1:, 1:] - R[:-1, 1:]) - (R[1:, :-1] - R[:-1, :-1])
+    got = covgrid.rectangle(m, t[:-1, None], t[1:, None], t[None, :-1], t[None, 1:])
+    upper = np.triu(np.ones((40, 40), dtype=bool))
+    assert got[upper].tobytes() == want[upper].tobytes()
 
 
 @pytest.mark.parametrize("name,kw", CATALOG_CASES)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ssgauss import cli, covgrid, montecarlo
-from ssgauss.covgrid import increment_cov
+from ssgauss.covgrid import increment_cov, num_increments
 from ssgauss.errors import DomainError, GateError, GridError, NumericalError
 from ssgauss.hermite import HermiteFunction, builtin_family
 from ssgauss.limitvar import sigma_q_sq
@@ -153,6 +153,15 @@ def test_resolution_below_two_is_refused(n):
                  lambda: exact_variance(make_model("swanson"), H2, n, 1.0),
                  lambda: functional(np.zeros(4), H2, n, [1.0])):
         with pytest.raises(DomainError, match=f"grid resolution n must be >= 2, got {n}"):
+            call()
+
+
+def test_resolution_that_is_not_an_integer_is_refused():
+    # a resolution of 64.5 would sum floor(64.5) = 64 increments and divide
+    # by sqrt(64.5), an F_n of no grid
+    for call in (lambda: functional(np.full(64, 2.0), H2, 64.5, [1.0]),
+                 lambda: num_increments(64.5, 1.0)):
+        with pytest.raises(DomainError, match="n must be an integer, got 64.5"):
             call()
 
 

@@ -109,9 +109,26 @@ def test_batch_shapes_and_determinism():
     b8 = sample_batch(m, 16, 16, 700, seed=3, threads=8)
     assert np.array_equal(b1.increments, b8.increments)
     assert np.array_equal(b1.normalized, b8.normalized)
-    # row i is the replica-i stream regardless of batch size
+    # fbm at H = 1/2 has L = I, so row i is the replica-i normals at any
+    # batch size; for other models see the test below
     assert np.array_equal(b1.increments[0], one.increments[0])
     assert (one.M, b1.M) == (1, 700)
+
+
+def test_batch_bits_hold_across_threads_not_across_batch_sizes():
+    # a chunk of 1, 2 or 3 rows takes another BLAS product than a chunk of
+    # _REPLICA_CHUNK rows, so the last place of a row in a short last chunk
+    # may move with M; the threads never move a bit
+    m = make_model("swanson")
+    N, M = 512, _REPLICA_CHUNK + 1
+    b1 = sample_batch(m, 512, N, M, seed=0, threads=1).normalized
+    b2 = sample_batch(m, 512, N, M, seed=0, threads=2).normalized
+    full = sample_batch(m, 512, N, 2 * _REPLICA_CHUNK, seed=0).normalized
+    assert b1.tobytes() == b2.tobytes()
+    assert b1[:_REPLICA_CHUNK].tobytes() == full[:_REPLICA_CHUNK].tobytes()
+    last = full[_REPLICA_CHUNK]
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(b1[_REPLICA_CHUNK] - last)) <= 4 * eps * np.max(np.abs(last))
 
 
 def test_batch_rows_are_replica_normals_times_factor():

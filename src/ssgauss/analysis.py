@@ -362,6 +362,7 @@ def tv_bound(norms: dict, q: int, sigma_q2: float, t: float = 1.0) -> float:
     where norms maps each r = 1..q-1 to contraction_norm(ic, q, r, t).
     The norms are unsymmetrized, which bound the symmetrized ones from above.
     """
+    require_integers(q=q)
     if q < 2:
         raise DomainError(f"tv_bound needs a single Hermite factor of order q >= 2, got {q}")
     acc = sum(w * norms[r] for r, w in enumerate(_tv_weights(q), start=1))

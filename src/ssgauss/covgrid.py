@@ -23,17 +23,16 @@ grid it returns; nothing is kept between calls.
 
 The assembly runs in bands of rows of about 2^16 kernel values, so that
 a band and its temporaries fit in a core's 2 MiB L2 cache; the rows per
-band grow as the upper triangle narrows.  _schedule owns that schedule, and
-_band forms one band: for rows j0..j1-1 it evaluates R on times j0..j1
-against the times j0 to N, i.e. once per unordered pair of grid times up
-to the thin diagonal strip.  It forms the rectangle entries and divides
-them by the unit-scale std[j] std[k] as they are formed.  Every kernel
-value a band reads has s <= t, which Model.r evaluates on the ordered
-column and row without its minimum, maximum and mask; only the tiles of
-_TILE x _TILE on the band square's diagonal take the general path, and
-outside them no kernel value below that diagonal is evaluated.  The
-band's square of corr is mirrored and given its unit diagonal, so a band
-is rows j0..j1-1 of corr from column j0 on; cov is not stored.
+band grow as the upper triangle narrows, up to _BAND_ROWS.  _schedule
+owns that schedule, and _band forms one band: for rows j0..j1-1 it
+evaluates R on times j0..j1 against the times j0 to N, every value of
+that grid, i.e. once per unordered pair of grid times but for the band's
+square.  Right of the square every row time is at or below every column
+time, which Model.r evaluates without its minimum, maximum and mask; the
+square takes the general path.  _band divides the rectangle entries by
+the unit-scale std[j] std[k] as they are formed, mirrors the band's
+square from above its diagonal and gives it a unit diagonal, so a band is
+rows j0..j1-1 of corr from column j0 on; cov is not stored.
 
 The bands are independent, so map_bands, the one band pass, which
 increment_cov and montecarlo.exact_variance both call, maps them over W
@@ -92,9 +91,9 @@ _BLOCK_ENTRIES = 1 << 16
 # still mapped and returned whole.
 _MALLOPT = ((-3, 4 << 20), (-2, 16 << 20))
 
-# A band's square takes the ordered path of Model.r but for the tiles of
-# this many rows and columns on its diagonal, which take the general path.
-_TILE = 64
+# A band has at most this many rows, which bounds its square, the part that
+# takes the general path of Model.r and its larger temporaries.
+_BAND_ROWS = 64
 
 
 def _require_resolution(n: int) -> None:
@@ -173,10 +172,10 @@ def _worker_count(threads: int | None) -> int:
 def _schedule(N: int) -> list[tuple[int, int]]:
     """(j0, j1) of each band of rows j0..j1-1 of the first N increments, in
     order: about _BLOCK_ENTRIES kernel values each, the rows growing as the
-    upper triangle narrows."""
+    upper triangle narrows, but never past _BAND_ROWS."""
     spans, j0 = [], 0
     while j0 < N:
-        j1 = min(j0 + max(1, _BLOCK_ENTRIES // (N + 1 - j0)), N)
+        j1 = min(j0 + min(_BAND_ROWS, max(1, _BLOCK_ENTRIES // (N + 1 - j0))), N)
         spans.append((j0, j1))
         j0 = j1
     return spans
@@ -188,20 +187,13 @@ def _band(model: Model, times: np.ndarray, std: np.ndarray, j0: int, j1: int) ->
     formed, with the band's square blk[:, :j1 - j0] mirrored from above its
     diagonal and a diagonal of 1."""
     N, b = std.size, j1 - j0
-    # kernel rows j0..j1 against columns j0..N.  The columns from j1 on lie
-    # at or above every row time and take the ordered path of Model.r, and
-    # so does the square's upper part, a tile of columns at a time against
-    # the rows before it; each tile on the diagonal takes the general path.
-    # A rectangle above the diagonal reads R only on or above it, so the
-    # zeros below reach only the entries the mirror and fill_diagonal set.
+    # kernel rows j0..j1 against columns j0..N: the columns from j1 on lie
+    # at or above every row time and take the ordered path of Model.r, the
+    # square's b columns the general path
     t = times[j0:j1 + 1]
-    R = np.zeros((b + 1, N + 1 - j0))
+    R = np.empty((b + 1, N + 1 - j0))
     R[:, b:] = model.r(t[:, None], times[None, j1:])
-    for a in range(0, b, _TILE):
-        c = min(a + _TILE, b)
-        if a:
-            R[:a, a:c] = model.r(t[:a, None], t[None, a:c])
-        R[a:c, a:c] = model.r(t[a:c, None], t[None, a:c])
+    R[:, :b] = model.r(t[:, None], t[None, :b])
     blk = (R[1:, 1:] - R[:-1, 1:]) - (R[1:, :-1] - R[:-1, :-1])
     del R
     blk /= np.outer(std[j0:j1], std[j0:])

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_integers
 
 __all__ = ["HermiteFunction", "builtin_family"]
 
@@ -44,6 +44,8 @@ class HermiteFunction:
     label: str = ""
 
     def __post_init__(self):
+        for q in self.coeffs:
+            require_integers(q=q)
         if not self.coeffs or min(self.coeffs) < 1:
             raise DomainError(f"a centered f needs orders q >= 1; got {sorted(self.coeffs)}")
 
@@ -154,13 +156,14 @@ def builtin_family(kind: str, p_or_q: int) -> HermiteFunction:
     odd_abs_power p  |x|^(2p+1) - E|Z|^(2p+1), rank 2, kinked at 0
     single_hermite q He_q itself, rank q
     """
-    k = int(p_or_q)
     builders = {"single_hermite": lambda q, label: HermiteFunction({q: 1.0}, label=label),
                 "even_power": _even_power, "odd_abs_power": _odd_abs_power}
     if kind not in builders:
         raise DomainError(f"unknown family {kind!r}; "
                           "known: even_power, odd_abs_power, single_hermite")
     arg = "q" if kind == "single_hermite" else "p"
+    require_integers(**{arg: p_or_q})
+    k = int(p_or_q)
     if k < 1:
         raise DomainError(f"{kind} needs {arg} >= 1")
     label = f"{'hermite' if kind == 'single_hermite' else kind}:{k}"

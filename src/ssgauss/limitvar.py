@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GateError, NumericalError
+from .errors import DomainError, GateError, NumericalError, require_integers
 from .hermite import HermiteFunction
 
 __all__ = ["gate", "second_difference", "sigma_q_sq", "sigma_sq", "SigmaQ"]
@@ -103,6 +103,7 @@ def sigma_q_sq(alpha: float, q: int, rel_tol: float = DEFAULT_REL_TOL) -> SigmaQ
     for the cutoff M at which it holds and sums once more, to M.  Raises
     NumericalError, before that second sum, when M would pass _M_CAP.
     """
+    require_integers(q=q)
     if q < 2:
         raise DomainError(f"chaos order q must be >= 2, got {q}")
     if not rel_tol > 0.0:

@@ -81,7 +81,7 @@ _SPAN = ("t_lo", "t_mid", "t_hi")  # the keys of a cross row's three times
 # gathers of _bootstrap_moments, run on blocks of rows of about these many
 # values, so that a block and its temporaries stay in a core's L2 cache
 # instead of spanning whole (M, N) and (B, M) arrays.  exact_variance
-# takes its bands from covgrid, sized by covgrid._BLOCK_ENTRIES.
+# takes its bands from covgrid, sized by covgrid._BLOCK_ENTRIES and _BAND_ROWS.
 _FUNCTIONAL_ENTRIES = 1 << 15
 _BOOTSTRAP_ENTRIES = 1 << 16
 

@@ -118,6 +118,14 @@ def test_tv_bound_brownian_wiring():
     assert vals[0] > vals[1] > vals[2]
 
 
+def test_tv_bound_order_must_be_an_integer():
+    # q = 2.5 raised TypeError from math.comb
+    norms = {1: 0.5, 2: 0.25}
+    with pytest.raises(DomainError, match="q must be an integer, got 2.5"):
+        tv_bound(norms, 2.5, 1.0)
+    assert tv_bound(norms, np.int64(3), 1.0) == tv_bound(norms, 3, 1.0)
+
+
 def _norm(rep, n, r):
     # the norm of the report's (n, r) row
     return next(row["norm"] for row in rep["norms"] if (row["n"], row["r"]) == (n, r))

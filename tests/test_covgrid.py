@@ -148,10 +148,13 @@ def test_blocked_assembly_bit_identical_to_full_grid(name, kw, monkeypatch):
     m = make_model(name, **kw)
     sizes = [(2, 1), (7, 7), (255, 255), (256, 256), (257, 257), (600, 600),
              (64, 257), (1000, 600), (16, 7)]
-    # 10**9 makes one band whose square is the whole grid, many tiles wide
+    # 10**9 entries and rows make one band whose square is the whole grid,
+    # formed in one general-path call
     for entries in (None, 1, 3000, 10**9):
         if entries is not None:
             monkeypatch.setattr(covgrid, "_BLOCK_ENTRIES", entries)
+        if entries == 10**9:
+            monkeypatch.setattr(covgrid, "_BAND_ROWS", entries)
         for n, N in sizes:
             ic = increment_cov(m, n, N)
             cov, std_unit, corr = increment_cov_full_grid(m, 1, N)
@@ -272,6 +275,19 @@ def test_band_passes_give_the_same_bits_on_any_worker_count(name, kw, cpus):
                 assert got == want.setdefault(N, got), (workers, N)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_schedule_bands_are_capped_in_rows_and_kernel_values():
+    # the bands cover rows 0..N-1 in order; none has more than _BAND_ROWS
+    # rows, so its square is one general-path call, nor more kernel values
+    # than _BLOCK_ENTRIES, or than one row's N + 1 where a row holds more
+    for N in (1, 63, 64, 65, 256, 511, 1023, 1024, 4096):
+        spans = covgrid._schedule(N)
+        assert [j0 for j0, _ in spans] == [0] + [j1 for _, j1 in spans[:-1]], N
+        assert spans[-1][1] == N, N
+        for j0, j1 in spans:
+            assert 1 <= j1 - j0 <= covgrid._BAND_ROWS, (N, j0, j1)
+            assert (j1 - j0) * (N + 1 - j0) <= max(covgrid._BLOCK_ENTRIES, N + 1), (N, j0, j1)
 
 
 def test_band_pools_follow_the_thread_count(cpus, tmp_path):

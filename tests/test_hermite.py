@@ -40,6 +40,20 @@ def test_uncentered_or_empty_expansion_is_rejected():
         HermiteFunction({})
 
 
+def test_chaos_orders_must_be_integers():
+    # 2.5 built hermite:2 and HermiteFunction({2.5: 1.0}) failed with a
+    # TypeError at its first covariance; numpy integers pass
+    with pytest.raises(DomainError, match="q must be an integer, got 2.5"):
+        HermiteFunction({2: 1.0, 2.5: 1.0})
+    with pytest.raises(DomainError, match="q must be an integer, got 2.5"):
+        builtin_family("single_hermite", 2.5)
+    for kind in ("even_power", "odd_abs_power"):
+        with pytest.raises(DomainError, match="p must be an integer, got 1.9"):
+            builtin_family(kind, 1.9)
+    assert HermiteFunction({np.int64(2): 1.0}).covariance(0.5) == 0.5
+    assert builtin_family("even_power", np.int32(2)) == builtin_family("even_power", 2)
+
+
 def test_rank_one_is_reported_not_rejected():
     assert HermiteFunction({1: 1.0, 2: 0.25}).rank == 1
 

@@ -7,7 +7,7 @@ import pytest
 from ssgauss.analysis import contraction_report
 from ssgauss import limitvar
 from ssgauss.cli import main as cli_main
-from ssgauss.errors import GateError, NumericalError
+from ssgauss.errors import DomainError, GateError, NumericalError
 from ssgauss.hermite import HermiteFunction, builtin_family
 from ssgauss.limitvar import _partial_sum, second_difference, sigma_q_sq, sigma_sq
 from ssgauss.models import make_model
@@ -113,6 +113,14 @@ def test_partial_sum_is_bit_equal_to_three_power_sum(monkeypatch, alpha, q):
     for M in BOUNDARY_MS:
         want = partial_sum_three_powers(alpha, q, M, chunk=CHUNK).hex()
         assert _partial_sum(alpha, q, M).hex() == want, M
+
+
+def test_chaos_order_must_be_an_integer():
+    # 2.5 and 3.0 raised TypeError from math.factorial
+    for q in (2.5, 3.0):
+        with pytest.raises(DomainError, match=f"q must be an integer, got {q}"):
+            sigma_q_sq(0.5, q)
+    assert sigma_q_sq(0.5, np.int64(2)) == sigma_q_sq(0.5, 2)
 
 
 def test_gate_rejections():
